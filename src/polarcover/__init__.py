@@ -3,7 +3,8 @@
 Everything here is exact: rationals, the quadratic extension Q(sqrt(q)),
 finite-field arithmetic, and integer counting.  No floating-point results
 are ever produced (numpy floats appear only as exact integer carriers in
-bulk counting, with overflow guards).
+bulk counting, with overflow guards, and as eigenvalue hints that are
+certified exactly).
 """
 
 from .exact_algebra import (

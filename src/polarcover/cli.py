@@ -229,7 +229,7 @@ def _suite_maslov(seed):
 
     space = _build_space(5, 1, 10**6)
     table = CoherenceTable(space)
-    rep = verify_two_graph(table, seed=seed)
+    rep = verify_two_graph(table)
     assert rep.ok and rep.coherent_triples == 10
     gens = space.generators()
     for X in gens:
@@ -353,7 +353,6 @@ def build_parser():
             p.add_argument("--n", type=int, required=True,
                            help="half the symplectic dimension")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--cap-generators", type=int, default=10**6)

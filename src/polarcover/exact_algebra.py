@@ -22,7 +22,6 @@ __all__ = [
     "rpow",
     "mat_mul",
     "mat_identity",
-    "mat_sub",
     "mat_inverse",
     "mat_kernel",
     "mat_charpoly",
@@ -409,40 +408,45 @@ def mat_mul(A, B):
     return out
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def _zero_one_like(x):
     if isinstance(x, QuadExt):
         return QuadExt(0, 0, x.q), QuadExt(1, 0, x.q)
     return Fraction(0), Fraction(1)
 
 
+def _gauss_jordan(rows, ncols, zero, one):
+    """Reduce rows in place to RREF, pivoting on the first ncols columns only.
+
+    Row operations act on whole rows, so columns past ncols ride along (an
+    augmented block).  Returns the pivot columns.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = one / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != zero:
+                f = rows[r][col]
+                rows[r] = [x - f * p for x, p in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots
+
+
 def mat_inverse(A):
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
+    """Exact inverse by Gauss-Jordan elimination of [A | I]."""
     m = len(A)
     if any(len(row) != m for row in A):
         raise ValueError("inverse requires a square matrix")
     zero, one = _zero_one_like(A[0][0])
-    X = [list(row) for row in A]
-    Y = mat_identity(m, one, zero)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if X[r][col] != zero), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        if pivot != col:
-            X[col], X[pivot] = X[pivot], X[col]
-            Y[col], Y[pivot] = Y[pivot], Y[col]
-        inv = one / X[col][col]
-        X[col] = [x * inv for x in X[col]]
-        Y[col] = [y * inv for y in Y[col]]
-        for r in range(m):
-            if r != col and X[r][col] != zero:
-                f = X[r][col]
-                X[r] = [x - f * p for x, p in zip(X[r], X[col])]
-                Y[r] = [y - f * p for y, p in zip(Y[r], Y[col])]
-    return Y
+    rows = [list(row) + unit for row, unit in zip(A, mat_identity(m, one, zero))]
+    if len(_gauss_jordan(rows, m, zero, one)) != m:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[m:] for row in rows]
 
 
 def mat_kernel(A):
@@ -454,23 +458,9 @@ def mat_kernel(A):
     rows = [list(r) for r in A]
     if not rows:
         return []
-    m, ncols = len(rows), len(rows[0])
+    ncols = len(rows[0])
     zero, one = _zero_one_like(rows[0][0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != zero:
-                f = rows[r][col]
-                rows[r] = [x - f * p for x, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    pivots = _gauss_jordan(rows, ncols, zero, one)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):

@@ -18,7 +18,6 @@ from .exact_algebra import QuadExt
 __all__ = [
     "ParameterSet",
     "FeasibilityReport",
-    "section9_parameters",
     "candidate_parameters",
     "check_feasibility",
     "verify_Lstar",
@@ -197,9 +196,6 @@ def candidate_parameters(r_value: QuadExt) -> ParameterSet:
         4, r_value, ev(_P_TEMPLATE), ev(_Q_TEMPLATE),
         [ev(m) for m in _L_TEMPLATES], [ev(m) for m in _LSTAR_TEMPLATES],
     )
-
-
-section9_parameters = candidate_parameters
 
 
 def _is_positive_integer(x: QuadExt):

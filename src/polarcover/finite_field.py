@@ -235,9 +235,6 @@ class FieldSpec:
             raise ZeroCharacterArgument("chi(0) is undefined")
         return self._chi[x]
 
-    def from_int(self, i):
-        return i % self.p
-
     def coeffs(self, code):
         return tuple(self._decode(code))
 
@@ -249,9 +246,6 @@ class FieldSpec:
         if self.e == 1:
             return str(code)
         return ",".join(str(c) for c in self._decode(code))
-
-    def elements(self):
-        return range(self.q)
 
     def smallest_nonsquare(self):
         return next(x for x in range(1, self.q) if self._chi[x] == -1)

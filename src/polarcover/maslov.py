@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import QNotOneModFour
 from .symplectic import (
     Generator,
     SymplecticSpace,
     distance,
+    eliminate,
     intersect,
-    rref,
+    mat_vec,
     rank_of,
 )
 
@@ -37,39 +37,16 @@ def _require_q1mod4(spec):
 
 
 def field_det(spec, rows):
-    """Determinant of a square matrix over F_q by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    det = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = spec.neg(det)
-        det = spec.mul(det, rows[col][col])
-        inv = spec.inv(rows[col][col])
-        for r in range(col + 1, m):
-            if rows[r][col]:
-                f = spec.mul(rows[r][col], inv)
-                rows[r] = [spec.sub(x, spec.mul(f, p)) for x, p in zip(rows[r], rows[col])]
-    return det
+    """Determinant of a square matrix over F_q."""
+    _, pivots, det = eliminate(spec, rows)
+    return det if len(pivots) == len(rows) else 0
 
 
-def solve_coordinates(spec, basis, v):
-    """Coordinates of v in the row space spanned by an RREF basis."""
-    coords = []
-    w = list(v)
-    for row in basis:
-        p = next(j for j, x in enumerate(row) if x)
-        c = w[p]
-        coords.append(c)
-        if c:
-            w = [spec.sub(x, spec.mul(c, y)) for x, y in zip(w, row)]
-    if any(w):
+def solve_coordinates(spec, sub, v):
+    """Coordinates of v on the RREF basis of a subspace."""
+    if any(sub.residue(spec, v)):
         raise ValueError("vector not in subspace")
-    return coords
+    return [v[p] for p in sub.pivots]
 
 
 def _extend_basis(spec, gen_basis, tail):
@@ -79,7 +56,7 @@ def _extend_basis(spec, gen_basis, tail):
     """
     head = []
     current = list(tail)
-    r = len(rref(spec, current)[0]) if current else 0
+    r = len(current)            # tail is an RREF basis
     for row in gen_basis:
         if rank_of(spec, current + [row]) > r:
             head.append(row)
@@ -94,8 +71,8 @@ def _sigma_from_bases(space, X, Y, x_head, y_head, tail):
     k = len(x_head)
     x_basis = list(x_head) + list(tail)
     y_basis = list(y_head) + list(tail)
-    coords_x = [solve_coordinates(spec, X.sub.basis, v) for v in x_basis]
-    coords_y = [solve_coordinates(spec, Y.sub.basis, v) for v in y_basis]
+    coords_x = [solve_coordinates(spec, X.sub, v) for v in x_basis]
+    coords_y = [solve_coordinates(spec, Y.sub, v) for v in y_basis]
     delta_x = field_det(spec, coords_x)
     delta_y = field_det(spec, coords_y)
     gram = [[space.bform(x_head[i], y_head[j]) for j in range(k)] for i in range(k)]
@@ -127,11 +104,9 @@ def sigma_pair(space: SymplecticSpace, X: Generator, Y: Generator, rng=None) -> 
 def _random_extension(space, G, tail, rng):
     """Random head completing tail to a basis of G (for gauge testing)."""
     spec = space.spec
-    from .symplectic import mat_vec
-
     head = []
     current = list(tail)
-    r = len(rref(spec, current)[0]) if current else 0
+    r = len(current)            # tail is an RREF basis
     while r < G.sub.dim:
         coeffs = [rng.randrange(spec.q) for _ in range(G.sub.dim)]
         v = mat_vec(spec, G.sub.basis, coeffs)
@@ -160,13 +135,6 @@ class CoherenceTable:
             self._cache[key] = v
         return v
 
-    def warm_fill(self):
-        gens = self.space.generators()
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                self.sigma(gens[i], gens[j])
-        return self
-
     def sigma_matrix(self):
         """Full symmetric matrix of sigma values, diagonal 0 (numpy int8)."""
         import numpy as np
@@ -190,27 +158,24 @@ def sigma_triple(table: CoherenceTable, X, Y, Z) -> int:
 @dataclass
 class TwoGraphReport:
     ok: bool
-    four_sets_checked: int
     coherent_triples: int = 0
     triples_total: int = 0
-    witness: tuple = None
+    witness: tuple = None       # first pair (x, y) where S breaks the conditions
 
 
-def verify_two_graph(table: CoherenceTable, trials=10**4, seed=0) -> TwoGraphReport:
-    """Even-parity check of coherent triples over 4-subsets.
+def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
+    """Check that the coherent triples form a two-graph, and count them.
 
-    Exhaustive when the number of 4-subsets is at most 10^5, else sampled.
-    The parity condition is equivalent to: for fixed {X, Y}, the sign
-    sigma(X,Z)sigma(Y,Z) patterns over Z come from a switching class, and a
-    4-set {X,Y,Z,W} has evenly many coherent triples.
+    The sign matrix S must be symmetric with zero diagonal and off-diagonal
+    entries exactly +-1.  Given that, every 4-set has evenly many coherent
+    triples, because each pair sign occurs twice in the product of a
+    4-set's four triple signs; so these entry conditions are the whole check.
     """
     import numpy as np
     from math import comb
 
-    space = table.space
-    gens = space.generators()
-    m = len(gens)
     S = table.sigma_matrix().astype(np.int64)
+    m = len(S)
 
     coherent = 0
     total = comb(m, 3)
@@ -219,29 +184,12 @@ def verify_two_graph(table: CoherenceTable, trials=10**4, seed=0) -> TwoGraphRep
             prods = S[a, b] * S[a, b + 1:] * S[b, b + 1:]
             coherent += int((prods == 1).sum())
 
-    checked = 0
-    if comb(m, 4) <= 10**5:
-        for quad in combinations(range(m), 4):
-            checked += 1
-            bad = _odd_coherent_count(S, quad)
-            if bad:
-                return TwoGraphReport(False, checked, coherent, total, quad)
-    else:
-        rng = random.Random(seed)
-        for _ in range(trials):
-            quad = tuple(rng.sample(range(m), 4))
-            checked += 1
-            if _odd_coherent_count(S, quad):
-                return TwoGraphReport(False, checked, coherent, total, quad)
-    return TwoGraphReport(True, checked, coherent, total)
-
-
-def _odd_coherent_count(S, quad):
-    count = 0
-    for a, b, c in combinations(quad, 3):
-        if S[a, b] * S[b, c] * S[c, a] == 1:
-            count += 1
-    return count % 2 == 1
+    off_diagonal = ~np.eye(m, dtype=bool)
+    bad = (S != S.T) | np.where(off_diagonal, np.abs(S) != 1, S != 0)
+    if bad.any():
+        x, y = map(int, np.argwhere(bad)[0])
+        return TwoGraphReport(False, coherent, total, (x, y))
+    return TwoGraphReport(True, coherent, total)
 
 
 @dataclass
@@ -300,13 +248,3 @@ def coherent_split_count(table: CoherenceTable, X: Generator, Y: Generator):
         else:
             incoherent += 1
     return coherent, incoherent
-
-
-def coherent_triples(table: CoherenceTable):
-    """All coherent triples as sorted id tuples (export helper)."""
-    gens = table.space.generators()
-    out = []
-    for X, Y, Z in combinations(gens, 3):
-        if sigma_triple(table, X, Y, Z) == 1:
-            out.append((X.id, Y.id, Z.id))
-    return out

@@ -1,14 +1,16 @@
 """Generic association-scheme engine.
 
-Takes a relation function on ordered pairs of points, verifies the scheme
+Takes a relation matrix on ordered pairs of points, verifies the scheme
 axioms exhaustively, and computes the intersection tensor, the exact
 eigenmatrices P and Q over Q(r), Krein parameters, and the Q-polynomial
 orderings.  All results are exact; numpy float64 appears only as a carrier
-for integer matrix products, guarded against exceeding 2^53.
+for integer matrix products, guarded against exceeding 2^53, and as hints
+for eigenvalues that are then certified exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -23,7 +25,7 @@ from .errors import (
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from .exact_algebra import QuadExt, mat_charpoly, mat_inverse, mat_kernel
+from .exact_algebra import Polynomial, QuadExt, mat_charpoly, mat_inverse, mat_kernel
 
 __all__ = [
     "SchemeInstance",
@@ -57,16 +59,13 @@ class SchemeInstance:
 
     N: int
     d: int
-    relation: object            # callable (x, y) -> index, or None
+    matrix: np.ndarray          # N x N relation indices
     field_q: int = None         # base of the splitting field Q(sqrt(q))
-    _matrix: np.ndarray = None
 
     @staticmethod
     def from_matrix(R, d, field_q=None):
         R = np.asarray(R)
-        inst = SchemeInstance(R.shape[0], d, None, field_q)
-        inst._matrix = R
-        return inst
+        return SchemeInstance(R.shape[0], d, R, field_q)
 
     @staticmethod
     def from_cover(cover):
@@ -76,13 +75,7 @@ class SchemeInstance:
         )
 
     def relation_matrix(self):
-        if self._matrix is None:
-            R = np.empty((self.N, self.N), dtype=np.int16)
-            for x in range(self.N):
-                for y in range(self.N):
-                    R[x, y] = self.relation(x, y)
-            self._matrix = R
-        return self._matrix
+        return self.matrix
 
 
 @dataclass
@@ -178,56 +171,44 @@ class SpectralData:
     eigenvalues: list           # of A_1, per row of P
 
 
-def _quadext_roots(coeffs, q):
-    """Roots of a monic rational polynomial, all required to lie in Q(r).
+def _square_split(q):
+    """(s, t) with q = s^2 t and t squarefree."""
+    s, t, f = 1, q, 2
+    while f * f <= t:
+        while t % (f * f) == 0:
+            t //= f * f
+            s *= f
+        f += 1
+    return s, t
 
-    coeffs are low degree first over Fraction.  Uses sympy to factor over Q,
-    then resolves linear and quadratic factors exactly.
+
+def _exact_eigenvalues(L, q):
+    """The distinct eigenvalues of an integer matrix L, exact in Q(sqrt q).
+
+    They are algebraic integers, so each one in Q(sqrt q) = Q(sqrt t),
+    q = s^2 t with t squarefree, has the form (a + b sqrt t)/2 for integers
+    a, b; a root and its Galois conjugate sum to a and differ by b sqrt t.
+    Float eigenvalues only propose (a, b) from every pair of them; a
+    candidate is kept when the exact characteristic polynomial vanishes at
+    it.  Raises unless L has len(L) distinct roots, all of them in the field.
+    The hints round to the right (a, b) while the eigenvalues stay far below
+    2^52, as they do for every L_1 here (|theta| <= k_1 < N).
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(poly, x, domain="QQ"))
-    roots = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise RepeatedEigenvalue(f"factor {fac} has multiplicity {mult}")
-        fc = sympy.Poly(fac, x).all_coeffs()  # high degree first
-        fc = [Fraction(int(sympy.fraction(c)[0]), int(sympy.fraction(c)[1]))
-              for c in fc]
-        lead = fc[0]
-        fc = [c / lead for c in fc]
-        if len(fc) == 2:
-            roots.append(QuadExt(-fc[1], 0, q))
-        elif len(fc) == 3:
-            b, c = fc[1], fc[2]
-            disc = b * b - 4 * c
-            t2 = disc / q
-            num, den = t2.numerator, t2.denominator
-            rn = _sqrt_if_perfect(num)
-            rd = _sqrt_if_perfect(den)
-            if t2 <= 0 or rn is None or rd is None:
-                raise EigenvalueOutsideField(f"factor {fac} does not split in Q(r)")
-            t = Fraction(rn, rd)
-            roots.append(QuadExt(-b / 2, t / 2, q))
-            roots.append(QuadExt(-b / 2, -t / 2, q))
-        else:
-            raise EigenvalueOutsideField(f"irreducible factor {fac} of degree > 2")
-    if len(set(roots)) != len(roots):
-        raise RepeatedEigenvalue("duplicate eigenvalues after resolution")
+    charpoly = Polynomial(mat_charpoly(L), q)
+    s, t = _square_split(q)
+    sqrt_t = QuadExt.root(q) / s
+    hints = np.linalg.eigvals(np.array(L, dtype=np.float64)).real.tolist()
+    candidates = {(round(x + y) + round((x - y) / math.sqrt(t)) * sqrt_t) / 2
+                  for x in hints for y in hints}
+    roots = [theta for theta in candidates if not charpoly(theta)]
+    derivative = Polynomial([i * c for i, c in enumerate(charpoly.coeffs)][1:], q)
+    for theta in roots:
+        if not derivative(theta):
+            raise RepeatedEigenvalue(f"eigenvalue {theta} is a repeated root")
+    if len(roots) != charpoly.degree:
+        raise EigenvalueOutsideField(
+            f"{charpoly.degree - len(roots)} eigenvalues lie outside Q(sqrt {q})")
     return roots
-
-
-def _sqrt_if_perfect(n):
-    if n < 0:
-        return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
 
 
 def spectral_data(t: IntersectionTensor, N: int, q: int = None) -> SpectralData:
@@ -243,12 +224,7 @@ def spectral_data(t: IntersectionTensor, N: int, q: int = None) -> SpectralData:
         raise ValueError("field base q is required to express eigenvalues")
     d = t.d
     L1 = intersection_matrix(t, 1)
-    coeffs = mat_charpoly(L1)
-    eigs = _quadext_roots(coeffs, q)
-    if len(eigs) != d + 1:
-        raise RepeatedEigenvalue(
-            f"expected {d + 1} distinct eigenvalues, found {len(eigs)}")
-    eigs.sort(reverse=True)
+    eigs = sorted(_exact_eigenvalues(L1, q), reverse=True)
 
     L1q = [[QuadExt(x, 0, q) for x in row] for row in L1]
     L1T = [[L1q[j][i] for j in range(d + 1)] for i in range(d + 1)]

@@ -35,17 +35,27 @@ DEFAULT_GENERATOR_CAP = 10**6
 # -- vector/matrix helpers over F_q (codes) ---------------------------------
 
 
-def rref(spec: FieldSpec, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns) as tuples."""
+def eliminate(spec: FieldSpec, rows):
+    """Gauss-Jordan elimination over F_q codes, first-nonzero pivoting.
+
+    Returns (rows, pivots, det): the nonzero rows of the reduced row echelon
+    form, their pivot columns, and the product of the pivots signed by the
+    row swaps, which is the determinant when the input is square and
+    nonsingular.
+    """
     rows = [list(r) for r in rows if any(r)]
     pivots = []
+    det = 1
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = spec.neg(det)
+        det = spec.mul(det, rows[rank][col])
         inv = spec.inv(rows[rank][col])
         rows[rank] = [spec.mul(inv, x) for x in rows[rank]]
         for r in range(len(rows)):
@@ -56,12 +66,17 @@ def rref(spec: FieldSpec, rows):
         rank += 1
         if rank == len(rows):
             break
-    rows = [r for r in rows if any(r)]
+    return rows[:rank], pivots, det
+
+
+def rref(spec: FieldSpec, rows):
+    """Reduced row echelon form; returns (rows, pivot_columns) as tuples."""
+    rows, pivots, _ = eliminate(spec, rows)
     return tuple(tuple(r) for r in rows), tuple(pivots)
 
 
 def rank_of(spec, rows):
-    return len(rref(spec, rows)[0])
+    return len(eliminate(spec, rows)[1])
 
 
 def vec_add(spec, u, v):
@@ -76,16 +91,6 @@ def mat_vec(spec, rows, coeffs):
     """Linear combination sum coeffs[i] * rows[i]."""
     out = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                out[j] = spec.add(out[j], spec.mul(c, x))
-    return tuple(out)
-
-
-def apply_matrix(spec, v, M):
-    """Row vector v times matrix M (rows of M indexed by coordinates of v)."""
-    out = [0] * len(M[0])
-    for c, row in zip(v, M):
         if c:
             for j, x in enumerate(row):
                 out[j] = spec.add(out[j], spec.mul(c, x))
@@ -108,18 +113,21 @@ class Subspace:
         basis, pivots = rref(spec, rows)
         return Subspace(basis, pivots)
 
-    def contains_vector(self, spec, v):
+    def residue(self, spec, v):
+        """v minus sum v[p_i] * basis[i]; zero exactly when v lies in the subspace.
+
+        In RREF each pivot column is zero outside its own row, so the
+        coordinates of a member v are its entries at the pivot columns.
+        """
         w = list(v)
         for row, p in zip(self.basis, self.pivots):
-            if w[p]:
-                c = w[p]
+            c = v[p]
+            if c:
                 w = [spec.sub(x, spec.mul(c, y)) for x, y in zip(w, row)]
-        return not any(w)
+        return w
 
-    def vectors(self, spec):
-        """All q^dim vectors of the subspace (including zero)."""
-        for coeffs in product(range(spec.q), repeat=self.dim):
-            yield mat_vec(spec, self.basis, coeffs) if self.dim else tuple([0] * len(self.basis[0]))
+    def contains_vector(self, spec, v):
+        return not any(self.residue(spec, v))
 
 
 @dataclass(frozen=True)
@@ -173,10 +181,6 @@ class SymplecticSpace:
             for j in range(i + 1, len(rows))
         )
 
-    def basis_vector(self, coeffs):
-        """Vector from hyperbolic-basis coefficients given as ints mod p."""
-        return tuple(self.spec.from_int(c) for c in coeffs)
-
     def predicted_generator_count(self):
         q = self.spec.q
         count = 1
@@ -196,7 +200,7 @@ class SymplecticSpace:
 
     def generator_image(self, g: Generator, iso: Isometry):
         """Image of a generator under an isometry, located in the enumeration."""
-        rows = [apply_matrix(self.spec, v, iso.matrix) for v in g.sub.basis]
+        rows = [mat_vec(self.spec, iso.matrix, v) for v in g.sub.basis]
         basis, _ = rref(self.spec, rows)
         return self.generator_by_basis(basis)
 
@@ -233,22 +237,7 @@ class SymplecticSpace:
 
 def _kernel_basis(spec, constraint_rows, ncols):
     """Basis (RREF) of {v : A v = 0} for A given as rows over F_q."""
-    rows = [list(r) for r in constraint_rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = spec.inv(rows[rank][col])
-        rows[rank] = [spec.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [spec.sub(x, spec.mul(f, p)) for x, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    rows, pivots, _ = eliminate(spec, constraint_rows)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -410,7 +399,7 @@ def _transvection_matrix(space: SymplecticSpace, v, lam):
 def _mat_mul_field(spec, A, B):
     rows = []
     for ra in A:
-        rows.append(apply_matrix(spec, ra, B))
+        rows.append(mat_vec(spec, B, ra))
     return tuple(rows)
 
 

@@ -198,12 +198,14 @@ def test_criterion_4_coherence_combinatorics_exhaustive():
 
     # every 4-set has evenly many coherent triples.  Triple signs are
     # products of pair signs, so over a 4-set the four triple signs
-    # multiply to +1 (each pair occurs twice); this is checked exhaustively
-    # on the pair level by the completeness of S, and spot-verified on a
-    # large 4-set sample.
+    # multiply to +1 (each pair occurs twice) as soon as S is symmetric
+    # with off-diagonal entries +-1, which verify_two_graph checks on
+    # every pair.
     assert (S == S.T).all() and set(np.unique(S[distinct])) == {-1, 1}
-    report = verify_two_graph(table, trials=10**4, seed=0)
-    assert report.ok
+    report = verify_two_graph(table)
+    assert report.ok and report.witness is None
+    assert 2 * report.coherent_triples - report.triples_total \
+        == np.trace(S @ S @ S) // 6
 
     # length-3 path counts in the cover (exhaustive via A^3; for
     # non-adjacent endpoint pairs every 3-walk is a path)

@@ -1,9 +1,14 @@
 """CLI subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polarcover
 from polarcover.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -59,6 +64,10 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_INVALID
 
+    def test_threads_flag_rejected(self, capsys):
+        code, _, _ = run(capsys, "scheme", "--q", "5", "--n", "1", "--threads", "2")
+        assert code == EXIT_INVALID
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "selftest", "--suite", "nope")
         assert code == EXIT_INVALID
@@ -106,6 +115,18 @@ class TestScheme:
         _, out1, _ = run(capsys, "scheme", "--q", "5", "--n", "1")
         _, out2, _ = run(capsys, "scheme", "--q", "5", "--n", "1")
         assert out1 == out2
+
+    def test_no_sympy_import(self):
+        # A fresh interpreter, so no other test's imports count.
+        script = ("import sys\n"
+                  "from polarcover.cli import main\n"
+                  "code = main(['scheme', '--q', '5', '--n', '1'])\n"
+                  "print(code, 'sympy' in sys.modules, file=sys.stderr)\n")
+        src = Path(polarcover.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stderr.split() == [str(EXIT_OK), "False"], proc.stderr
 
 
 class TestCrosscheck:

@@ -10,7 +10,6 @@ from polarcover.feasibility import (
     check_feasibility,
     lstar1_is_tridiagonal,
     parse_r,
-    section9_parameters,
     sweep,
     verify_Lstar,
 )
@@ -42,9 +41,6 @@ class TestTemplates:
         for v in ("0", "1", "-1"):
             with pytest.raises(ZeroDivisionError):
                 candidate_parameters(parse_r(v))
-
-    def test_alias(self):
-        assert section9_parameters is candidate_parameters
 
     def test_r3_exact_values(self):
         ps = candidate_parameters(int_r(3))

@@ -126,24 +126,35 @@ class TestSigmaTriple:
 
 
 class TestTwoGraph:
-    def test_exhaustive_q5n1(self, q5n1):
-        table = CoherenceTable(q5n1["space"])
+    def _check(self, table, coherent, total):
         report = verify_two_graph(table)
-        assert report.ok
-        assert report.four_sets_checked == 15
-        assert (report.coherent_triples, report.triples_total) == (10, 20)
+        assert report.ok and report.witness is None
+        assert (report.coherent_triples, report.triples_total) == (coherent, total)
+        # coherent minus incoherent triples is trace(S^3)/6 (S has zero diagonal)
+        S = table.sigma_matrix().astype(np.int64)
+        assert 2 * coherent - total == np.trace(S @ S @ S) // 6
 
-    def test_sampled_q5n2(self, q5n2):
-        table = CoherenceTable(q5n2["space"])
-        report = verify_two_graph(table, trials=10**4, seed=3)
-        assert report.ok
-        assert report.four_sets_checked == 10**4
+    def test_exhaustive_q5n1(self, q5n1):
+        self._check(CoherenceTable(q5n1["space"]), 10, 20)
+
+    def test_exhaustive_q5n2(self, q5n2):
+        self._check(CoherenceTable(q5n2["space"]), 372060, 620620)   # C(156, 3)
 
     def test_exhaustive_q9n1(self, q9n1):
-        table = CoherenceTable(q9n1["space"])
+        self._check(CoherenceTable(q9n1["space"]), 60, 120)         # C(10, 3)
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "zero_off_diagonal"])
+    def test_broken_sign_matrix_has_witness(self, q5n1, monkeypatch, fault):
+        table = CoherenceTable(q5n1["space"])
+        S = table.sigma_matrix().copy()
+        if fault == "asymmetric":
+            S[0, 1] = -S[0, 1]
+        else:
+            S[0, 1] = S[1, 0] = 0
+        monkeypatch.setattr(table, "sigma_matrix", lambda: S)
         report = verify_two_graph(table)
-        assert report.ok
-        assert report.four_sets_checked == 210   # C(10, 4)
+        assert not report.ok
+        assert report.witness == (0, 1)
 
 
 class TestHalfSplits:

@@ -5,16 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from polarcover.closed_form import eigenmatrices_closed, l1_closed
 from polarcover.errors import (
+    EigenvalueOutsideField,
     IdentityNotR0,
     NonConstant,
     NotAPartition,
     NotSymmetric,
+    RepeatedEigenvalue,
 )
 from polarcover.exact_algebra import QuadExt, mat_mul
 from polarcover.scheme_core import (
     KreinTensor,
     SchemeInstance,
+    _exact_eigenvalues,
     export_scheme,
     intersection_matrix,
     krein,
@@ -203,6 +207,31 @@ class TestKreinAndOrderings:
         sd = spectral_data(t, 3)
         kt = krein(sd)
         assert q_poly_orderings(kt) == [(0, 1)]
+
+
+class TestEigenvalueResolver:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [5, 9, 13, 125])
+    def test_closed_form_spectrum(self, q, n):
+        # square q = 9 and non-squarefree q = 125 = 5^2 * 5 included
+        want = [row[1] for row in eigenmatrices_closed(n, q).p_full]
+        got = _exact_eigenvalues(l1_closed(n, q), q)
+        assert sorted(got, reverse=True) == sorted(want, reverse=True)
+
+    def test_heptagon_outside_field(self):
+        # C7 distance scheme: eigenvalues 2 cos(2 pi k / 7) are cubic surds
+        R = np.array([[min((x - y) % 7, (y - x) % 7) for y in range(7)]
+                      for x in range(7)])
+        t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
+        with pytest.raises(EigenvalueOutsideField):
+            spectral_data(t, 7)
+
+    def test_klein_four_repeated(self):
+        # Z2 x Z2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1
+        R = np.array([[x ^ y for y in range(4)] for x in range(4)])
+        t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
+        with pytest.raises(RepeatedEigenvalue):
+            spectral_data(t, 4)
 
 
 class TestIdempotents:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -41,7 +42,17 @@ def _factor_prime_power(q):
     return None
 
 
-def _build_space(q, n, cap):
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _build_space(q, n, cap, verify=False):
+    """The space with its generators enumerated.
+
+    With verify set, first predicts the memory that verifying the cover
+    scheme will need and raises ResourceCapExceeded if it is over the
+    machine's physical memory, before any enumeration starts.
+    """
     pe = _factor_prime_power(q)
     if pe is None or pe[0] == 2:
         raise ValueError(f"q = {q} is not an odd prime power")
@@ -51,6 +62,13 @@ def _build_space(q, n, cap):
 
     spec = construct_field(*pe)
     space = SymplecticSpace(spec, n)
+    if verify:
+        from .scheme_core import verify_scheme_bytes
+
+        predicted = verify_scheme_bytes(2 * space.predicted_generator_count(), 2 * n + 1)
+        limit = _physical_memory()
+        if predicted > limit:
+            raise ResourceCapExceeded(predicted, limit)
     space.generators(cap=cap)
     return space
 
@@ -100,7 +118,7 @@ def cmd_scheme(args):
         verify_scheme,
     )
 
-    space = _build_space(args.q, args.n, args.cap_generators)
+    space = _build_space(args.q, args.n, args.cap_generators, verify=True)
     table = CoherenceTable(space)
     cover = CoverGraph(table)
     instance = SchemeInstance.from_cover(cover)
@@ -157,7 +175,7 @@ def cmd_crosscheck(args):
             verify_scheme,
         )
 
-        space = _build_space(args.q, args.n, args.cap_generators)
+        space = _build_space(args.q, args.n, args.cap_generators, verify=True)
         table = CoherenceTable(space)
         cover = CoverGraph(table)
         tensor = verify_scheme(SchemeInstance.from_cover(cover))

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .maslov import CoherenceTable
 
 __all__ = ["SignedVertex", "CoverGraph"]
@@ -51,14 +53,10 @@ class CoverGraph:
         return [SignedVertex.from_vid(v) for v in range(self.num_vertices)]
 
     def relation_index(self, u: SignedVertex, v: SignedVertex) -> int:
-        gens = self.space.generators()
-        X, Y = gens[u.gen], gens[v.gen]
         if u.gen == v.gen:
             return 0 if u.sign == v.sign else 2 * self.n + 1
-        D = self.space.distance_matrix()
-        k = int(D[u.gen, v.gen])
-        s = self.table.sigma(X, Y)
-        if u.sign * v.sign == s:
+        k = int(self.space.distance_matrix()[u.gen, v.gen])
+        if u.sign * v.sign == self.table.sigma_matrix()[u.gen, v.gen]:
             return k
         return 2 * self.n + 1 - k
 
@@ -66,34 +64,30 @@ class CoverGraph:
         return self.relation_index(u, v) == 1
 
     def neighbors(self, u: SignedVertex):
-        gens = self.space.generators()
-        D = self.space.distance_matrix()
-        X = gens[u.gen]
-        out = []
-        for j in (D[u.gen] == 1).nonzero()[0]:
-            Y = gens[int(j)]
-            out.append(SignedVertex(Y.id, u.sign * self.table.sigma(X, Y)))
+        js = np.flatnonzero(self.space.distance_matrix()[u.gen] == 1)
+        signs = u.sign * self.table.sigma_matrix()[u.gen, js]
+        out = [SignedVertex(j, s) for j, s in zip(js.tolist(), signs.tolist())]
         if self.degree is None:
             self.degree = len(out)
         return out
 
     def adjacency_matrix(self):
-        """Dense 0/1 adjacency over the signed-vertex ids (numpy int64)."""
-        import numpy as np
+        """Dense 0/1 adjacency over the signed-vertex ids (numpy int64).
 
+        Fiber block (sx, sy) is d(X, Y) = 1 with sigma(X, Y) = sx * sy.
+        """
+        edge = self.space.distance_matrix() == 1
+        S = self.table.sigma_matrix()
         A = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
-        for v in range(self.num_vertices):
-            u = SignedVertex.from_vid(v)
-            for w in self.neighbors(u):
-                A[v, w.vid] = 1
+        for x, sx in enumerate((1, -1)):
+            for y, sy in enumerate((1, -1)):
+                A[x::2, y::2] = edge & (S == sx * sy)
         if not (A == A.T).all():
             raise AssertionError("cover adjacency not symmetric")
         return A
 
     def relation_matrix_index(self):
         """num_vertices^2 array of relation indices (numpy int8)."""
-        import numpy as np
-
         D = self.space.distance_matrix()
         m = len(self.space.generators())
         S = self.table.sigma_matrix()  # 0 diagonal
@@ -127,8 +121,6 @@ class CoverGraph:
         raise ValueError("cover graph is disconnected")
 
     def diameter(self) -> int:
-        import numpy as np
-
         A = self.adjacency_matrix()
         m = A.shape[0]
         dist = np.full((m, m), -1, dtype=np.int64)

@@ -3,17 +3,22 @@
 Elements are represented internally by integer codes in [0, q): the code of
 an element with coefficient vector (c0, .., c_{e-1}) is sum c_i p^i.  A
 :class:`FieldSpec` carries full multiplication/inverse tables (desk-scale q),
-so all hot-loop arithmetic is table lookups on ints.  :class:`FieldElement`
-is the thin value wrapper used at API boundaries.
+so all hot-loop arithmetic is table lookups on ints; its :class:`FieldTables`
+are the same tables as numpy arrays, for lookups on whole arrays of codes.
+:class:`FieldElement` is the thin value wrapper used at API boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import PolarcoverError
 
-__all__ = ["FieldSpec", "FieldElement", "construct_field", "field_arith", "chi"]
+__all__ = ["FieldSpec", "FieldTables", "FieldElement", "construct_field",
+           "field_arith", "chi"]
 
 
 class ZeroCharacterArgument(PolarcoverError):
@@ -247,6 +252,10 @@ class FieldSpec:
             return str(code)
         return ",".join(str(c) for c in self._decode(code))
 
+    @cached_property
+    def tables(self):
+        return FieldTables(self)
+
     def smallest_nonsquare(self):
         return next(x for x in range(1, self.q) if self._chi[x] == -1)
 
@@ -258,6 +267,45 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.e))
+
+
+class FieldTables:
+    """A FieldSpec's tables as numpy arrays, applied elementwise to code arrays.
+
+    Codes are stored as int16 (q < 2^15).  Binary tables are flattened, so
+    a op b is one lookup at a * q + b, computed in intp whatever the
+    integer type of the operands.  inv and chi map 0 to 0, so masked-out
+    lanes of a batch stay harmless; callers decide what a zero means.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        q = spec.q
+        add = np.array(spec._add, dtype=np.int16)
+        self.q = q
+        self.add_t = add.ravel()
+        self.sub_t = add[:, spec._neg].ravel()
+        self.mul_t = np.array(spec._mul, dtype=np.int16).ravel()
+        self.neg_t = np.array(spec._neg, dtype=np.int16)
+        self.inv_t = np.array([0] + spec._inv[1:], dtype=np.int16)
+        self.chi_t = np.array(spec._chi, dtype=np.int8)
+
+    def add(self, a, b):
+        return self.add_t[np.multiply(a, self.q, dtype=np.intp) + b]
+
+    def sub(self, a, b):
+        return self.sub_t[np.multiply(a, self.q, dtype=np.intp) + b]
+
+    def mul(self, a, b):
+        return self.mul_t[np.multiply(a, self.q, dtype=np.intp) + b]
+
+    def neg(self, a):
+        return self.neg_t[a]
+
+    def inv(self, a):
+        return self.inv_t[a]
+
+    def chi(self, a):
+        return self.chi_t[a]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,24 @@ where the determinant runs over i, j <= k and delta_X is the determinant of
 coordinates with respect to X's canonical RREF basis.  For q = 1 mod 4 this
 is symmetric and independent of the basis choice; the coherent triples
 (sigma(X,Y)sigma(Y,Z)sigma(Z,X) = +1) form a two-graph.
+
+``sigma_pair`` computes this one pair at a time and is the reference.
+``CoherenceTable.sigma_matrix`` computes all pairs at once from one batched
+elimination per chunk of pairs.  With X, Y the RREF bases, let
+G = X J Y^T (G_ij = B(x_i, y_j)) and eliminate [G | X_Y], X_Y being the
+columns of X at the pivot columns of Y, so that E G = R is in RREF with
+k = rank(G) = d(X, Y) pivot rows at columns pc.  Then
+
+    sigma(X, Y) = chi(product of the pivots of G) * chi(det M_Y),
+
+where M_Y has rows e_pc (i < k) and (E X_Y)_i (i >= k).  Proof sketch: the
+rows K = E[k:] span the left kernel of G, so K X spans X meet Y; take the
+basis x = E X of X (coordinates E) and, for Y, the heads y_i = Y_{pc_i}
+with the tail K X, whose Y-coordinates are (K X)[:, pivots of Y] = K X_Y.
+These Y-coordinates are the rows of M_Y, and the head Gram block is
+R[:k, pc] = I.  So sigma = chi(det E * det M_Y), and chi(det E) is chi of
+the product of the pivots because the row swaps only change its sign and
+chi(-1) = 1 for q = 1 mod 4.
 """
 
 from __future__ import annotations
@@ -16,14 +34,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import QNotOneModFour
 from .symplectic import (
     Generator,
     SymplecticSpace,
-    distance,
     eliminate,
+    eliminate_batch,
+    gram_batch,
     intersect,
     mat_vec,
+    pair_chunks,
     rank_of,
 )
 
@@ -120,33 +142,41 @@ def _random_extension(space, G, tail, rng):
 
 
 class CoherenceTable:
-    """Memoized sigma values keyed by unordered generator-id pairs."""
+    """The sign matrix S of all generator pairs, computed once on first use."""
 
     def __init__(self, space: SymplecticSpace):
         _require_q1mod4(space.spec)
         self.space = space
-        self._cache = {}
+        self._S = None
 
     def sigma(self, X: Generator, Y: Generator) -> int:
-        key = (X.id, Y.id) if X.id < Y.id else (Y.id, X.id)
-        v = self._cache.get(key)
-        if v is None:
-            v = sigma_pair(self.space, X, Y)
-            self._cache[key] = v
-        return v
+        if X.id == Y.id:
+            raise ValueError("sigma requires distinct generators")
+        return int(self.sigma_matrix()[X.id, Y.id])
 
     def sigma_matrix(self):
         """Full symmetric matrix of sigma values, diagonal 0 (numpy int8)."""
-        import numpy as np
-
-        gens = self.space.generators()
-        m = len(gens)
-        S = np.zeros((m, m), dtype=np.int8)
-        for i in range(m):
-            for j in range(i + 1, m):
-                s = self.sigma(gens[i], gens[j])
-                S[i, j] = S[j, i] = s
-        return S
+        if self._S is None:
+            space = self.space
+            t, n = space.spec.tables, space.n
+            codes, pivots, codes_j = space.generator_arrays()
+            m = len(codes)
+            S = np.zeros((m, m), dtype=np.int8)
+            unit = np.eye(n, dtype=np.int16)
+            for a, b in pair_chunks(m):
+                # [G | X_Y] -> [R | E X_Y]
+                X_Y = np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2)
+                M = np.concatenate([gram_batch(t, codes_j[a], codes[b]), X_Y], axis=2)
+                _, pc, pivot_product = eliminate_batch(t, M, n)
+                M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[:, :, n:])
+                rank, _, det = eliminate_batch(t, M_Y)
+                if (rank < n).any():
+                    x = int(np.flatnonzero(rank < n)[0])
+                    raise AssertionError(
+                        f"singular tail coordinates at pair ({a[x]}, {b[x]})")
+                S[a, b] = S[b, a] = t.chi(pivot_product) * t.chi(det)
+            self._S = S
+        return self._S
 
 
 def sigma_triple(table: CoherenceTable, X, Y, Z) -> int:
@@ -209,6 +239,7 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
     space = table.space
     spec = space.spec
     gens = space.generators()
+    D = space.distance_matrix()
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -216,8 +247,7 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
         chi_mu = spec.chi_code(iso.multiplier)
         for _ in range(max(1, trials // max(1, len(elements)))):
             X, Y, Z = rng.sample(gens, 3)
-            perim = (distance(space, X, Y) + distance(space, Y, Z)
-                     + distance(space, Z, X))
+            perim = int(D[X.id, Y.id]) + int(D[Y.id, Z.id]) + int(D[Z.id, X.id])
             lhs = sigma_triple(
                 table,
                 space.generator_image(X, iso),
@@ -233,18 +263,11 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
 
 def coherent_split_count(table: CoherenceTable, X: Generator, Y: Generator):
     """Counts of coherent/incoherent Z with d(X,Z) = d(X,Y), d(Y,Z) = 1."""
-    space = table.space
     if X.id == Y.id:
         raise ValueError("distinct generators required")
-    k = distance(space, X, Y)
-    coherent = incoherent = 0
-    for Z in space.generators():
-        if Z.id in (X.id, Y.id):
-            continue
-        if distance(space, Y, Z) != 1 or distance(space, X, Z) != k:
-            continue
-        if sigma_triple(table, X, Y, Z) == 1:
-            coherent += 1
-        else:
-            incoherent += 1
-    return coherent, incoherent
+    x, y = X.id, Y.id
+    D = table.space.distance_matrix()
+    S = table.sigma_matrix()
+    zs = np.flatnonzero((D[x] == D[x, y]) & (D[y] == 1))     # never x or y
+    coherent = int((S[x, y] * S[y, zs] * S[zs, x] == 1).sum())
+    return coherent, len(zs) - coherent

@@ -33,6 +33,7 @@ __all__ = [
     "SpectralData",
     "KreinTensor",
     "verify_scheme",
+    "verify_scheme_bytes",
     "intersection_matrix",
     "spectral_data",
     "krein",
@@ -85,6 +86,13 @@ class IntersectionTensor:
     p: list                     # p[i][j][k], nonnegative ints
     valencies: list             # k_i
     field_q: int = None
+
+
+def verify_scheme_bytes(N, d):
+    """Predicted peak bytes of ``verify_scheme`` on N points and d classes:
+    N^2 entries of the int8 R, of each of the d+1 int64 A_i, and of the two
+    float64 operands of a product."""
+    return N * N * (1 + 8 * (d + 1) + 16)
 
 
 def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:

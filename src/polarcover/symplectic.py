@@ -4,6 +4,12 @@ Vectors are tuples of field-element codes of length 2n, ordered as the
 hyperbolic basis e_1..e_n, f_1..f_n with B(e_i, f_j) = delta_ij.  Subspaces
 are canonicalized to reduced row echelon form on construction, so equality
 and hashing are structural.
+
+Bulk work runs on numpy arrays of codes instead: the generators packed as
+one (m, n, 2n) array, and one batched Gauss-Jordan (``eliminate_batch``)
+over stacks of small matrices.  The per-object functions (``eliminate``,
+``distance``, ``intersect``) stay as the reference the batched paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ import random
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
+
 from .errors import ResourceCapExceeded
-from .finite_field import FieldSpec
+from .finite_field import FieldSpec, FieldTables
 
 __all__ = [
     "SymplecticSpace",
@@ -21,6 +29,9 @@ __all__ = [
     "Generator",
     "Isometry",
     "enumerate_generators",
+    "eliminate_batch",
+    "gram_batch",
+    "pair_chunks",
     "distance",
     "intersect",
     "distance_profile",
@@ -97,6 +108,86 @@ def mat_vec(spec, rows, coeffs):
     return tuple(out)
 
 
+def eliminate_batch(t: FieldTables, M, ncols=None):
+    """Gauss-Jordan on every matrix of a stack M (B, r, c) of codes, in place.
+
+    First-nonzero pivoting as in ``eliminate``, but pivots are sought only
+    in the first ncols columns (all of them by default); later columns are
+    carried along, so eliminating [G | X] leaves E X beside R = E G.
+    Returns (rank, pivots, pivot_product): per matrix the rank, the pivot
+    columns padded with -1 to r entries, and the product of the pivots,
+    which is the determinant up to sign when the input is square and
+    nonsingular.
+    """
+    B, r, c = M.shape
+    ncols = c if ncols is None else ncols
+    rank = np.zeros(B, dtype=np.intp)
+    pivots = np.full((B, r), -1, dtype=np.intp)
+    pivot_product = np.ones(B, dtype=np.int16)
+    at = np.arange(B)
+    row_ids = np.arange(r)
+    for col in range(ncols):
+        cand = (M[:, :, col] != 0) & (row_ids >= rank[:, None])
+        found = cand.any(axis=1)
+        if not found.any():
+            continue
+        # Lanes without a pivot in this column swap row `top` with itself,
+        # scale it by 1 and subtract nothing.
+        top = np.minimum(rank, r - 1)
+        src = np.where(found, cand.argmax(axis=1), top)
+        pivot_row = M[at, src]
+        if (src != top).any():
+            M[at, src] = M[at, top]
+        pv = np.where(found, pivot_row[:, col], 1)
+        pivot_product = t.mul(pivot_product, pv)
+        # The pivot row is zero left of col, so only columns col.. change.
+        pivot_row = t.mul(t.inv(pv)[:, None], pivot_row[:, col:])
+        factors = np.where(found[:, None], M[:, :, col], 0)
+        factors[at, top] = 0
+        M[:, :, col:] = t.sub(M[:, :, col:], t.mul(factors[:, :, None], pivot_row[:, None, :]))
+        M[at, top, col:] = pivot_row
+        pivots[at[found], rank[found]] = col
+        rank += found
+        if (rank == r).all():
+            break
+    return rank, pivots, pivot_product
+
+
+def gram_batch(t: FieldTables, XJ, Y):
+    """G[p, i, j] = B(x_i, y_j) for stacks XJ = X J and Y of shape (P, n, 2n)."""
+    terms = t.mul(XJ[:, :, None, :], Y[:, None, :, :])
+    G = terms[..., 0]
+    for col in range(1, terms.shape[-1]):
+        G = t.add(G, terms[..., col])
+    return G
+
+
+# Pairs per chunk of the batched pair kernels: their working arrays stay at
+# a few MB, and larger chunks measured no faster.
+PAIR_CHUNK = 1 << 13
+
+
+def pair_chunks(m):
+    """(a, b) index arrays over all pairs a < b of range(m), in row order.
+
+    Whole rows of the upper triangle are grouped until a chunk holds about
+    PAIR_CHUNK pairs (a single row may exceed it).
+    """
+    start = 0
+    while start < m - 1:
+        stop, count = start + 1, m - 1 - start
+        while stop < m - 1 and count + (m - 1 - stop) <= PAIR_CHUNK:
+            count += m - 1 - stop
+            stop += 1
+        rows = np.arange(start, stop)
+        lengths = m - 1 - rows
+        a = np.repeat(rows, lengths)
+        firsts = np.cumsum(lengths) - lengths          # chunk offset of each row
+        b = np.arange(count) - np.repeat(firsts - rows - 1, lengths)
+        yield a, b
+        start = stop
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Row space of a canonical RREF basis matrix over F_q."""
@@ -162,6 +253,7 @@ class SymplecticSpace:
         self.gram = tuple(tuple(r) for r in gram)
         self._generators = None
         self._gen_index = None
+        self._arrays = None
         self._dist = None
 
     # B in the hyperbolic basis: sum u_i v_{n+i} - u_{n+i} v_i.
@@ -194,6 +286,19 @@ class SymplecticSpace:
             self._gen_index = {g.sub.basis: g.id for g in self._generators}
         return self._generators
 
+    def generator_arrays(self):
+        """(codes, pivots, codes_j) of all generators, in enumeration order.
+
+        codes is the (m, n, 2n) int16 array of RREF bases, pivots the (m, n)
+        pivot columns, and codes_j the bases times J, so that
+        codes_j[x] @ codes[y]^T is the Gram matrix B(x_i, y_j).
+        """
+        if self._arrays is None:
+            codes = np.array([g.sub.basis for g in self.generators()], dtype=np.int16)
+            pivots = (codes != 0).argmax(axis=2)
+            self._arrays = (codes, pivots, _times_j(self.spec.tables, codes, self.n))
+        return self._arrays
+
     def generator_by_basis(self, basis):
         self.generators()
         return self._generators[self._gen_index[basis]]
@@ -204,35 +309,22 @@ class SymplecticSpace:
         basis, _ = rref(self.spec, rows)
         return self.generator_by_basis(basis)
 
-    def perp_basis(self, sub: Subspace):
-        """Basis of the orthogonal complement of a subspace."""
-        # v is in perp iff M J v^T = 0 where rows of M are the basis and
-        # J is the Gram matrix; build the constraint matrix rows B(b_i, .).
-        spec = self.spec
-        constraints = []
-        for b in sub.basis:
-            row = [self.bform(b, tuple(1 if k == j else 0 for k in range(self.dim)))
-                   for j in range(self.dim)]
-            constraints.append(row)
-        return _kernel_basis(spec, constraints, self.dim)
-
     def distance_matrix(self):
-        """Symmetric matrix of pairwise dual-polar-graph distances (numpy)."""
-        import numpy as np
+        """Symmetric int8 matrix of dual-polar-graph distances.
 
-        if self._dist is not None:
-            return self._dist
-        gens = self.generators()
-        m = len(gens)
-        D = np.zeros((m, m), dtype=np.int8)
-        spec, n = self.spec, self.n
-        for i in range(m):
-            bi = gens[i].sub.basis
-            for j in range(i + 1, m):
-                d = rank_of(spec, list(bi) + list(gens[j].sub.basis)) - n
-                D[i, j] = D[j, i] = d
-        self._dist = D
-        return D
+        d(X, Y) is the rank of the Gram matrix X J Y^T, whose left kernel
+        gives X meet Y; all pairs go through ``eliminate_batch`` in chunks.
+        """
+        if self._dist is None:
+            codes, _, codes_j = self.generator_arrays()
+            t = self.spec.tables
+            m = len(codes)
+            D = np.zeros((m, m), dtype=np.int8)
+            for a, b in pair_chunks(m):
+                rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[a], codes[b]))
+                D[a, b] = D[b, a] = rank
+            self._dist = D
+        return self._dist
 
 
 def _kernel_basis(spec, constraint_rows, ncols):
@@ -251,45 +343,64 @@ def _kernel_basis(spec, constraint_rows, ncols):
     return rref(spec, basis)[0]
 
 
+def _times_j(t: FieldTables, codes, n):
+    """Rows u J = (-u_f, u_e) of a code stack (..., 2n)."""
+    return np.concatenate([t.neg(codes[..., n:]), codes[..., :n]], axis=-1)
+
+
+def _chart_bases(space: SymplecticSpace):
+    """Bases of all generators as graphs [I | A], A symmetric, chart by chart.
+
+    For T a subset of {1..n}, b_i = f_i (i in T) else e_i and c_i = -e_i
+    (i in T) else f_i form a symplectic basis with B(b_i, c_j) = delta_ij.
+    The row space of b_i + sum_j A_ij c_j is isotropic exactly when A is
+    symmetric, and every generator is such a graph over one of the 2^n
+    coordinate spans of the b_i.  Yields each chart's (q^(n(n+1)/2), n, 2n)
+    stack, in the hyperbolic coordinates e_1..e_n, f_1..f_n.
+    """
+    t, n = space.spec.tables, space.n
+    iu, ju = np.triu_indices(n)
+    entries = np.indices((space.spec.q,) * len(iu)).reshape(len(iu), -1).T
+    A = np.zeros((len(entries), n, n), dtype=np.int16)
+    A[:, iu, ju] = entries
+    A[:, ju, iu] = entries
+    eye = np.eye(n, dtype=np.int16)
+    for T in product((False, True), repeat=n):
+        T = np.array(T)
+        yield np.concatenate([np.where(T, t.neg(A), eye), np.where(T, eye, A)], axis=2)
+
+
 def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
     """All maximal totally isotropic subspaces, in lexicographic RREF order.
 
-    Recursive isotropic extension with per-dimension deduplication; the count
-    is checked against prod (q^i + 1).
+    Each chart of ``_chart_bases`` is brought to RREF by one batched
+    elimination; the flattened bases are then sorted lexicographically and
+    the generators seen in several charts kept once.  The count is checked
+    against prod (q^i + 1), and isotropy on the result.
     """
     predicted = space.predicted_generator_count()
     if predicted > cap:
         raise ResourceCapExceeded(predicted, cap)
-    spec, n, dim = space.spec, space.n, space.dim
-
-    level = {Subspace((), ())}
-    for _ in range(n):
-        nxt = set()
-        for sub in level:
-            if sub.dim == 0:
-                candidates = product(range(spec.q), repeat=dim)
-                candidates = (v for v in candidates if any(v))
-            else:
-                perp = space.perp_basis(sub)
-                candidates = (
-                    mat_vec(spec, perp, coeffs)
-                    for coeffs in product(range(spec.q), repeat=len(perp))
-                )
-                candidates = (v for v in candidates if any(v) and not sub.contains_vector(spec, v))
-            for v in candidates:
-                basis, pivots = rref(spec, list(sub.basis) + [v])
-                nxt.add(Subspace(basis, pivots))
-        level = nxt
-    subs = sorted(level, key=lambda s: s.basis)
-    if len(subs) != predicted:
+    t, n = space.spec.tables, space.n
+    found = []
+    for V in _chart_bases(space):
+        eliminate_batch(t, V)
+        found.append(V.reshape(len(V), -1))
+    flat = np.concatenate(found)
+    # Not np.unique(axis=0): its first call in a process costs ~4 ms.
+    flat = flat[np.lexsort(flat.T[::-1])]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    codes = flat[first].reshape(-1, n, 2 * n)
+    if len(codes) != predicted:
         raise AssertionError(
-            f"enumeration found {len(subs)} generators, expected {predicted}"
+            f"enumeration found {len(codes)} generators, expected {predicted}"
         )
-    gens = [Generator(sub, i) for i, sub in enumerate(subs)]
-    for g in gens:
-        if not space.is_isotropic(g.sub.basis):
-            raise AssertionError("non-isotropic subspace in enumeration")
-    return gens
+    if gram_batch(t, _times_j(t, codes, n), codes).any():
+        raise AssertionError("non-isotropic subspace in enumeration")
+    pivots = (codes != 0).argmax(axis=2).tolist()
+    return [Generator(Subspace(tuple(map(tuple, basis)), tuple(piv)), i)
+            for i, (basis, piv) in enumerate(zip(codes.tolist(), pivots))]
 
 
 def distance(space: SymplecticSpace, X: Generator, Y: Generator) -> int:
@@ -336,8 +447,6 @@ def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
     For every ordered pair at distance k, counts neighbors of the second
     vertex at distances k-1, k, k+1 from the first and verifies constancy.
     """
-    import numpy as np
-
     D = space.distance_matrix()
     n = space.n
     A = (D == 1)
@@ -354,7 +463,6 @@ def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
             if 0 <= kk <= n:
                 Nk = (D == kk).astype(np.float64)
                 if kk == 0:
-                    np.fill_diagonal(Nk, 1.0)
                     np.fill_diagonal(Nk, 1.0)
                 # counts[X, Y] = #{Z : d(X,Z)=kk and Z ~ Y}
                 M = Nk @ A.astype(np.float64)

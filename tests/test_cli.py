@@ -55,6 +55,34 @@ class TestExitCodes:
                            "--cap-generators", "1000000")
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("command", ["scheme", "crosscheck"])
+    def test_memory_cap_before_computing(self, capsys, monkeypatch, command):
+        # q=5, n=3: N = 39312, so verify_scheme would need ~125 GB.
+        import polarcover.cli as cli
+        import polarcover.symplectic as symplectic
+        from polarcover.maslov import CoherenceTable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(symplectic, "enumerate_generators", refuse)
+        monkeypatch.setattr(symplectic.SymplecticSpace, "distance_matrix", refuse)
+        monkeypatch.setattr(CoherenceTable, "sigma_matrix", refuse)
+        physical = cli._physical_memory()
+        assert physical > 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: min(physical, 2**36))
+        code, out, err = run(capsys, command, "--q", "5", "--n", "3")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "exceeds cap" in err
+
+    def test_memory_prediction(self):
+        from polarcover.scheme_core import verify_scheme_bytes
+
+        # R (int8), d+1 int64 A_i and two float64 operands per entry
+        assert verify_scheme_bytes(12, 3) == 144 * (1 + 32 + 16)
+        assert verify_scheme_bytes(3280, 5) < 10**9       # q=9, n=2 runs
+
     def test_math_fail_on_infeasible_r(self, capsys):
         code, out, _ = run(capsys, "feasibility", "--r", "sqrt:5")
         assert code == EXIT_MATH_FAIL

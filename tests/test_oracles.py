@@ -1,0 +1,155 @@
+"""Batched kernels against their per-object oracles.
+
+The chart enumeration is compared with the recursive isotropic extension it
+replaced, kept here as the oracle; ``eliminate_batch`` with ``eliminate``;
+and the distance and sign matrices with the per-pair ``distance`` and
+``sigma_pair``.
+"""
+
+import random
+from itertools import product
+from math import prod
+
+import numpy as np
+import pytest
+
+from polarcover.finite_field import construct_field
+from polarcover.maslov import CoherenceTable, sigma_pair
+from polarcover.symplectic import (
+    Subspace,
+    SymplecticSpace,
+    _kernel_basis,
+    distance,
+    eliminate,
+    eliminate_batch,
+    mat_vec,
+)
+
+FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}
+
+
+def make_space(q, n):
+    return SymplecticSpace(construct_field(*FIELDS[q]), n)
+
+
+def perp_basis(space, sub):
+    """Basis of the orthogonal complement of a subspace."""
+    unit = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
+    constraints = [[space.bform(b, e) for e in unit] for b in sub.basis]
+    return _kernel_basis(space.spec, constraints, space.dim)
+
+
+def legacy_enumeration(space):
+    """Generators by recursive isotropic extension, deduplicated per dimension,
+    in lexicographic RREF order."""
+    spec, dim = space.spec, space.dim
+    level = {Subspace((), ())}
+    for _ in range(space.n):
+        nxt = set()
+        for sub in level:
+            if sub.dim == 0:
+                candidates = (v for v in product(range(spec.q), repeat=dim) if any(v))
+            else:
+                perp = perp_basis(space, sub)
+                candidates = (mat_vec(spec, perp, coeffs)
+                              for coeffs in product(range(spec.q), repeat=len(perp)))
+                candidates = (v for v in candidates
+                              if any(v) and not sub.contains_vector(spec, v))
+            for v in candidates:
+                nxt.add(Subspace.from_rows(spec, list(sub.basis) + [v]))
+        level = nxt
+    return sorted(level, key=lambda s: s.basis)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2), (13, 1)])
+    def test_matches_legacy(self, q, n):
+        space = make_space(q, n)
+        assert [g.sub for g in space.generators()] == legacy_enumeration(space)
+
+    @pytest.mark.parametrize("q,n", [(13, 2), (5, 3)])
+    def test_structure(self, q, n):
+        space = make_space(q, n)
+        gens = space.generators()
+        assert len(gens) == prod(q**i + 1 for i in range(1, n + 1))
+        codes, pivots, _ = space.generator_arrays()
+        # RREF: increasing pivots, each pivot column a unit column.
+        assert (np.diff(pivots, axis=1) > 0).all()
+        pivot_columns = np.take_along_axis(codes, np.repeat(pivots[:, None, :], n, axis=1), axis=2)
+        assert (pivot_columns == np.eye(n, dtype=codes.dtype)).all()
+        assert all(space.is_isotropic(g.sub.basis) for g in gens)
+        bases = [g.sub.basis for g in gens]
+        assert all(a < b for a, b in zip(bases, bases[1:]))
+        assert [g.sub.pivots for g in gens] == [tuple(p) for p in pivots.tolist()]
+
+
+class TestEliminateBatch:
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 5), (4, 3)])
+    def test_matches_eliminate(self, q, shape):
+        spec = construct_field(*FIELDS[q])
+        rng = random.Random(q * 100 + shape[0] * 10 + shape[1])
+        r, c = shape
+        # Small-support entries make rank-deficient and zero rows common.
+        mats = [[[rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(c)]
+                 for _ in range(r)] for _ in range(300)]
+        M = np.array(mats, dtype=np.intp)
+        rank, pivots, pivot_product = eliminate_batch(spec.tables, M)
+        for x, rows in enumerate(mats):
+            ref_rows, ref_pivots, det = eliminate(spec, rows)
+            k = len(ref_pivots)
+            assert rank[x] == k
+            assert pivots[x].tolist() == ref_pivots + [-1] * (r - k)
+            assert M[x, :k].tolist() == ref_rows
+            assert not M[x, k:].any()
+            if k == r == c:     # otherwise the pivots depend on the row order
+                assert pivot_product[x] in (det, spec.neg(det))
+
+    @pytest.mark.parametrize("q", [5, 9])
+    def test_carried_columns_hold_the_transform(self, q):
+        # Eliminating [G | I] on G's columns leaves [R | E] with E G = R.
+        spec = construct_field(*FIELDS[q])
+        rng = random.Random(q)
+        n = 3
+        for _ in range(200):
+            G = [[rng.choice((0, rng.randrange(q))) for _ in range(n)] for _ in range(n)]
+            M = np.concatenate([np.array([G]), np.eye(n, dtype=np.intp)[None]], axis=2)
+            rank, _, _ = eliminate_batch(spec.tables, M, n)
+            R, E = M[0, :, :n].tolist(), M[0, :, n:].tolist()
+            assert [list(mat_vec(spec, G, e)) for e in E] == R
+            assert rank[0] == len(eliminate(spec, G)[1])
+
+
+def _check_rows(space, rows, columns):
+    """D and S against distance and sigma_pair on the given pairs."""
+    gens = space.generators()
+    D = space.distance_matrix()
+    S = CoherenceTable(space).sigma_matrix()
+    assert (np.diagonal(D) == 0).all() and (np.diagonal(S) == 0).all()
+    for x in rows:
+        X = gens[x]
+        for y in columns(x):
+            Y = gens[y]
+            assert D[x, y] == distance(space, X, Y), (x, y)
+            assert S[x, y] == sigma_pair(space, X, Y), (x, y)
+
+
+class TestPairMatrices:
+    @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2), (13, 1)])
+    def test_every_pair(self, q, n):
+        space = make_space(q, n)
+        m = len(space.generators())
+        _check_rows(space, range(m), lambda x: range(x + 1, m))
+
+    def test_q13n2_every_seventh_row(self):
+        space = make_space(13, 2)
+        m = len(space.generators())
+        _check_rows(space, range(0, m, 7), lambda x: (y for y in range(m) if y != x))
+
+    @pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (3, 2)])
+    def test_distance_for_q_3_mod_4(self, q, n):
+        space = make_space(q, n)
+        gens = space.generators()
+        D = space.distance_matrix()
+        want = np.array([[distance(space, X, Y) for Y in gens] for X in gens])
+        assert (D == want).all()

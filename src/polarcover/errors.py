@@ -39,7 +39,12 @@ class NotAPartition(SchemeAxiomError):
 
 
 class IdentityNotR0(SchemeAxiomError):
-    pass
+    def __init__(self, relation, witness):
+        self.relation = relation
+        self.witness = witness
+        x, y = witness
+        super().__init__(f"distinct pair ({x},{y}) assigned relation 0" if x != y
+                         else f"({x},{y}) has relation {relation}, not 0")
 
 
 class NotSymmetric(SchemeAxiomError):

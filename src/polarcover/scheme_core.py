@@ -56,12 +56,19 @@ def _exact_int_product(A, B):
 
 @dataclass
 class SchemeInstance:
-    """Point set {0..N-1} with a relation index on ordered pairs."""
+    """Point set {0..N-1} with a relation index on ordered pairs.
+
+    With ``sheets == 2`` the points are an antipodal double cover of
+    m = N/2 fibers: point 2x + b is fiber x on sheet b, ``matrix`` is the
+    m x m relation index of the same-sheet pairs (2x + b, 2y + b), and the
+    cross-sheet pair (2x + b, 2y + 1 - b) is in relation d - matrix[x, y].
+    """
 
     N: int
     d: int
-    matrix: np.ndarray          # N x N relation indices
+    matrix: np.ndarray          # N x N, or m x m same-sheet, relation indices
     field_q: int = None         # base of the splitting field Q(sqrt(q))
+    sheets: int = 1
 
     @staticmethod
     def from_matrix(R, d, field_q=None):
@@ -70,13 +77,24 @@ class SchemeInstance:
 
     @staticmethod
     def from_cover(cover):
-        return SchemeInstance.from_matrix(
-            cover.relation_matrix_index(), 2 * cover.n + 1,
-            field_q=cover.space.spec.q,
-        )
+        """Same-sign pairs over (x, y) are in relation D[x, y] where the sign
+        S[x, y] is +1 and 2n+1 - D[x, y] where it is -1; any other sign off
+        the diagonal gives the out-of-range index -1."""
+        d = 2 * cover.n + 1
+        D = cover.space.distance_matrix()
+        S = cover.table.sigma_matrix()
+        R = np.where(S == 1, D, d - D)
+        R[(S != 1) & (S != -1)] = -1
+        np.fill_diagonal(R, 0)
+        return SchemeInstance(cover.num_vertices, d, R, cover.space.spec.q, sheets=2)
 
     def relation_matrix(self):
-        return self.matrix
+        """The N x N relation index."""
+        if self.sheets == 1:
+            return self.matrix
+        # Entry (2x + b, 2y + c) is block [b][c] at (x, y).
+        R0, R1 = self.matrix, self.d - self.matrix
+        return np.array([[R0, R1], [R1, R0]]).transpose(2, 0, 3, 1).reshape(self.N, self.N)
 
 
 @dataclass
@@ -89,10 +107,18 @@ class IntersectionTensor:
 
 
 def verify_scheme_bytes(N, d):
-    """Predicted peak bytes of ``verify_scheme`` on N points and d classes:
-    N^2 entries of the int8 R, of each of the d+1 int64 A_i, and of the two
-    float64 operands of a product."""
-    return N * N * (1 + 8 * (d + 1) + 16)
+    """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
+    points and d classes.  Per fiber pair: two int8 sheets, d + 1 int8 U_i
+    and V_i, and 32 bytes of int64/float64 products, operands and expected
+    values at any one time.  Plus 64 KiB for the Python objects."""
+    m = N // 2
+    return m * m * (2 + (d + 1) + 32) + 2**16
+
+
+def _first_true(mask):
+    """(row, column) of the first True entry of a 2-D mask, or None."""
+    at = int(np.argmax(mask))
+    return divmod(at, mask.shape[1]) if mask.flat[at] else None
 
 
 def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
@@ -100,54 +126,85 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
 
     Verifies the partition, identity, symmetry and constancy axioms, then
     returns the intersection tensor (with the standard identities checked).
+
+    A double cover is checked on its fibers.  With B_i the same-sheet part
+    of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
+    U_i = B_i + B_{d-i} and V_i = B_i - B_{d-i} the same- and cross-sheet
+    blocks of A_i A_j are (U_i U_j +- V_i V_j)/2, and each pair of points is
+    one entry of one block.  U_{d-i} = U_i, V_{d-i} = -V_i and (given the
+    identity axiom) U_0 = V_0 = I leave the products among classes
+    1..d//2.  A relation matrix is the one-sheet case, A_i = U_i without V.
+    Witnesses are point pairs.
     """
-    N, d = instance.N, instance.d
-    R = instance.relation_matrix()
+    d, s = instance.d, instance.sheets
+    sheets = [instance.matrix] + ([d - instance.matrix] if s == 2 else [])
+    half = d // 2 if s == 2 else d      # class i > half folds onto d - i
 
-    if R.min() < 0 or R.max() > d:
-        bad = np.argwhere((R < 0) | (R > d))[0]
-        raise NotAPartition(f"relation index out of range at pair {tuple(bad)}")
-    present = set(np.unique(R).tolist())
-    if present != set(range(d + 1)):
-        raise NotAPartition(f"relations {sorted(set(range(d+1)) - present)} are empty")
+    def pair(g, x, y):                  # sheet entry (x, y) as a point pair
+        return (s * int(x), s * int(y) + g)
 
-    diag = np.diagonal(R)
-    if (diag != 0).any():
-        x = int(np.flatnonzero(diag != 0)[0])
-        raise IdentityNotR0(f"({x},{x}) has relation {int(R[x, x])}, not 0")
-    offdiag_zero = (R == 0) & ~np.eye(N, dtype=bool)
-    if offdiag_zero.any():
-        x, y = map(int, np.argwhere(offdiag_zero)[0])
-        raise IdentityNotR0(f"distinct pair ({x},{y}) assigned relation 0")
+    for g, R in enumerate(sheets):
+        if hit := _first_true((R < 0) | (R > d)):
+            raise NotAPartition(f"relation index out of range at pair {pair(g, *hit)}")
+    first = [[] for _ in sheets]        # (k, entry) of relations first seen in a sheet
+    missing = set(range(d + 1))
+    for g, R in enumerate(sheets):
+        for k in sorted(missing):
+            if hit := _first_true(R == k):
+                first[g].append((k, hit))
+                missing.discard(k)
+    if missing:
+        raise NotAPartition(f"relations {sorted(missing)} are empty")
+    if hit := _first_true(np.diag(np.diagonal(sheets[0]) != 0)):
+        raise IdentityNotR0(int(sheets[0][hit]), pair(0, *hit))
+    for g, R in enumerate(sheets):
+        if hit := _first_true((R == 0) > np.eye(len(R), dtype=bool)):
+            raise IdentityNotR0(0, pair(g, *hit))
+    for g, R in enumerate(sheets):
+        if hit := _first_true(R != R.T):
+            raise NotSymmetric(int(R[hit]), pair(g, *hit))
 
-    asym = R != R.T
-    if asym.any():
-        x, y = map(int, np.argwhere(asym)[0])
-        raise NotSymmetric(int(R[x, y]), (x, y))
-
-    A = [(R == i).astype(np.int64) for i in range(d + 1)]
-    valencies = []
-    for i in range(d + 1):
-        sums = A[i].sum(axis=1)
-        if not (sums == sums[0]).all():
-            x = int(np.flatnonzero(sums != sums[0])[0])
-            raise NonConstant(i, i, 0, (x, x))
-        valencies.append(int(sums[0]))
-
-    masks = [R == k for k in range(d + 1)]
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    # W[h][i]: U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
+    W = [[sum((-1) ** (h * g) * (R == i).view(np.int8) for g, R in enumerate(sheets))
+          for i in range(half + 1)] for h in range(s)]
+    # Pairs i <= j grouped by their folded classes and by the parity of
+    # their folds (folding i flips V_i).
+    fold = [(i, 0) if i <= half else (d - i, 1) for i in range(d + 1)]
+    groups = {}
     for i in range(d + 1):
         for j in range(i, d + 1):
-            M = _exact_int_product(A[i], A[j])
-            for k in range(d + 1):
-                vals = M[masks[k]]
-                v0 = int(vals[0])
-                if (vals != v0).any():
-                    flat = np.flatnonzero(masks[k] & (M != v0))
-                    x, y = divmod(int(flat[0]), N)
-                    raise NonConstant(i, j, k, (x, y))
-                p[i][j][k] = v0
-                p[j][i][k] = v0
+            (a, fa), (b, fb) = fold[i], fold[j]
+            groups.setdefault((min(a, b), max(a, b)), {}).setdefault(
+                (fa + fb) % 2, []).append((i, j))
+
+    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+
+    def check(a, b, parities):
+        P = [W[h][b].copy() if a == 0 else _exact_int_product(W[h][a], W[h][b])
+             for h in range(s)]
+        if s == 2:      # the blocks (UU + VV)/2 and (UU - VV)/2, in place
+            P[1] += P[0]
+            P[1] //= 2
+            P[0] -= P[1]
+            P.reverse()
+        # Pairs of one parity have the same blocks up to transposition, which
+        # the symmetric sheets make irrelevant; the first, (a, b) or
+        # (a, d - b), is checked untransposed.
+        for flips, members in parities.items():
+            i, j = members[0]
+            v = np.zeros(d + 1, dtype=np.int64)
+            for g, R in enumerate(sheets):
+                M = P[(g + flips) % 2]
+                for k, at in first[g]:
+                    v[k] = M[at]
+                if hit := _first_true(M != v[R]):
+                    raise NonConstant(i, j, int(R[hit]), pair(g, *hit))
+            for i, j in members:
+                p[i][j], p[j][i] = v.tolist(), v.tolist()
+
+    for (a, b), parities in groups.items():
+        check(a, b, parities)
+    valencies = [p[i][i][0] for i in range(d + 1)]
 
     for i in range(d + 1):
         for k in range(d + 1):
@@ -157,7 +214,7 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
                 if valencies[k] * p[i][j][k] != valencies[i] * p[k][j][i]:
                     raise AssertionError(f"counting identity fails at ({i},{j},{k})")
 
-    return IntersectionTensor(d, N, p, valencies, instance.field_q)
+    return IntersectionTensor(d, instance.N, p, valencies, instance.field_q)
 
 
 def intersection_matrix(t: IntersectionTensor, i: int):

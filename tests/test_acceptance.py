@@ -148,8 +148,8 @@ def test_criterion_2_full_scheme_q5_n2():
 
 def test_criterion_3_square_q_rationality():
     # q = 9: the full verification suite passes and every P/Q entry is
-    # rational (r = 3).  This is the slow member of the gate (~2 min);
-    # no runtime budget is stated for it.
+    # rational (r = 3).  No runtime budget is stated for it (~1.6 s on
+    # 2 cores).
     for n in (1, 2):
         space, table, cover = build(3, 2, n)
         tensor, sd, kt, orderings = full_verification(cover)

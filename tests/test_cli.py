@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -57,7 +58,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["scheme", "crosscheck"])
     def test_memory_cap_before_computing(self, capsys, monkeypatch, command):
-        # q=5, n=3: N = 39312, so verify_scheme would need ~125 GB.
+        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~16 GB,
+        # more than the 8 GiB simulated here.
         import polarcover.cli as cli
         import polarcover.symplectic as symplectic
         from polarcover.maslov import CoherenceTable
@@ -70,7 +72,7 @@ class TestExitCodes:
         monkeypatch.setattr(CoherenceTable, "sigma_matrix", refuse)
         physical = cli._physical_memory()
         assert physical > 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: min(physical, 2**36))
+        monkeypatch.setattr(cli, "_physical_memory", lambda: min(physical, 2**33))
         code, out, err = run(capsys, command, "--q", "5", "--n", "3")
         assert code == EXIT_CAP
         assert out == ""
@@ -79,8 +81,8 @@ class TestExitCodes:
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
 
-        # R (int8), d+1 int64 A_i and two float64 operands per entry
-        assert verify_scheme_bytes(12, 3) == 144 * (1 + 32 + 16)
+        # m = 6 fibers: two int8 sheets, d+1 int8 U/V, 32 bytes of products
+        assert verify_scheme_bytes(12, 3) == 36 * (2 + 4 + 32) + 2**16
         assert verify_scheme_bytes(3280, 5) < 10**9       # q=9, n=2 runs
 
     def test_math_fail_on_infeasible_r(self, capsys):
@@ -143,6 +145,19 @@ class TestScheme:
         _, out1, _ = run(capsys, "scheme", "--q", "5", "--n", "1")
         _, out2, _ = run(capsys, "scheme", "--q", "5", "--n", "1")
         assert out1 == out2
+
+    @pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (13, 1), (5, 2), (9, 2)])
+    def test_certified_digest(self, capsys, q, n):
+        # Canonical JSON as the benchmark reduces it: sorted keys, compact
+        # separators, no seed.
+        refs = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+        ref = json.loads(refs.read_text())["instances"][f"scheme:{q}:{n}"]
+        code, out, _ = run(capsys, "scheme", "--q", str(q), "--n", str(n))
+        payload = json.loads(out)
+        payload.pop("seed")
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert code == ref["exit"]
+        assert hashlib.sha256(canon.encode()).hexdigest() == ref["sha256"]
 
     def test_no_sympy_import(self):
         # A fresh interpreter, so no other test's imports count.

@@ -3,7 +3,8 @@
 The chart enumeration is compared with the recursive isotropic extension it
 replaced, kept here as the oracle; ``eliminate_batch`` with ``eliminate``;
 and the distance and sign matrices with the per-pair ``distance`` and
-``sigma_pair``.
+``sigma_pair``.  The fiber-quotient scheme check of a cover is compared with
+the one-sheet check on the cover's full relation matrix.
 """
 
 import random
@@ -13,8 +14,17 @@ from math import prod
 import numpy as np
 import pytest
 
+from polarcover.cover import CoverGraph
+from polarcover.errors import (
+    IdentityNotR0,
+    NonConstant,
+    NotAPartition,
+    NotSymmetric,
+    SchemeAxiomError,
+)
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable, sigma_pair
+from polarcover.scheme_core import SchemeInstance, verify_scheme
 from polarcover.symplectic import (
     Subspace,
     SymplecticSpace,
@@ -153,3 +163,120 @@ class TestPairMatrices:
         D = space.distance_matrix()
         want = np.array([[distance(space, X, Y) for Y in gens] for X in gens])
         assert (D == want).all()
+
+
+def edited_cover(q, n, edit):
+    """A cover whose pair data are copies of (D, S) changed by edit(D, S)."""
+    space = make_space(q, n)
+    table = CoherenceTable(space)
+    D, S = space.distance_matrix().copy(), table.sigma_matrix().copy()
+    edit(D, S)
+    space.distance_matrix = lambda: D
+    table.sigma_matrix = lambda: S
+    return CoverGraph(table)
+
+
+def both_paths(cover):
+    """The fiber quotient and the one-sheet instance of the same cover."""
+    one_sheet = SchemeInstance.from_matrix(cover.relation_matrix_index(),
+                                           2 * cover.n + 1, cover.space.spec.q)
+    return SchemeInstance.from_cover(cover), one_sheet
+
+
+def first_edge(D):
+    return 0, int(np.flatnonzero(D[0] == 1)[0])
+
+
+def assert_nonconstant_witness(exc, R):
+    """The witness (a, b) is in relation k, and (A_i A_j)[a, b] differs from
+    that product's value at another relation-k pair."""
+    a, b = exc.witness
+    M = (R == exc.i).astype(np.int64) @ (R == exc.j).astype(np.int64)
+    assert R[a, b] == exc.k
+    assert (M[R == exc.k] != M[a, b]).any()
+
+
+class TestSchemeQuotient:
+    @pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (13, 1), (5, 2)])
+    def test_matches_one_sheet(self, q, n):
+        cover = CoverGraph(CoherenceTable(make_space(q, n)))
+        quotient, one_sheet = both_paths(cover)
+        assert (quotient.relation_matrix() == one_sheet.relation_matrix()).all()
+        got, want = verify_scheme(quotient), verify_scheme(one_sheet)
+        assert (got.N, got.p, got.valencies) == (want.N, want.p, want.valencies)
+
+    @pytest.mark.parametrize("m,schemes", [(4, 16), (5, 32)])
+    def test_every_signed_complete_graph(self, m, schemes):
+        # Each sign pattern on the edges of K_m is a 3-class double cover
+        # candidate; few are schemes, and some fail only on cross-sheet pairs.
+        def outcome(instance):
+            try:
+                return verify_scheme(instance).p
+            except SchemeAxiomError as exc:
+                return exc
+
+        edges = [(x, y) for x in range(m) for y in range(x + 1, m)]
+        found = 0
+        for bits in range(2 ** len(edges)):
+            R = np.zeros((m, m), dtype=np.int8)
+            for t, (x, y) in enumerate(edges):
+                R[x, y] = R[y, x] = 1 + (bits >> t & 1)
+            quotient = SchemeInstance(2 * m, 3, R, 5, sheets=2)
+            got = outcome(quotient)
+            want = outcome(SchemeInstance.from_matrix(quotient.relation_matrix(), 3))
+            if isinstance(got, list):
+                assert got == want, bits
+                found += 1
+            else:
+                assert type(got) is type(want), bits
+                assert_nonconstant_witness(got, quotient.relation_matrix())
+        assert found == schemes
+
+    def test_flipped_sign_nonconstant(self):
+        def flip(D, S):
+            x, y = first_edge(D)
+            S[x, y] = S[y, x] = -S[x, y]
+
+        cover = edited_cover(5, 2, flip)
+        quotient, one_sheet = both_paths(cover)
+        with pytest.raises(NonConstant):
+            verify_scheme(one_sheet)
+        with pytest.raises(NonConstant) as exc:
+            verify_scheme(quotient)
+        assert_nonconstant_witness(exc.value, one_sheet.relation_matrix())
+
+    def test_asymmetric_distance(self):
+        def skew(D, S):
+            x, y = first_edge(D)
+            D[x, y] = 2
+
+        quotient, one_sheet = both_paths(edited_cover(5, 2, skew))
+        with pytest.raises(NotSymmetric):
+            verify_scheme(one_sheet)
+        with pytest.raises(NotSymmetric) as exc:
+            verify_scheme(quotient)
+        a, b = exc.value.witness
+        R = one_sheet.relation_matrix()
+        assert R[a, b] == exc.value.relation != R[b, a]
+
+    def test_off_diagonal_zero_distance(self):
+        def merge(D, S):
+            x, y = first_edge(D)
+            D[x, y] = D[y, x] = 0
+
+        quotient, one_sheet = both_paths(edited_cover(5, 2, merge))
+        with pytest.raises(IdentityNotR0):
+            verify_scheme(one_sheet)
+        with pytest.raises(IdentityNotR0) as exc:
+            verify_scheme(quotient)
+        a, b = exc.value.witness
+        assert a != b and one_sheet.relation_matrix()[a, b] == 0
+
+    def test_sign_outside_pm1_is_out_of_range(self):
+        def zero(D, S):
+            x, y = first_edge(D)
+            S[x, y] = S[y, x] = 0
+
+        quotient, _ = both_paths(edited_cover(5, 1, zero))
+        with pytest.raises(NotAPartition, match=r"at pair \(0, \d+\)"):
+            verify_scheme(quotient)

@@ -1,6 +1,7 @@
 """Scheme axioms, exact eigenmatrices, Krein parameters, idempotents."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from polarcover.scheme_core import (
     spectral_data,
     verify_idempotents,
     verify_scheme,
+    verify_scheme_bytes,
 )
 
 
@@ -120,6 +122,17 @@ class TestCoverScheme:
         t = q5n2_scheme["tensor"]
         assert t.valencies == [1, 30, 125, 125, 30, 1]
         assert t.N == 312
+
+    @pytest.mark.parametrize("bundle", ["q5n2", "q9n1"])
+    def test_memory_prediction_bounds_peak(self, bundle, request):
+        instance = request.getfixturevalue(bundle)["instance"]
+        tracemalloc.start()
+        try:
+            verify_scheme(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= verify_scheme_bytes(instance.N, instance.d)
 
     def test_pq_identity(self, q5n2_scheme):
         sd = q5n2_scheme["sd"]

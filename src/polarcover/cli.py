@@ -74,7 +74,7 @@ def _build_space(q, n, cap, verify=False):
 
 
 def _emit(args, payload, csv_rows=None):
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -227,7 +227,7 @@ def cmd_feasibility(args):
     return EXIT_OK if (rep.ok and lrep.ok) else EXIT_MATH_FAIL
 
 
-def _suite_exact_algebra(seed):
+def _suite_exact_algebra():
     from fractions import Fraction
 
     from .exact_algebra import GaussianContext, QuadExt, gauss, rpow
@@ -241,7 +241,7 @@ def _suite_exact_algebra(seed):
     assert rpow(5, 3) == r * 5
 
 
-def _suite_maslov(seed):
+def _suite_maslov():
     from .maslov import CoherenceTable, coherent_split_count, verify_two_graph
     from .symplectic import distance
 
@@ -256,7 +256,7 @@ def _suite_maslov(seed):
                 assert coherent_split_count(table, X, Y) == (2, 2)
 
 
-def _suite_cover(seed):
+def _suite_cover():
     from .cover import CoverGraph, SignedVertex
     from .maslov import CoherenceTable
 
@@ -270,7 +270,7 @@ def _suite_cover(seed):
     assert cover.antipodal_by_paths(u, u.antipode())
 
 
-def _suite_scheme(seed):
+def _suite_scheme():
     from .cover import CoverGraph
     from .maslov import CoherenceTable
     from .scheme_core import (
@@ -293,7 +293,7 @@ def _suite_scheme(seed):
     assert all(q_bipartite_check(kt, o) for o in orderings)
 
 
-def _suite_closed_form(seed):
+def _suite_closed_form():
     from .closed_form import (
         eigenmatrices_closed,
         l1_closed,
@@ -308,7 +308,7 @@ def _suite_closed_form(seed):
         assert rep.ok
 
 
-def _suite_feasibility(seed):
+def _suite_feasibility():
     from .feasibility import (
         candidate_parameters,
         check_feasibility,
@@ -344,7 +344,7 @@ def cmd_selftest(args):
     for name in names:
         start = time.perf_counter()
         try:
-            _SUITES[name](args.seed)
+            _SUITES[name]()
             status = "pass"
         except AssertionError:
             status = "FAIL"
@@ -370,10 +370,9 @@ def build_parser():
                            help="odd prime power, 1 mod 4")
             p.add_argument("--n", type=int, required=True,
                            help="half the symplectic dimension")
+            p.add_argument("--cap-generators", type=int, default=10**6)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--cap-generators", type=int, default=10**6)
 
     p = sub.add_parser("enumerate", help="list the maximal isotropic subspaces")
     common(p)
@@ -391,6 +390,7 @@ def build_parser():
 
     p = sub.add_parser("feasibility", help="candidate parameter checks")
     common(p, needs_qn=False)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--r", default=None, help='integer or "sqrt:<q>"')
     p.add_argument("--sweep", default=None,
                    help="comma-separated list of r values")

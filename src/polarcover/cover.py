@@ -47,7 +47,6 @@ class CoverGraph:
         self.space = table.space
         self.n = self.space.n
         self.num_vertices = 2 * len(self.space.generators())
-        self.degree = None  # set after first neighbors() call or verify
 
     def vertices(self):
         return [SignedVertex.from_vid(v) for v in range(self.num_vertices)]
@@ -66,10 +65,7 @@ class CoverGraph:
     def neighbors(self, u: SignedVertex):
         js = np.flatnonzero(self.space.distance_matrix()[u.gen] == 1)
         signs = u.sign * self.table.sigma_matrix()[u.gen, js]
-        out = [SignedVertex(j, s) for j, s in zip(js.tolist(), signs.tolist())]
-        if self.degree is None:
-            self.degree = len(out)
-        return out
+        return [SignedVertex(j, s) for j, s in zip(js.tolist(), signs.tolist())]
 
     def adjacency_matrix(self):
         """Dense 0/1 adjacency over the signed-vertex ids (numpy int64).

@@ -267,12 +267,21 @@ def gauss(n: int, k: int, ctx) -> Fraction:
         q = GaussianContext(Fraction(ctx)).q
     if k < 0:
         return Fraction(0)
-    num = Fraction(1)
-    den = Fraction(1)
+    a, b = q.numerator, q.denominator
+
+    def minus_one(m):
+        # q^m - 1 = (a^m - b^m) / b^m, with a and b swapped for m < 0
+        x, y = (a, b) if m >= 0 else (b, a)
+        return x ** abs(m) - y ** abs(m), y ** abs(m)
+
+    # Integer products throughout, and one Fraction at the end.
+    top = bottom = 1
     for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return num / den
+        num, num_scale = minus_one(n - i)
+        den, den_scale = minus_one(k - i)
+        top *= num * den_scale
+        bottom *= num_scale * den
+    return Fraction(top, bottom)
 
 
 class Polynomial:

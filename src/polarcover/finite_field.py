@@ -1,17 +1,23 @@
 """Arithmetic in F_q, q an odd prime power, with the quadratic character.
 
-Elements are represented internally by integer codes in [0, q): the code of
-an element with coefficient vector (c0, .., c_{e-1}) is sum c_i p^i.  A
-:class:`FieldSpec` carries full multiplication/inverse tables (desk-scale q),
-so all hot-loop arithmetic is table lookups on ints; its :class:`FieldTables`
-are the same tables as numpy arrays, for lookups on whole arrays of codes.
-:class:`FieldElement` is the thin value wrapper used at API boundaries.
+Elements are integer codes in [0, q): the code of the element with
+coefficient vector (c0, .., c_{e-1}) is sum c_i p^i.  F_q = F_p[x]/(f) is
+built as two q x q code tables in one numpy pass over the base-p digits of
+all codes: add is the digit sum mod p, and mul is the digit convolution
+reduced mod f.  F_p[x]/(f) is a field exactly when f is irreducible, so the
+modulus is the first monic f of degree e, scanned in the base-p counting
+order of (c0, .., c_{e-1}), whose mul table has no zero divisor: the
+lexicographically smallest irreducible, low degree first (x when e = 1).
+neg, inv and chi are read off the two tables.  :class:`FieldTables` holds
+them as numpy arrays, for lookups on whole arrays of codes;
+:class:`FieldSpec` also keeps them as Python lists, so scalar hot-loop
+arithmetic is list indexing on ints.  :class:`FieldElement` is the thin
+value wrapper used at API boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,107 +42,27 @@ def _is_odd_prime(p):
     return True
 
 
-# -- polynomial helpers over F_p (coefficient lists, low degree first) -------
+def _build_tables(p, e):
+    """(modulus, add, mul) of F_{p^e}, the tables as int16 (q, q) arrays.
 
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        factor = f[-1] * inv_lead % p
-        for i, c in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * c) % p
-        _poly_trim(f)
-    return f
-
-
-def _poly_mulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_mod(_poly_trim(out), mod, p)
-
-
-def _poly_powmod(f, n, mod, p):
-    result = [1]
-    base = _poly_mod(list(f), mod, p)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f = _poly_mod(f, g, p)
-        f, g = g, f
-    return f
-
-
-def _is_irreducible(f, p):
-    """Rabin's test for a monic polynomial f over F_p."""
-    e = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p**e, f, p)
-    diff = [0] * max(len(xq), 2)
-    for i, c in enumerate(xq):
-        diff[i] = c
-    diff[1] = (diff[1] - 1) % p
-    if _poly_trim(diff):
-        return False
-    d = 2
-    ee = e
-    prime_divs = []
-    while d * d <= ee:
-        if ee % d == 0:
-            prime_divs.append(d)
-            while ee % d == 0:
-                ee //= d
-        d += 1
-    if ee > 1:
-        prime_divs.append(ee)
-    for ell in prime_divs:
-        xpk = _poly_powmod(x, p ** (e // ell), f, p)
-        diff = [0] * max(len(xpk), 2)
-        for i, c in enumerate(xpk):
-            diff[i] = c
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(list(f), _poly_trim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _smallest_irreducible(p, e):
-    """Lexicographically smallest monic irreducible of degree e over F_p.
-
-    Coefficients are compared low-degree-first, so candidates are scanned in
-    the natural base-p counting order of (c0, c1, .., c_{e-1}).
+    For each candidate f = x^e + sum c_i x^i in counting order, x^k for
+    k >= e is reduced by x^k = -x^(k-e) (f - x^e), top degree first.
+    Intermediates are int32: entries stay below 2e p^2 in absolute value.
     """
-    if e == 1:
-        return [0, 1]  # the polynomial x; prime fields never reduce by it
-    for code in range(p**e):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p):
-            return f
+    q = p**e
+    weights = p ** np.arange(e, dtype=np.int32)
+    digits = np.arange(q, dtype=np.int32)[:, None] // weights % p
+    add = ((digits[:, None] + digits[None, :]) % p @ weights).astype(np.int16)
+    conv = np.zeros((q, q, 2 * e - 1), dtype=np.int32)
+    for i in range(e):
+        conv[:, :, i:i + e] += digits[:, None, i, None] * digits[None, :, :]
+    for low in digits:
+        prod = conv.copy()
+        for k in range(2 * e - 2, e - 1, -1):
+            prod[:, :, k - e:k] -= prod[:, :, k, None] % p * low
+        mul = (prod[:, :, :e] % p @ weights).astype(np.int16)
+        if not (mul[1:, 1:] == 0).any():
+            return (*low.tolist(), 1), add, mul
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -148,59 +74,18 @@ class FieldSpec:
             raise ValueError(f"p = {p} must be an odd prime")
         if e < 1:
             raise ValueError("e must be >= 1")
+        if p**e >= 2**15:
+            raise ValueError(f"q = {p**e} must be below 2^15 (int16 codes)")
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = tuple(_smallest_irreducible(p, e))
-        self._build_tables()
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-
-        def decode(code):
-            out = []
-            for _ in range(e):
-                out.append(code % p)
-                code //= p
-            return out
-
-        def encode(coeffs):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = acc * p + (c % p)
-            return acc
-
-        self._decode, self._encode = decode, encode
-        mod = list(self.modulus)
-        self._add = [
-            [encode([(a + b) % p for a, b in zip(decode(x), decode(y))]) for y in range(q)]
-            for x in range(q)
-        ]
-        self._mul = [[0] * q for _ in range(q)]
-        for x in range(q):
-            fx = _poly_trim(decode(x))
-            for y in range(x, q):
-                fy = _poly_trim(decode(y))
-                prod = _poly_mulmod(fx, fy, mod, p) if e > 1 else [fx[0] * fy[0] % p] if fx and fy else []
-                code = encode(prod + [0] * (e - len(prod)))
-                self._mul[x][y] = code
-                self._mul[y][x] = code
-        self._neg = [encode([(-c) % p for c in decode(x)]) for x in range(q)]
-        self._inv = [None] * q
-        for x in range(1, q):
-            self._inv[x] = self.pow(x, q - 2)
-        # Quadratic character table: chi[x] = +-1 for x != 0.
-        half = (q - 1) // 2
-        minus_one = self._neg[1]
-        self._chi = [0] * q
-        for x in range(1, q):
-            v = self.pow(x, half)
-            if v == 1:
-                self._chi[x] = 1
-            elif v == minus_one:
-                self._chi[x] = -1
-            else:  # pragma: no cover - impossible in a field
-                raise AssertionError("x^((q-1)/2) not in {1, -1}")
+        self.modulus, add, mul = _build_tables(p, e)
+        self.tables = t = FieldTables(add, mul)
+        self._add = add.tolist()
+        self._mul = mul.tolist()
+        self._neg = t.neg_t.tolist()
+        self._inv = t.inv_t.tolist()
+        self._chi = t.chi_t.tolist()
 
     # -- code-level arithmetic (hot path) ---------------------------------
 
@@ -241,20 +126,16 @@ class FieldSpec:
         return self._chi[x]
 
     def coeffs(self, code):
-        return tuple(self._decode(code))
+        return tuple(code // self.p**i % self.p for i in range(self.e))
 
     def code(self, coeffs):
-        return self._encode(list(coeffs))
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
 
     def element_str(self, code):
         """Text form: plain int for prime fields, "c0,c1,.." for extensions."""
         if self.e == 1:
             return str(code)
-        return ",".join(str(c) for c in self._decode(code))
-
-    @cached_property
-    def tables(self):
-        return FieldTables(self)
+        return ",".join(str(c) for c in self.coeffs(code))
 
     def smallest_nonsquare(self):
         return next(x for x in range(1, self.q) if self._chi[x] == -1)
@@ -270,24 +151,30 @@ class FieldSpec:
 
 
 class FieldTables:
-    """A FieldSpec's tables as numpy arrays, applied elementwise to code arrays.
+    """F_q's tables as numpy arrays, applied elementwise to code arrays.
 
-    Codes are stored as int16 (q < 2^15).  Binary tables are flattened, so
-    a op b is one lookup at a * q + b, computed in intp whatever the
-    integer type of the operands.  inv and chi map 0 to 0, so masked-out
-    lanes of a batch stay harmless; callers decide what a zero means.
+    Built from the (q, q) add and mul tables alone: neg(x) is where row x
+    of add hits 0, inv(x) where row x of mul hits 1, and chi is +1 on the
+    nonzero squares (the diagonal of mul) and -1 on the other nonzero
+    codes.  Codes are stored as int16 (q < 2^15).  Binary tables are
+    flattened, so a op b is one lookup at a * q + b, computed in intp
+    whatever the integer type of the operands.  inv and chi map 0 to 0, so
+    masked-out lanes of a batch stay harmless; callers decide what a zero
+    means.
     """
 
-    def __init__(self, spec: FieldSpec):
-        q = spec.q
-        add = np.array(spec._add, dtype=np.int16)
+    def __init__(self, add, mul):
+        q = len(add)
         self.q = q
+        self.neg_t = np.nonzero(add == 0)[1].astype(np.int16)
+        self.inv_t = np.zeros(q, dtype=np.int16)
+        self.inv_t[1:] = np.nonzero(mul[1:] == 1)[1]
+        self.chi_t = np.full(q, -1, dtype=np.int8)
+        self.chi_t[np.diagonal(mul)] = 1
+        self.chi_t[0] = 0
         self.add_t = add.ravel()
-        self.sub_t = add[:, spec._neg].ravel()
-        self.mul_t = np.array(spec._mul, dtype=np.int16).ravel()
-        self.neg_t = np.array(spec._neg, dtype=np.int16)
-        self.inv_t = np.array([0] + spec._inv[1:], dtype=np.int16)
-        self.chi_t = np.array(spec._chi, dtype=np.int8)
+        self.sub_t = add[:, self.neg_t].ravel()
+        self.mul_t = mul.ravel()
 
     def add(self, a, b):
         return self.add_t[np.multiply(a, self.q, dtype=np.intp) + b]

@@ -98,6 +98,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "scheme", "--q", "5", "--n", "1", "--threads", "2")
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("argv", [
+        ("scheme", "--q", "5", "--n", "1", "--format", "csv"),
+        ("selftest", "--cap-generators", "5"),
+    ], ids=["format_on_scheme", "cap_generators_on_selftest"])
+    def test_option_of_another_subcommand_rejected(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "selftest", "--suite", "nope")
         assert code == EXIT_INVALID

@@ -61,6 +61,18 @@ class TestGauss:
                     seen.add(rows)
         assert len(seen) == 806
 
+    @pytest.mark.parametrize("q", GRID_Q + [Fraction(-3, 7)])
+    def test_matches_fraction_product(self, q):
+        # The defining product taken factor by factor in Fractions.
+        qf = Fraction(q)
+        for n in GRID_NK:
+            for k in GRID_NK:
+                expected = Fraction(int(k >= 0))
+                for i in range(max(k, 0)):
+                    expected *= (qf ** (n - i) - 1) / (qf ** (k - i) - 1)
+                got = gauss(n, k, GaussianContext(q))
+                assert type(got) is Fraction and got == expected, (n, k)
+
     def test_rejects_degenerate_q(self):
         with pytest.raises(ValueError):
             GaussianContext(0)

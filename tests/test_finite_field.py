@@ -1,5 +1,7 @@
 """F_q arithmetic, irreducible modulus selection, quadratic character."""
 
+from itertools import product
+
 import pytest
 
 from polarcover.finite_field import (
@@ -9,6 +11,41 @@ from polarcover.finite_field import (
     construct_field,
     field_arith,
 )
+
+
+def _odd_prime_powers(bound):
+    """(p, e) for every odd prime power p^e below bound."""
+    out = []
+    for q in range(3, bound, 2):
+        p = next(d for d in range(3, q + 1, 2) if q % d == 0)
+        e, m = 0, q
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if m == 1:
+            out.append((p, e))
+    return out
+
+
+ODD_PRIME_POWERS = _odd_prime_powers(200)
+
+
+def _poly_rem(f, g, p):
+    """Remainder of f by the monic g over F_p; lists low degree first."""
+    f = list(f)
+    d = len(g) - 1
+    for shift in range(len(f) - 1 - d, -1, -1):
+        lead = f[shift + d]
+        for i, c in enumerate(g):
+            f[shift + i] = (f[shift + i] - lead * c) % p
+    return f[:d]
+
+
+def _schoolbook(a, b, modulus, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_rem(prod, modulus, p)
 
 
 class TestConstruction:
@@ -36,6 +73,8 @@ class TestConstruction:
                 construct_field(p, 1)
         with pytest.raises(ValueError):
             construct_field(5, 0)
+        with pytest.raises(ValueError):   # codes must fit int16
+            construct_field(3, 10)
 
 
 class TestArithmetic:
@@ -132,3 +171,52 @@ class TestElementApi:
             field_arith(a, b, "xor")
         with pytest.raises(ValueError):
             field_arith(a, FieldElement(construct_field(13, 1), 1), "add")
+
+
+@pytest.mark.parametrize("p,e", ODD_PRIME_POWERS,
+                         ids=[f"q{p**e}" for p, e in ODD_PRIME_POWERS])
+class TestTableOracles:
+    """Every table entry against its definition, for every odd q < 200."""
+
+    def test_add_and_mul_are_polynomial_sum_and_product(self, p, e):
+        f = construct_field(p, e)
+        q = f.q
+        coeffs = [f.coeffs(x) for x in range(q)]
+        for a in range(q):
+            if e == 1:
+                sums = [(a + b) % p for b in range(q)]
+                prods = [a * b % p for b in range(q)]
+            else:
+                ca = coeffs[a]
+                sums = [f.code([x + y for x, y in zip(ca, cb)]) for cb in coeffs]
+                prods = [f.code(_schoolbook(ca, cb, f.modulus, p)) for cb in coeffs]
+            assert [f.add(a, b) for b in range(q)] == sums, a
+            assert [f.mul(a, b) for b in range(q)] == prods, a
+
+    def test_neg_inv_chi(self, p, e):
+        f = construct_field(p, e)
+        minus_one = f.neg(1)
+        assert f.neg(0) == 0
+        for x in range(1, f.q):
+            assert f.add(x, f.neg(x)) == 0
+            assert f.mul(x, f.inv(x)) == 1
+            # Euler's criterion
+            euler = f.pow(x, (f.q - 1) // 2)
+            assert euler in (1, minus_one)
+            assert f.chi_code(x) == (1 if euler == 1 else -1)
+
+    def test_modulus_is_smallest_irreducible(self, p, e):
+        # Monic candidates of degree e in base-p counting order of the low
+        # coefficients: each one before the modulus has a monic factor of
+        # degree <= e/2, and the modulus has none.
+        f = construct_field(p, e)
+        assert len(f.modulus) == e + 1 and f.modulus[-1] == 1
+        factors = [list(g) + [1] for d in range(1, e // 2 + 1)
+                   for g in product(range(p), repeat=d)]
+
+        def reducible(poly):
+            return any(not any(_poly_rem(poly, g, p)) for g in factors)
+
+        for code in range(f.code(f.modulus[:e])):
+            assert reducible(list(f.coeffs(code)) + [1]), code
+        assert not reducible(list(f.modulus))

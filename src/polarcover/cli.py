@@ -212,6 +212,8 @@ def cmd_feasibility(args):
             else EXIT_MATH_FAIL
     if args.r is None:
         raise ValueError("feasibility requires --r or --sweep")
+    if args.format == "csv":
+        raise ValueError("--format csv applies only to --sweep")
     ps = candidate_parameters(parse_r(args.r))
     rep = check_feasibility(ps)
     lrep = verify_Lstar(ps)

@@ -120,6 +120,14 @@ def s_family(n, q):
     return out
 
 
+def _powers(x, count):
+    """[x^0, x^1, .., x^(count-1)] by repeated multiplication."""
+    out = [QuadExt(1, 0, x.q)]
+    while len(out) < count:
+        out.append(out[-1] * x)
+    return out
+
+
 @dataclass
 class Thm71Report:
     ok: bool
@@ -128,16 +136,23 @@ class Thm71Report:
 
 
 def verify_thm71(L1, sigma, s_polys, q) -> Thm71Report:
-    """Check sum_j (L_1)[k][j] sigma_j^l = s_l(sigma_k) for all k, l."""
+    """Check sum_j (L_1)[k][j] sigma_j^l = s_l(sigma_k) for all k, l, with
+    one power table per call and sums over nonzero terms only."""
     m = len(L1)
+    zero = QuadExt(0, 0, q)
+    width = max([m] + [len(p.coeffs) for p in s_polys])
+    pw = [_powers(s, width) for s in sigma]
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in L1]
+    terms = [[(i, c) for i, c in enumerate(p.coeffs) if c] for p in s_polys]
     checked = 0
     for k in range(m):
         for ell in range(m):
-            lhs = QuadExt(0, 0, q)
-            for j in range(m):
-                if L1[k][j]:
-                    lhs = lhs + L1[k][j] * sigma[j] ** ell
-            rhs = s_polys[ell](sigma[k])
+            lhs = zero
+            for j, x in support[k]:
+                lhs = lhs + x * pw[j][ell]
+            rhs = zero
+            for i, c in terms[ell]:
+                rhs = rhs + c * pw[k][i]
             checked += 1
             if lhs != rhs:
                 return Thm71Report(False, checked, (k, ell, lhs, rhs))
@@ -155,19 +170,19 @@ class ClosedFormEigenmatrices:
     p_full: list                # (2n+2)x(2n+2)
 
 
-def _quotient_eigenrow_sum(n, q, i, j, with_shift):
-    """sum_l (-1)^l r^(e) [i choose l][n-i choose j-l], e as in the formulas."""
-    ctx = GaussianContext(q)
-    r = QuadExt.root(q)
-    acc = QuadExt(0, 0, q)
+def _quotient_eigenrow_sum(i, j, with_shift, G, rp):
+    """sum_l (-1)^l r^(e) [i choose l][n-i choose j-l], e as in the formulas,
+    from the tables G[a][b] = [a choose b]_q (a, b <= n) and rp[e] = r^e."""
+    n = len(G) - 1
+    acc = QuadExt(0, 0, rp[0].q)
     for ell in range(j + 1):
-        g = gauss(i, ell, ctx) * gauss(n - i, j - ell, ctx)
+        g = G[i][ell] * G[n - i][j - ell]
         if not g:
             continue
         e = (j - ell) ** 2 + ell**2
         if with_shift:
             e += j - 2 * ell
-        term = r**e * g
+        term = rp[e] * g
         if ell % 2:
             term = -term
         acc = acc + term
@@ -184,9 +199,12 @@ def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
     """
     _check_domain(n, q)
     m = n + 1
-    p_tilde = [[_quotient_eigenrow_sum(n, q, i, j, True) for j in range(m)]
+    ctx = GaussianContext(q)
+    G = [[gauss(a, b, ctx) for b in range(m)] for a in range(m)]
+    rp = _powers(QuadExt.root(q), n * n + n + 1)   # e <= n^2 + n
+    p_tilde = [[_quotient_eigenrow_sum(i, j, True, G, rp) for j in range(m)]
                for i in range(m)]
-    p_hat = [[_quotient_eigenrow_sum(n, q, i, j, False) for j in range(m)]
+    p_hat = [[_quotient_eigenrow_sum(i, j, False, G, rp) for j in range(m)]
              for i in range(m)]
 
     m_tilde = [[Fraction(0)] * m for _ in range(m)]
@@ -201,12 +219,14 @@ def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
              for i in range(m)]
 
     for P, M, name in ((p_tilde, m_tilde, "symmetric"), (p_hat, m_hat, "skew")):
+        columns = [[(ell, M[ell][j]) for ell in range(m) if M[ell][j]]
+                   for j in range(m)]
         for i in range(m):
             di = P[i][1]
             for j in range(m):
                 lhs = QuadExt(0, 0, q)
-                for ell in range(m):
-                    lhs = lhs + P[i][ell] * M[ell][j]
+                for ell, x in columns[j]:
+                    lhs = lhs + P[i][ell] * x
                 if lhs != di * P[i][j]:
                     raise AssertionError(
                         f"{name} quotient residual nonzero at ({i},{j})")

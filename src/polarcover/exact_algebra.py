@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _isqrt_if_square(n: int):
     """Return the integer square root of n if n is a perfect square, else None."""
     if n < 0:
@@ -61,6 +64,16 @@ class QuadExt:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", int(q))
 
+    @classmethod
+    def _canonical(cls, a, b, q):
+        """Wrap canonical parts, as sums, products and inverses of canonical
+        values are: Fractions a and b, an int q, b == 0 if q is a square."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "q", q)
+        return x
+
     def __setattr__(self, *args):
         raise AttributeError("QuadExt is immutable")
 
@@ -72,7 +85,7 @@ class QuadExt:
                 raise ValueError(f"mixed bases {self.q} and {other.q}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.q)
+            return QuadExt._canonical(Fraction(other), _ZERO, self.q)
         return NotImplemented
 
     @staticmethod
@@ -89,18 +102,18 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(self.a + o.a, self.b + o.b, self.q)
+        return QuadExt._canonical(self.a + o.a, self.b + o.b, self.q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.q)
+        return QuadExt._canonical(-self.a, -self.b, self.q)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(self.a - o.a, self.b - o.b, self.q)
+        return QuadExt._canonical(self.a - o.a, self.b - o.b, self.q)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -112,7 +125,11 @@ class QuadExt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return QuadExt(
+        if not o.b:
+            return QuadExt._canonical(self.a * o.a, self.b * o.a, self.q)
+        if not self.b:
+            return QuadExt._canonical(self.a * o.a, self.a * o.b, self.q)
+        return QuadExt._canonical(
             self.a * o.a + self.b * o.b * self.q,
             self.a * o.b + self.b * o.a,
             self.q,
@@ -126,7 +143,7 @@ class QuadExt:
         # Conjugate trick; the norm a^2 - q b^2 is nonzero for nonzero
         # elements (q square implies b == 0 after canonicalization).
         norm = self.a * self.a - self.b * self.b * self.q
-        return QuadExt(self.a / norm, -self.b / norm, self.q)
+        return QuadExt._canonical(self.a / norm, -self.b / norm, self.q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -145,7 +162,7 @@ class QuadExt:
             return NotImplemented
         if m < 0:
             return self.inverse() ** (-m)
-        result = QuadExt(1, 0, self.q)
+        result = QuadExt._canonical(_ONE, _ZERO, self.q)
         base = self
         while m:
             if m & 1:
@@ -156,7 +173,7 @@ class QuadExt:
 
     def conjugate(self):
         """Galois image under r -> -r (identity when q is a square)."""
-        return QuadExt(self.a, -self.b, self.q)
+        return QuadExt._canonical(self.a, -self.b, self.q)
 
     # -- comparisons -------------------------------------------------------
 

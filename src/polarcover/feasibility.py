@@ -150,12 +150,18 @@ _LSTAR_TEMPLATES = [
 ]
 
 
-def _eval_template(expr: str, r: QuadExt) -> QuadExt:
-    """Evaluate a rational expression in r exactly (no builtins exposed)."""
-    value = eval(expr, {"__builtins__": {}}, {"r": r})
-    if isinstance(value, QuadExt):
-        return value
-    return QuadExt(value, 0, r.q)
+# The distinct template strings, compiled once into one tuple expression.
+_EXPRS = tuple(dict.fromkeys(
+    x for m in (_P_TEMPLATE, _Q_TEMPLATE, *_L_TEMPLATES, *_LSTAR_TEMPLATES)
+    for row in m for x in row))
+_CODE = compile("(" + ",".join(_EXPRS) + ",)", "<templates>", "eval")
+
+
+def _eval_templates(r: QuadExt) -> dict:
+    """Each template string -> its exact value at r (no builtins exposed)."""
+    values = eval(_CODE, {"__builtins__": {}}, {"r": r})
+    return {x: v if isinstance(v, QuadExt) else QuadExt(v, 0, r.q)
+            for x, v in zip(_EXPRS, values)}
 
 
 def parse_r(text: str) -> QuadExt:
@@ -191,7 +197,8 @@ def candidate_parameters(r_value: QuadExt) -> ParameterSet:
     if not r_value or r_value in (QuadExt(1, 0, r_value.q),
                                   QuadExt(-1, 0, r_value.q)):
         raise ZeroDivisionError("templates are singular at r = 0, 1, -1")
-    ev = lambda m: [[_eval_template(x, r_value) for x in row] for row in m]
+    values = _eval_templates(r_value)
+    ev = lambda m: [[values[x] for x in row] for row in m]
     return ParameterSet(
         4, r_value, ev(_P_TEMPLATE), ev(_Q_TEMPLATE),
         [ev(m) for m in _L_TEMPLATES], [ev(m) for m in _LSTAR_TEMPLATES],
@@ -206,20 +213,19 @@ def _is_nonneg_integer(x: QuadExt):
     return x.is_rational() and x.a.denominator == 1 and x.a >= 0
 
 
-def _p_from_eigenmatrices(P, Q, N, i, j, m):
-    """p_ij^m = (1/N) sum_l P[l][i] P[l][j] Q[m][l]."""
-    acc = P[0][i] * P[0][j] * Q[m][0]
-    for ell in range(1, len(P)):
-        acc = acc + P[ell][i] * P[ell][j] * Q[m][ell]
-    return acc / N
+def _tensor(P, Q, N):
+    """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each entry computed
+    at most once: p_ij^k from (P, Q), the Krein q_ij^k from (Q, P)."""
+    table = {}
 
-
-def _q_from_eigenmatrices(P, Q, N, i, j, ell):
-    """q_ij^l = (1/N) sum_m Q[m][i] Q[m][j] P[l][m]."""
-    acc = Q[0][i] * Q[0][j] * P[ell][0]
-    for m in range(1, len(Q)):
-        acc = acc + Q[m][i] * Q[m][j] * P[ell][m]
-    return acc / N
+    def entry(i, j, k):
+        if (i, j, k) not in table:
+            acc = P[0][i] * P[0][j] * Q[k][0]
+            for ell in range(1, len(P)):
+                acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
+            table[i, j, k] = acc / N
+        return table[i, j, k]
+    return entry
 
 
 @dataclass
@@ -255,6 +261,7 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     P, Q = ps.P, ps.Q
     N = ps.N
     qbase = ps.r.q
+    p, krein = _tensor(P, Q, N), _tensor(Q, P, N)
 
     ok, witness = True, ""
     for i in range(d + 1):
@@ -279,7 +286,7 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     for i in range(d + 1):
         for j in range(d + 1):
             for m in range(d + 1):
-                v = _p_from_eigenmatrices(P, Q, N, i, j, m)
+                v = p(i, j, m)
                 if not _is_nonneg_integer(v):
                     ok, witness = False, f"p[{i}][{j}]^{m} = {v}"
                     break
@@ -293,7 +300,7 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     for i in range(d + 1):
         for j in range(d + 1):
             for ell in range(d + 1):
-                v = _q_from_eigenmatrices(P, Q, N, i, j, ell)
+                v = krein(i, j, ell)
                 if v.sign() < 0:
                     ok, witness = False, f"q[{i}][{j}]^{ell} = {v}"
                     break
@@ -317,8 +324,7 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
         for i in range(d + 1):
             for k in range(d + 1):
                 for j in range(d + 1):
-                    v = _p_from_eigenmatrices(P, Q, N, i, j, k)
-                    if ps.L[i][k][j] != v:
+                    if ps.L[i][k][j] != p(i, j, k):
                         ok, witness = False, f"L_{i}[{k}][{j}]"
                         break
                 if not ok:
@@ -328,21 +334,24 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
         rep.add("L_consistency", ok, witness)
 
     if ps.Lstar is not None:
-        lrep = verify_Lstar(ps)
+        lrep = verify_Lstar(ps, krein)
         rep.add("Lstar_consistency", lrep.ok, lrep.first_failure)
     return rep
 
 
-def verify_Lstar(ps: ParameterSet) -> FeasibilityReport:
-    """Dual intersection matrices recomputed from (P, Q) vs the templates."""
+def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
+    """Dual intersection matrices recomputed from (P, Q) vs the templates.
+
+    krein, if given, is the Krein lookup of a check_feasibility call.
+    """
     rep = FeasibilityReport()
     d = ps.d
-    N = ps.N
+    krein = krein or _tensor(ps.Q, ps.P, ps.N)
     ok, witness = True, ""
     for i in range(d + 1):
         for k in range(d + 1):
             for j in range(d + 1):
-                v = _q_from_eigenmatrices(ps.P, ps.Q, N, i, j, k)
+                v = krein(i, j, k)
                 if ps.Lstar[i][k][j] != v:
                     ok, witness = False, (
                         f"L*_{i}[{k}][{j}]: template {ps.Lstar[i][k][j]}, "

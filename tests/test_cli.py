@@ -115,6 +115,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "feasibility")
         assert code == EXIT_INVALID
 
+    def test_csv_rejected_without_sweep(self, capsys):
+        # Only the rows of --sweep have a CSV form; the single-r payload is
+        # nested JSON, so asking for CSV there is an input error.
+        code, out, err = run(capsys, "feasibility", "--r", "3", "--format", "csv")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--format csv" in err
+
 
 class TestEnumerate:
     def test_json_payload(self, capsys):

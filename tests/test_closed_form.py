@@ -1,11 +1,13 @@
 """Closed-form L_1, Q-sequence, polynomial family, eigenmatrix formulas."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import polarcover.closed_form as closed_form
 from polarcover.errors import QNotOneModFour
-from polarcover.exact_algebra import QuadExt, rpow
+from polarcover.exact_algebra import GaussianContext, Polynomial, QuadExt, gauss, rpow
 from polarcover.closed_form import (
     crosscheck_P,
     drg_abc,
@@ -18,6 +20,50 @@ from polarcover.closed_form import (
 from polarcover.scheme_core import intersection_matrix
 
 GRID = [(1, 5), (1, 9), (1, 13), (2, 5), (2, 9), (3, 5), (3, 13), (4, 29)]
+ORACLE_GRID = [(n, q) for q in (5, 9, 13, 29) for n in range(1, 7)]
+
+
+def thm71_oracle(L1, sigma, s_polys, q):
+    """verify_thm71 term by term: sigma_j ** l per term, Horner for s_l."""
+    m = len(L1)
+    checked = 0
+    for k in range(m):
+        for ell in range(m):
+            lhs = QuadExt(0, 0, q)
+            for j in range(m):
+                if L1[k][j]:
+                    lhs = lhs + L1[k][j] * sigma[j] ** ell
+            rhs = s_polys[ell](sigma[k])
+            checked += 1
+            if lhs != rhs:
+                return False, checked, (k, ell, lhs, rhs)
+    return True, checked, None
+
+
+def eigenrow_oracle(n, q, i, j, with_shift):
+    """One quotient eigenmatrix entry with r ** e and gauss per term."""
+    ctx = GaussianContext(q)
+    r = QuadExt.root(q)
+    acc = QuadExt(0, 0, q)
+    for ell in range(j + 1):
+        g = gauss(i, ell, ctx) * gauss(n - i, j - ell, ctx)
+        if not g:
+            continue
+        e = (j - ell) ** 2 + ell**2
+        if with_shift:
+            e += j - 2 * ell
+        term = r**e * g
+        if ell % 2:
+            term = -term
+        acc = acc + term
+    return acc
+
+
+def assert_same_report(L1, sigma, polys, q):
+    rep = verify_thm71(L1, sigma, polys, q)
+    assert (rep.ok, rep.identities_checked, rep.failure) == \
+        thm71_oracle(L1, sigma, polys, q)
+    return rep
 
 
 class TestL1Closed:
@@ -121,6 +167,93 @@ class TestSFamily:
         conj = [Polynomial([c.conjugate() for c in p.coeffs], q) for p in polys]
         report = verify_thm71(L, sigma, conj, q)
         assert report.ok, report.failure
+
+
+class TestThm71Oracle:
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_matches_oracle(self, n, q):
+        rep = assert_same_report(l1_closed(n, q), q_sequence(n, q),
+                                 s_family(n, q), q)
+        assert rep.ok and rep.identities_checked == (2 * n + 2) ** 2
+
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_conjugate_sequence(self, n, q):
+        sigma = [s.conjugate() for s in q_sequence(n, q)]
+        polys = [Polynomial([c.conjugate() for c in p.coeffs], q)
+                 for p in s_family(n, q)]
+        assert assert_same_report(l1_closed(n, q), sigma, polys, q).ok
+
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_perturbed_l1_entry(self, n, q):
+        # Zero and nonzero entries alike: a zero entry joins the support.
+        rng = random.Random(100 * n + q)
+        sigma, polys = q_sequence(n, q), s_family(n, q)
+        m = 2 * n + 2
+        for k, j in [(rng.randrange(m), rng.randrange(m)) for _ in range(3)]:
+            L = l1_closed(n, q)
+            L[k][j] += 1
+            rep = assert_same_report(L, sigma, polys, q)
+            assert not rep.ok and rep.failure[0] == k
+
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_perturbed_s_coefficient(self, n, q):
+        # Coefficients inside the degree, at a vanishing x^l coefficient,
+        # and one degree past the power table of the sequence.
+        rng = random.Random(100 * n + q)
+        L, sigma = l1_closed(n, q), q_sequence(n, q)
+        m = 2 * n + 2
+        for ell in (rng.randrange(m), n + 1, m - 1):
+            for i in (rng.randrange(ell + 1), ell, max(ell - 2, 0), m):
+                polys = s_family(n, q)
+                coeffs = list(polys[ell].coeffs)
+                coeffs += [QuadExt(0, 0, q)] * (i + 1 - len(coeffs))
+                coeffs[i] = coeffs[i] + 1
+                polys[ell] = Polynomial(coeffs, q)
+                rep = assert_same_report(L, sigma, polys, q)
+                assert not rep.ok and rep.failure[1] == ell
+
+
+class TestEigenmatricesOracle:
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_matches_oracle(self, n, q):
+        cf = eigenmatrices_closed(n, q)
+        m = n + 1
+        p_tilde = [[eigenrow_oracle(n, q, i, j, True) for j in range(m)]
+                   for i in range(m)]
+        p_hat = [[eigenrow_oracle(n, q, i, j, False) for j in range(m)]
+                 for i in range(m)]
+        assert cf.p_tilde == p_tilde
+        assert cf.p_hat == p_hat
+        p_full = []
+        for t in range(m):
+            p_full.append([p_tilde[t][min(j, 2 * n + 1 - j)]
+                           for j in range(2 * n + 2)])
+            p_full.append([p_hat[t][j] if j <= n else -p_hat[t][2 * n + 1 - j]
+                           for j in range(2 * n + 2)])
+        assert cf.p_full == p_full
+
+    @pytest.mark.parametrize("n,q", [(2, 5), (3, 13), (5, 29)])
+    def test_residual_failure_at_first_dense_mismatch(self, n, q, monkeypatch):
+        # b_1 + 1 breaks P~ M~ = D~ P~; the first failing (i, j) must be the
+        # one a dense product over every entry of M~ finds.
+        m_tilde = eigenmatrices_closed(n, q).m_tilde
+        m_tilde[1][2] += 1
+        P = [[eigenrow_oracle(n, q, i, j, True) for j in range(n + 1)]
+             for i in range(n + 1)]
+        first = next(
+            (i, j) for i in range(n + 1) for j in range(n + 1)
+            if sum((P[i][ell] * m_tilde[ell][j] for ell in range(n + 1)),
+                   QuadExt(0, 0, q)) != P[i][1] * P[i][j])
+        abc = closed_form.drg_abc
+
+        def perturbed(n_, q_, k):
+            a, b, c = abc(n_, q_, k)
+            return a, b + (k == 1), c
+
+        monkeypatch.setattr(closed_form, "drg_abc", perturbed)
+        with pytest.raises(AssertionError,
+                           match=rf"symmetric quotient residual nonzero at \({first[0]},{first[1]}\)"):
+            eigenmatrices_closed(n, q)
 
 
 class TestEigenmatricesClosed:

@@ -44,22 +44,31 @@ class TestGauss:
         assert gauss(-1, 1, ctx) == Fraction(-1, 5)
 
     def test_counts_subspaces(self):
-        # [4 choose 2]_5 = number of 2-subspaces of F_5^4, counted directly.
-        from itertools import product
+        # [4 choose 2]_5 = number of 2-subspaces of F_5^4, counted as the
+        # 2 x 4 matrices in reduced row echelon form: one per pivot pair
+        # c1 < c2 and value of its free entries (row 0 right of c1 except
+        # at c2, row 1 right of c2).  rref must fix each of them.
+        from itertools import combinations, product
 
         from polarcover.finite_field import construct_field
         from polarcover.symplectic import rref
 
         spec = construct_field(5, 1)
         seen = set()
-        for u in product(range(5), repeat=4):
-            if not any(u):
-                continue
-            for v in product(range(5), repeat=4):
-                rows, _ = rref(spec, [list(u), list(v)])
-                if len(rows) == 2:
-                    seen.add(rows)
-        assert len(seen) == 806
+        count = 0
+        for c1, c2 in combinations(range(4), 2):
+            free = [(0, j) for j in range(c1 + 1, 4) if j != c2]
+            free += [(1, j) for j in range(c2 + 1, 4)]
+            for values in product(range(5), repeat=len(free)):
+                M = [[0] * 4, [0] * 4]
+                M[0][c1] = M[1][c2] = 1
+                for (i, j), v in zip(free, values):
+                    M[i][j] = v
+                rows, pivots = rref(spec, M)
+                assert rows == tuple(map(tuple, M)) and pivots == (c1, c2)
+                seen.add(rows)
+                count += 1
+        assert len(seen) == count == 806
 
     @pytest.mark.parametrize("q", GRID_Q + [Fraction(-3, 7)])
     def test_matches_fraction_product(self, q):
@@ -202,6 +211,43 @@ class TestQuadExt:
         assert x * (y + y) == x * y + x * y
         if y:
             assert (x / y) * y == x
+
+    @pytest.mark.parametrize("q", [5, 13, 9, 25])
+    def test_results_are_canonical(self, q):
+        # Arithmetic builds its results without the public constructor; each
+        # result must still be what that constructor makes of its parts.
+        import random
+
+        rng = random.Random(q)
+
+        def frac():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+        def element():
+            # a third of the elements are rational, to reach the fast paths
+            return QuadExt(frac(), frac() if rng.random() < 2 / 3 else 0, q)
+
+        def check(res):
+            assert type(res) is QuadExt and type(res.q) is int
+            assert type(res.a) is Fraction and type(res.b) is Fraction
+            ref = QuadExt(res.a, res.b, q)
+            assert (ref.a, ref.b, ref.q) == (res.a, res.b, q)
+            if q in (9, 25):
+                assert res.b == 0
+            if res.b == 0:
+                assert hash(res) == hash(res.a)
+
+        for _ in range(200):
+            x, y = element(), element()
+            k, f = rng.randint(-9, 9), frac()
+            results = [x + y, x - y, -x, x * y, x.conjugate(),
+                       x + k, k + x, x - f, f - x, x * k, f * x,
+                       x ** rng.randint(0, 5), x / (k or 1), x * 0]
+            if y:
+                results += [x / y, k / y, y ** -rng.randint(1, 4),
+                            y.inverse()]
+            for res in results:
+                check(res)
 
     @given(a=rationals, b=rationals)
     def test_conjugate_involution(self, a, b):

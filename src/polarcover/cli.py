@@ -46,6 +46,16 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_q(q):
+    """(p, e) with q = p^e; raises unless q is an odd prime power, 1 mod 4."""
+    pe = _factor_prime_power(q)
+    if pe is None or pe[0] == 2:
+        raise ValueError(f"q = {q} is not an odd prime power")
+    if q % 4 != 1:
+        raise QNotOneModFour(q)
+    return pe
+
+
 def _build_space(q, n, cap, verify=False):
     """The space with its generators enumerated.
 
@@ -53,11 +63,7 @@ def _build_space(q, n, cap, verify=False):
     scheme will need and raises ResourceCapExceeded if it is over the
     machine's physical memory, before any enumeration starts.
     """
-    pe = _factor_prime_power(q)
-    if pe is None or pe[0] == 2:
-        raise ValueError(f"q = {q} is not an odd prime power")
-    if q % 4 != 1:
-        raise QNotOneModFour(q)
+    pe = _check_q(q)
     from .symplectic import SymplecticSpace
 
     spec = construct_field(*pe)
@@ -146,8 +152,7 @@ def cmd_crosscheck(args):
         verify_thm71,
     )
 
-    if args.q % 4 != 1:
-        raise QNotOneModFour(args.q)
+    _check_q(args.q)
     payload = {"q": args.q, "n": args.n, "formula_only": bool(args.formula_only)}
 
     cf = eigenmatrices_closed(args.n, args.q)  # residual check happens inside
@@ -201,7 +206,6 @@ def cmd_feasibility(args):
         check_feasibility,
         parse_r,
         sweep,
-        verify_Lstar,
     )
 
     if args.sweep:
@@ -216,17 +220,16 @@ def cmd_feasibility(args):
         raise ValueError("--format csv applies only to --sweep")
     ps = candidate_parameters(parse_r(args.r))
     rep = check_feasibility(ps)
-    lrep = verify_Lstar(ps)
     nval = ps.N
     payload = {
         "r": str(ps.r),
         "q": ps.r.q,
         "N": str(nval.a if nval.is_rational() else nval),
         "feasibility": rep.as_dict(),
-        "lstar": lrep.as_dict(),
+        "lstar": rep.lstar.as_dict(),
     }
     _emit(args, payload)
-    return EXIT_OK if (rep.ok and lrep.ok) else EXIT_MATH_FAIL
+    return EXIT_OK if (rep.ok and rep.lstar.ok) else EXIT_MATH_FAIL
 
 
 def _suite_exact_algebra():

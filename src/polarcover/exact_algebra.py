@@ -3,8 +3,9 @@
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
 extension Q(r) as :class:`QuadExt`, univariate polynomials over Q(r), Gaussian
 coefficients evaluated at an arbitrary nonzero rational q, the generating
-polynomials ``prod (1 + q^i t)``, and exact matrix routines (multiply, inverse,
-kernel, characteristic polynomial).
+polynomials ``prod (1 + q^i t)``, exact matrix routines (multiply, inverse,
+kernel, characteristic polynomial), and the scheme parameters read off a pair
+of eigenmatrices.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "mat_inverse",
     "mat_kernel",
     "mat_charpoly",
+    "pq_tensor",
+    "is_tridiagonal",
 ]
 
 
@@ -368,10 +371,6 @@ class Polynomial:
             power = power * c
         return Polynomial(out, self.q)
 
-    def shift_up(self):
-        """t * p(t)."""
-        return Polynomial([QuadExt(0, 0, self.q), *self.coeffs], self.q)
-
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -518,3 +517,29 @@ def mat_charpoly(A):
         for i in range(m):
             M[i][i] = M[i][i] + c
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Scheme parameters from eigenmatrices
+
+
+def pq_tensor(P, Q, N):
+    """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each entry computed
+    at most once: the intersection numbers p_ij^k from (P, Q), the Krein
+    parameters q_ij^k from (Q, P) (Brouwer, Cohen and Neumaier, §2)."""
+    table = {}
+
+    def entry(i, j, k):
+        if (i, j, k) not in table:
+            acc = P[0][i] * P[0][j] * Q[k][0]
+            for ell in range(1, len(P)):
+                acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
+            table[i, j, k] = acc / N
+        return table[i, j, k]
+    return entry
+
+
+def is_tridiagonal(M):
+    """True iff off the diagonal M[k][j] is nonzero exactly where |k - j| = 1."""
+    return all(bool(M[k][j]) == (abs(k - j) == 1)
+               for k in range(len(M)) for j in range(len(M)) if k != j)

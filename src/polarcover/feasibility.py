@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_algebra import QuadExt
+from .exact_algebra import QuadExt, is_tridiagonal, mat_mul, pq_tensor
 
 __all__ = [
     "ParameterSet",
@@ -213,24 +213,10 @@ def _is_nonneg_integer(x: QuadExt):
     return x.is_rational() and x.a.denominator == 1 and x.a >= 0
 
 
-def _tensor(P, Q, N):
-    """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each entry computed
-    at most once: p_ij^k from (P, Q), the Krein q_ij^k from (Q, P)."""
-    table = {}
-
-    def entry(i, j, k):
-        if (i, j, k) not in table:
-            acc = P[0][i] * P[0][j] * Q[k][0]
-            for ell in range(1, len(P)):
-                acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
-            table[i, j, k] = acc / N
-        return table[i, j, k]
-    return entry
-
-
 @dataclass
 class FeasibilityReport:
     checks: list = field(default_factory=list)  # (name, ok, witness)
+    lstar: FeasibilityReport = field(default=None, init=False)  # L* report, if run
 
     def add(self, name, ok, witness=""):
         self.checks.append((name, bool(ok), witness))
@@ -260,22 +246,13 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     d = ps.d
     P, Q = ps.P, ps.Q
     N = ps.N
-    qbase = ps.r.q
-    p, krein = _tensor(P, Q, N), _tensor(Q, P, N)
+    p, krein = pq_tensor(P, Q, N), pq_tensor(Q, P, N)
 
-    ok, witness = True, ""
-    for i in range(d + 1):
-        for j in range(d + 1):
-            acc = P[i][0] * Q[0][j]
-            for ell in range(1, d + 1):
-                acc = acc + P[i][ell] * Q[ell][j]
-            want = N if i == j else QuadExt(0, 0, qbase)
-            if acc != want:
-                ok, witness = False, f"(PQ)[{i}][{j}] = {acc}"
-                break
-        if not ok:
-            break
-    rep.add("pq_identity", ok, witness)
+    PQ = mat_mul(P, Q)
+    witness = next((f"(PQ)[{i}][{j}] = {PQ[i][j]}"
+                    for i in range(d + 1) for j in range(d + 1)
+                    if PQ[i][j] != (N if i == j else 0)), "")
+    rep.add("pq_identity", not witness, witness)
 
     bad = [str(P[0][j]) for j in range(d + 1) if not _is_positive_integer(P[0][j])]
     rep.add("valencies_positive_integral", not bad, ", ".join(bad))
@@ -334,8 +311,8 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
         rep.add("L_consistency", ok, witness)
 
     if ps.Lstar is not None:
-        lrep = verify_Lstar(ps, krein)
-        rep.add("Lstar_consistency", lrep.ok, lrep.first_failure)
+        rep.lstar = verify_Lstar(ps, krein)
+        rep.add("Lstar_consistency", rep.lstar.ok, rep.lstar.first_failure)
     return rep
 
 
@@ -346,7 +323,7 @@ def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
     """
     rep = FeasibilityReport()
     d = ps.d
-    krein = krein or _tensor(ps.Q, ps.P, ps.N)
+    krein = krein or pq_tensor(ps.Q, ps.P, ps.N)
     ok, witness = True, ""
     for i in range(d + 1):
         for k in range(d + 1):
@@ -366,15 +343,7 @@ def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
 
 
 def lstar1_is_tridiagonal(ps: ParameterSet) -> bool:
-    M = ps.Lstar[1]
-    d = ps.d
-    for k in range(d + 1):
-        for j in range(d + 1):
-            if abs(k - j) >= 2 and M[k][j]:
-                return False
-            if abs(k - j) == 1 and not M[k][j]:
-                return False
-    return True
+    return is_tridiagonal(ps.Lstar[1])
 
 
 def sweep(r_values, parameters=candidate_parameters):

@@ -201,7 +201,6 @@ def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
     triples, because each pair sign occurs twice in the product of a
     4-set's four triple signs; so these entry conditions are the whole check.
     """
-    import numpy as np
     from math import comb
 
     S = table.sigma_matrix().astype(np.int64)

@@ -25,7 +25,15 @@ from .errors import (
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from .exact_algebra import Polynomial, QuadExt, mat_charpoly, mat_inverse, mat_kernel
+from .exact_algebra import (
+    Polynomial,
+    QuadExt,
+    is_tridiagonal,
+    mat_charpoly,
+    mat_inverse,
+    mat_kernel,
+    pq_tensor,
+)
 
 __all__ = [
     "SchemeInstance",
@@ -341,22 +349,15 @@ class KreinTensor:
 
 
 def krein(sd: SpectralData) -> KreinTensor:
-    """Krein parameters q_ij^k = (m_i m_j / N) sum_l P_il P_jl P_kl / k_l^2."""
+    """Krein parameters q_ij^k = (1/N) sum_l Q_li Q_lj P_kl."""
     d, N, q = sd.d, sd.N, sd.q
-    P, m, k = sd.P, sd.multiplicities, sd.valencies
-    inv_k2 = [(kv * kv).inverse() for kv in k]
-    invN = QuadExt(Fraction(1, N), 0, q)
+    m = sd.multiplicities
+    entry = pq_tensor(sd.Q, sd.P, N)
     qk = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(i, d + 1):
-            coeff = m[i] * m[j] * invN
             for kk in range(d + 1):
-                acc = QuadExt(0, 0, q)
-                for ell in range(d + 1):
-                    acc = acc + P[i][ell] * P[j][ell] * P[kk][ell] * inv_k2[ell]
-                v = coeff * acc
-                qk[i][j][kk] = v
-                qk[j][i][kk] = v
+                qk[i][j][kk] = qk[j][i][kk] = entry(i, j, kk)
     for i in range(d + 1):
         for kk in range(d + 1):
             acc = QuadExt(0, 0, q)
@@ -392,22 +393,9 @@ def q_poly_orderings(kt: KreinTensor):
             else:
                 e.append(cands[0])
                 used.add(cands[0])
-        if ok and _is_tridiagonal_ordering(kt, e):
+        if ok and is_tridiagonal([[kt.qk[c][j][k] for j in e] for k in e]):
             out.append(tuple(e))
     return out
-
-
-def _is_tridiagonal_ordering(kt, e):
-    d = kt.d
-    c = e[1]
-    for k in range(d + 1):
-        for j in range(d + 1):
-            v = kt.qk[c][e[j]][e[k]]
-            if abs(k - j) >= 2 and v:
-                return False
-            if abs(k - j) == 1 and not v:
-                return False
-    return True
 
 
 def q_bipartite_check(kt: KreinTensor, ordering) -> bool:

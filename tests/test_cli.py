@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import polarcover
+import polarcover.closed_form
+import polarcover.feasibility
 from polarcover.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -211,6 +213,19 @@ class TestCrosscheck:
                          "--formula-only")
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("extra", [[], ["--formula-only"]])
+    def test_rejects_non_prime_power_before_formulas(self, capsys, monkeypatch,
+                                                     extra):
+        # 21 = 1 mod 4 but is not a prime power: rejected before any closed
+        # form is evaluated, with or without the graph.
+        def boom(*args):
+            raise AssertionError("closed forms evaluated")
+        monkeypatch.setattr(polarcover.closed_form, "eigenmatrices_closed", boom)
+        code, out, err = run(capsys, "crosscheck", "--q", "21", "--n", "1", *extra)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "not an odd prime power" in err
+
 
 class TestFeasibility:
     def test_single_r_pass(self, capsys):
@@ -220,6 +235,26 @@ class TestFeasibility:
         assert payload["N"] == "820"
         assert payload["feasibility"]["ok"] is True
         assert payload["lstar"]["ok"] is True
+
+    def test_single_r_builds_each_table_once(self, capsys, monkeypatch):
+        # One p table and one Krein table, read by the L* check of
+        # check_feasibility and by the "lstar" payload alike.
+        calls = {"tables": 0, "verify_Lstar": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(polarcover.feasibility, "pq_tensor",
+                            counted("tables", polarcover.feasibility.pq_tensor))
+        monkeypatch.setattr(polarcover.feasibility, "verify_Lstar",
+                            counted("verify_Lstar",
+                                    polarcover.feasibility.verify_Lstar))
+        code, out, _ = run(capsys, "feasibility", "--r", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["lstar"]["ok"] is True
+        assert calls == {"tables": 2, "verify_Lstar": 1}
 
     def test_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "feasibility", "--sweep", "3,5,sqrt:5",

@@ -12,6 +12,7 @@ from polarcover.exact_algebra import (
     QuadExt,
     e_poly,
     gauss,
+    is_tridiagonal,
     mat_charpoly,
     mat_identity,
     mat_inverse,
@@ -295,3 +296,24 @@ class TestMatrixOps:
         A = [[r, zero], [zero, -r]]
         coeffs = mat_charpoly(A)
         assert coeffs == [QuadExt(-5, 0, 5), zero, QuadExt(1, 0, 5)]
+
+
+class TestIsTridiagonal:
+    def test_one_by_one(self):
+        assert is_tridiagonal([[Fraction(0)]])
+        assert is_tridiagonal([[Fraction(7)]])
+
+    def test_full_band(self):
+        assert is_tridiagonal([[0, 1, 0], [2, 0, 3], [0, 4, 0]])
+
+    def test_zero_side_entry(self):
+        assert not is_tridiagonal([[0, 1, 0], [2, 0, 0], [0, 4, 0]])
+        assert not is_tridiagonal([[0, 0], [1, 0]])
+
+    def test_nonzero_two_off_the_diagonal(self):
+        assert not is_tridiagonal([[0, 1, 0], [2, 0, 3], [5, 4, 0]])
+        assert not is_tridiagonal([[0, 1, 5], [2, 0, 3], [0, 4, 0]])
+
+    def test_nonzero_diagonal_is_allowed(self):
+        r = QuadExt.root(5)
+        assert is_tridiagonal([[r, 1, 0], [1, -r, 1], [0, 1, r]])

@@ -1,5 +1,7 @@
 """Scheme axioms, exact eigenmatrices, Krein parameters, idempotents."""
 
+import functools
+import itertools
 import json
 import tracemalloc
 
@@ -15,7 +17,10 @@ from polarcover.errors import (
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from polarcover.exact_algebra import QuadExt, mat_mul
+from polarcover.cover import CoverGraph
+from polarcover.exact_algebra import QuadExt, mat_mul, pq_tensor
+from polarcover.finite_field import construct_field
+from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
     KreinTensor,
     SchemeInstance,
@@ -30,6 +35,7 @@ from polarcover.scheme_core import (
     verify_scheme,
     verify_scheme_bytes,
 )
+from polarcover.symplectic import SymplecticSpace
 
 
 def pentagon_instance():
@@ -176,7 +182,58 @@ class TestCoverScheme:
         assert rows != conj
 
 
+@functools.lru_cache(maxsize=None)
+def cover_scheme(p, e, n):
+    """(intersection tensor, spectral data) of the cover over F_{p^e}."""
+    space = SymplecticSpace(construct_field(p, e), n)
+    instance = SchemeInstance.from_cover(CoverGraph(CoherenceTable(space)))
+    tensor = verify_scheme(instance)
+    return tensor, spectral_data(tensor, instance.N)
+
+
+def krein_per_term(sd):
+    """q_ij^k = (m_i m_j / N) sum_l P_il P_jl P_kl / k_l^2, term by term."""
+    d, P, m, k = sd.d, sd.P, sd.multiplicities, sd.valencies
+    out = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i, j, kk in itertools.product(range(d + 1), repeat=3):
+        acc = QuadExt(0, 0, sd.q)
+        for ell in range(d + 1):
+            acc = acc + P[i][ell] * P[j][ell] * P[kk][ell] / (k[ell] * k[ell])
+        out[i][j][kk] = m[i] * m[j] * acc / sd.N
+    return out
+
+
+COVERS = [(5, 1, 1), (3, 2, 1), (13, 1, 1), (5, 1, 2), (3, 2, 2)]
+
+
 class TestKreinAndOrderings:
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_krein_matches_per_term_formula(self, p, e, n):
+        _, sd = cover_scheme(p, e, n)
+        assert krein(sd).qk == krein_per_term(sd)
+
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_pq_tensor_gives_the_verified_p_tensor(self, p, e, n):
+        tensor, sd = cover_scheme(p, e, n)
+        entry = pq_tensor(sd.P, sd.Q, sd.N)
+        for i, j, k in itertools.product(range(sd.d + 1), repeat=3):
+            assert entry(i, j, k) == tensor.p[i][j][k]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_orderings_match_exhaustive_search(self, n):
+        # Every (0, pi) with L*_{pi_1}, read in that ordering, nonzero off
+        # the diagonal exactly on the two side diagonals.
+        kt = krein(cover_scheme(5, 1, n)[1])
+        d = kt.d
+        want = []
+        for pi in itertools.permutations(range(1, d + 1)):
+            e = (0, *pi)
+            if all(bool(kt.qk[e[1]][e[j]][e[k]]) == (abs(k - j) == 1)
+                   for k in range(d + 1) for j in range(d + 1) if k != j):
+                want.append(e)
+        assert want
+        assert sorted(q_poly_orderings(kt)) == want
+
     def test_krein_nonnegative(self, q5n2_scheme):
         kt = krein(q5n2_scheme["sd"])
         for plane in kt.qk:

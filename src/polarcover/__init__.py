@@ -7,100 +7,55 @@ bulk counting, with overflow guards, and as eigenvalue hints that are
 certified exactly).
 """
 
-from .exact_algebra import (
-    GaussianContext,
-    Polynomial,
-    QuadExt,
-    gauss,
-    e_poly,
-)
-from .finite_field import FieldSpec, FieldElement, construct_field
-from .symplectic import SymplecticSpace, Subspace, Generator, enumerate_generators
-from .maslov import (
-    CoherenceTable,
-    coherent_split_count,
-    sigma_pair,
-    sigma_triple,
-    verify_invariance,
-    verify_two_graph,
-)
-from .cover import CoverGraph, SignedVertex
-from .scheme_core import (
-    SchemeInstance,
-    verify_scheme,
-    spectral_data,
-    krein,
-    q_poly_orderings,
-    q_bipartite_check,
-    verify_idempotents,
-)
-from .closed_form import (
-    l1_closed,
-    q_sequence,
-    s_family,
-    verify_thm71,
-    eigenmatrices_closed,
-    crosscheck_P,
-)
-from .feasibility import (
-    candidate_parameters,
-    check_feasibility,
-    verify_Lstar,
-    parse_r,
-)
-from .errors import (
-    PolarcoverError,
-    ResourceCapExceeded,
-    QNotOneModFour,
-    EigenvalueOutsideField,
-    RepeatedEigenvalue,
-    SchemeAxiomError,
-)
+import importlib
+
+# Each exported name and the module that defines it.  Modules load on first
+# access (PEP 562), so the formula-only paths never import numpy.
+_EXPORTS = {
+    **dict.fromkeys(
+        ["GaussianContext", "Polynomial", "QuadExt", "gauss", "e_poly"],
+        "exact_algebra"),
+    **dict.fromkeys(["FieldSpec", "FieldElement", "construct_field"],
+                    "finite_field"),
+    **dict.fromkeys(
+        ["SymplecticSpace", "Subspace", "Generator", "enumerate_generators"],
+        "symplectic"),
+    **dict.fromkeys(
+        ["CoherenceTable", "coherent_split_count", "sigma_pair",
+         "sigma_triple", "verify_invariance", "verify_two_graph"],
+        "maslov"),
+    **dict.fromkeys(["CoverGraph", "SignedVertex"], "cover"),
+    **dict.fromkeys(
+        ["SchemeInstance", "verify_scheme", "spectral_data", "krein",
+         "q_poly_orderings", "q_bipartite_check", "verify_idempotents"],
+        "scheme_core"),
+    **dict.fromkeys(
+        ["l1_closed", "q_sequence", "s_family", "verify_thm71",
+         "eigenmatrices_closed", "crosscheck_P"],
+        "closed_form"),
+    **dict.fromkeys(
+        ["candidate_parameters", "check_feasibility", "verify_Lstar",
+         "parse_r"],
+        "feasibility"),
+    **dict.fromkeys(
+        ["PolarcoverError", "ResourceCapExceeded", "QNotOneModFour",
+         "EigenvalueOutsideField", "RepeatedEigenvalue", "SchemeAxiomError"],
+        "errors"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianContext",
-    "Polynomial",
-    "QuadExt",
-    "gauss",
-    "e_poly",
-    "FieldSpec",
-    "FieldElement",
-    "construct_field",
-    "SymplecticSpace",
-    "Subspace",
-    "Generator",
-    "enumerate_generators",
-    "CoherenceTable",
-    "coherent_split_count",
-    "sigma_pair",
-    "sigma_triple",
-    "verify_invariance",
-    "verify_two_graph",
-    "CoverGraph",
-    "SignedVertex",
-    "SchemeInstance",
-    "verify_scheme",
-    "spectral_data",
-    "krein",
-    "q_poly_orderings",
-    "q_bipartite_check",
-    "verify_idempotents",
-    "l1_closed",
-    "q_sequence",
-    "s_family",
-    "verify_thm71",
-    "eigenmatrices_closed",
-    "crosscheck_P",
-    "candidate_parameters",
-    "check_feasibility",
-    "verify_Lstar",
-    "parse_r",
-    "PolarcoverError",
-    "ResourceCapExceeded",
-    "QNotOneModFour",
-    "EigenvalueOutsideField",
-    "RepeatedEigenvalue",
-    "SchemeAxiomError",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

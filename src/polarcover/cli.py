@@ -17,7 +17,6 @@ import sys
 import time
 
 from .errors import PolarcoverError, QNotOneModFour, ResourceCapExceeded
-from .finite_field import construct_field
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -64,6 +63,7 @@ def _build_space(q, n, cap, verify=False):
     machine's physical memory, before any enumeration starts.
     """
     pe = _check_q(q)
+    from .finite_field import construct_field
     from .symplectic import SymplecticSpace
 
     spec = construct_field(*pe)

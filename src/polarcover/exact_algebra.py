@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
 def _isqrt_if_square(n: int):
     """Return the integer square root of n if n is a perfect square, else None."""
     if n < 0:
@@ -45,51 +42,68 @@ def _isqrt_if_square(n: int):
 class QuadExt:
     """An element a + b*r of Q(r) with r = sqrt(q), q a positive integer.
 
-    Values are canonicalized on construction: if q is a perfect square the
-    integer sqrt(q) is folded into the rational part, so equality is
-    component-wise.  Instances are immutable and hashable.
+    Stored as four ints (x, y, den, q) meaning (x + y*r)/den, kept canonical:
+    den > 0, gcd(x, y, den) = 1, and y = 0 when q is a perfect square (the
+    integer sqrt(q) is folded into x), so equality is component-wise.  Each
+    arithmetic result is reduced by one gcd.  The rational parts are read as
+    the Fraction views ``a`` = x/den and ``b`` = y/den.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("a", "b", "q")
+    __slots__ = ("x", "y", "den", "q")
 
     def __init__(self, a, b=0, q=None):
         if q is None:
             raise ValueError("QuadExt requires the base q")
         if q <= 0:
             raise ValueError("base q must be a positive integer")
-        a = Fraction(a)
-        b = Fraction(b)
+        q = int(q)
+        if type(a) is int and type(b) is int:
+            x, y, den = a, b, 1
+        else:
+            # Over the lcm of the two denominators gcd(x, y, den) is 1.
+            a, b = Fraction(a), Fraction(b)
+            den = math.lcm(a.denominator, b.denominator)
+            x = a.numerator * (den // a.denominator)
+            y = b.numerator * (den // b.denominator)
         s = _isqrt_if_square(q)
-        if s is not None and b != 0:
-            a += b * s
-            b = Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", int(q))
-
-    @classmethod
-    def _canonical(cls, a, b, q):
-        """Wrap canonical parts, as sums, products and inverses of canonical
-        values are: Fractions a and b, an int q, b == 0 if q is a square."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
-        object.__setattr__(x, "q", q)
-        return x
+        if s is not None and y:
+            x, y = x + y * s, 0
+            g = math.gcd(den, x)
+            x, den = x // g, den // g
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_den(self, den)
+        _set_q(self, q)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadExt is immutable")
 
+    @property
+    def a(self):
+        """The rational part, x/den."""
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self):
+        """The coefficient of r, y/den."""
+        return Fraction(self.y, self.den)
+
     # -- helpers -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.q != self.q:
-                raise ValueError(f"mixed bases {self.q} and {other.q}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt._canonical(Fraction(other), _ZERO, self.q)
-        return NotImplemented
+        """The parts (x, y, den) of other as an element of this field, or
+        None when other is not an int, a Fraction or a QuadExt."""
+        if type(other) is not QuadExt:
+            if isinstance(other, int):
+                return other, 0, 1
+            if isinstance(other, Fraction):
+                return other.numerator, 0, other.denominator
+            if not isinstance(other, QuadExt):
+                return None
+        if other.q != self.q:
+            raise ValueError(f"mixed bases {self.q} and {other.q}")
+        return other.x, other.y, other.den
 
     @staticmethod
     def root(q):
@@ -97,159 +111,208 @@ class QuadExt:
         return QuadExt(0, 1, q)
 
     def is_rational(self):
-        return self.b == 0
+        return self.y == 0
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt._canonical(self.a + o.a, self.b + o.b, self.q)
+        if o is None:
+            return NotImplemented
+        u, v, e = o
+        d = self.den
+        if d == e:
+            return _reduced(self.x + u, self.y + v, d, self.q)
+        return _reduced(self.x * e + u * d, self.y * e + v * d, d * e, self.q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._canonical(-self.a, -self.b, self.q)
+        return _make(-self.x, -self.y, self.den, self.q)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt._canonical(self.a - o.a, self.b - o.b, self.q)
+        if o is None:
+            return NotImplemented
+        u, v, e = o
+        d = self.den
+        if d == e:
+            return _reduced(self.x - u, self.y - v, d, self.q)
+        return _reduced(self.x * e - u * d, self.y * e - v * d, d * e, self.q)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not o.b:
-            return QuadExt._canonical(self.a * o.a, self.b * o.a, self.q)
-        if not self.b:
-            return QuadExt._canonical(self.a * o.a, self.a * o.b, self.q)
-        return QuadExt._canonical(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
+        if o is None:
+            return NotImplemented
+        u, v, e = o
+        x, y = self.x, self.y
+        if not v:
+            return _reduced(x * u, y * u, self.den * e, self.q)
+        if not y:
+            return _reduced(x * u, x * v, self.den * e, self.q)
+        return _reduced(x * u + y * v * self.q, x * v + y * u,
+                        self.den * e, self.q)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(r)")
-        # Conjugate trick; the norm a^2 - q b^2 is nonzero for nonzero
-        # elements (q square implies b == 0 after canonicalization).
-        norm = self.a * self.a - self.b * self.b * self.q
-        return QuadExt._canonical(self.a / norm, -self.b / norm, self.q)
+        # Conjugate trick; the norm x^2 - q y^2 is nonzero for nonzero
+        # elements (q square implies y == 0 by canonical form).
+        x, y, d = self.x, self.y, self.den
+        norm = x * x - y * y * self.q
+        if norm < 0:
+            norm, d = -norm, -d
+        return _reduced(d * x, -d * y, norm, self.q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if o is None:
+            return NotImplemented
+        return self * _make(*o, self.q).inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        if o is None:
+            return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, m):
         if not isinstance(m, int):
             return NotImplemented
         if m < 0:
             return self.inverse() ** (-m)
-        result = QuadExt._canonical(_ONE, _ZERO, self.q)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base
-            m >>= 1
-        return result
+        # Integer powers of x + y r, and one reduction over den^m.
+        q = self.q
+        rx, ry, bx, by = 1, 0, self.x, self.y
+        k = m
+        while k:
+            if k & 1:
+                rx, ry = rx * bx + ry * by * q, rx * by + ry * bx
+            k >>= 1
+            if k:
+                bx, by = bx * bx + by * by * q, 2 * bx * by
+        return _reduced(rx, ry, self.den ** m, q)
 
     def conjugate(self):
         """Galois image under r -> -r (identity when q is a square)."""
-        return QuadExt._canonical(self.a, -self.b, self.q)
+        return _make(self.x, -self.y, self.den, self.q)
 
     # -- comparisons -------------------------------------------------------
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.x != 0 or self.y != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):
-            return self.q == other.q and self.a == other.a and self.b == other.b
+            return (self.q == other.q and self.x == other.x
+                    and self.y == other.y and self.den == other.den)
+        if isinstance(other, int):
+            return self.y == 0 and self.den == 1 and self.x == other
+        if isinstance(other, Fraction):
+            return (self.y == 0 and self.x == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if self.y == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.q))
 
     def sign(self):
         """Sign of the real number a + b*sqrt(q), computed exactly."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
+        x, y = self.x, self.y      # den > 0, so x + y r has the same sign
+        if y == 0:
+            return (x > 0) - (x < 0)
+        if x == 0:
+            return (y > 0) - (y < 0)
+        if x > 0 and y > 0:
             return 1
-        if a < 0 and b < 0:
+        if x < 0 and y < 0:
             return -1
-        # Opposite signs: compare a^2 with q b^2 on the dominant side.
-        if a > 0:  # b < 0
-            return 1 if a * a > b * b * self.q else -1
-        return -1 if a * a > b * b * self.q else 1
+        # Opposite signs: compare x^2 with q y^2 on the dominant side.
+        if x > 0:  # y < 0
+            return 1 if x * x > y * y * self.q else -1
+        return -1 if x * x > y * y * self.q else 1
+
+    # Comparisons go through __sub__, so an operand it cannot coerce gives
+    # NotImplemented and Python raises the usual TypeError.
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() >= 0
 
     # -- io ----------------------------------------------------------------
 
     def __repr__(self):
-        if self.b == 0:
+        if self.y == 0:
             return f"QuadExt({self.a}, q={self.q})"
         return f"QuadExt({self.a} + {self.b}*sqrt({self.q}))"
 
     def __str__(self):
-        if self.b == 0:
+        if self.y == 0:
             return str(self.a)
         return f"{self.a}+{self.b}r"
 
     def to_json(self):
         """JSON form {"a": "num/den", "b": "num/den", "q": int}."""
+        a, b = self.a, self.b
         return {
-            "a": f"{self.a.numerator}/{self.a.denominator}",
-            "b": f"{self.b.numerator}/{self.b.denominator}",
+            "a": f"{a.numerator}/{a.denominator}",
+            "b": f"{b.numerator}/{b.denominator}",
             "q": self.q,
         }
 
     @staticmethod
     def from_json(obj):
         return QuadExt(Fraction(obj["a"]), Fraction(obj["b"]), obj["q"])
+
+
+# Slot setters, which bypass the immutability guard on construction.
+_set_x = QuadExt.x.__set__
+_set_y = QuadExt.y.__set__
+_set_den = QuadExt.den.__set__
+_set_q = QuadExt.q.__set__
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _make(x, y, den, q):
+    """Wrap (x + y r)/den, which the caller guarantees canonical."""
+    z = _new(QuadExt)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_den(z, den)
+    _set_q(z, q)
+    return z
+
+
+def _reduced(x, y, den, q):
+    """Canonical (x + y r)/den from ints with den > 0 and y == 0 when q is
+    a square: divides out gcd(den, x, y), skipped when den == 1."""
+    if den != 1:
+        g = _gcd(den, x, y)
+        if g != 1:
+            x //= g
+            y //= g
+            den //= g
+    return _make(x, y, den, q)
 
 
 def rpow(q, m):

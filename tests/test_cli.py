@@ -191,6 +191,61 @@ class TestScheme:
         assert proc.stderr.split() == [str(EXIT_OK), "False"], proc.stderr
 
 
+# The names the package exported, each with the module that defines it,
+# when its exports became lazy.
+PACKAGE_EXPORTS = {
+    "exact_algebra": ["GaussianContext", "Polynomial", "QuadExt", "gauss",
+                      "e_poly"],
+    "finite_field": ["FieldSpec", "FieldElement", "construct_field"],
+    "symplectic": ["SymplecticSpace", "Subspace", "Generator",
+                   "enumerate_generators"],
+    "maslov": ["CoherenceTable", "coherent_split_count", "sigma_pair",
+               "sigma_triple", "verify_invariance", "verify_two_graph"],
+    "cover": ["CoverGraph", "SignedVertex"],
+    "scheme_core": ["SchemeInstance", "verify_scheme", "spectral_data",
+                    "krein", "q_poly_orderings", "q_bipartite_check",
+                    "verify_idempotents"],
+    "closed_form": ["l1_closed", "q_sequence", "s_family", "verify_thm71",
+                    "eigenmatrices_closed", "crosscheck_P"],
+    "feasibility": ["candidate_parameters", "check_feasibility",
+                    "verify_Lstar", "parse_r"],
+    "errors": ["PolarcoverError", "ResourceCapExceeded", "QNotOneModFour",
+               "EigenvalueOutsideField", "RepeatedEigenvalue",
+               "SchemeAxiomError"],
+}
+
+
+class TestImports:
+    def test_formula_paths_never_import_numpy(self):
+        # A fresh interpreter, so no other test's imports count.
+        script = ("import sys\n"
+                  "from polarcover.cli import main\n"
+                  "codes = [main(['crosscheck', '--q', '5', '--n', '1',\n"
+                  "               '--formula-only']),\n"
+                  "         main(['feasibility', '--r', '3'])]\n"
+                  "print(*codes, 'numpy' in sys.modules, file=sys.stderr)\n")
+        src = Path(polarcover.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stderr.split() == [str(EXIT_OK), str(EXIT_OK), "False"], \
+            proc.stderr
+
+    def test_package_exports_resolve(self):
+        import importlib
+
+        names = [name for group in PACKAGE_EXPORTS.values() for name in group]
+        assert sorted(polarcover.__all__) == sorted(names)
+        for module, group in PACKAGE_EXPORTS.items():
+            defining = importlib.import_module("polarcover." + module)
+            for name in group:
+                scope = {}
+                exec(f"from polarcover import {name}", scope)
+                assert scope[name] is getattr(defining, name), name
+        with pytest.raises(ImportError):
+            exec("from polarcover import no_such_name", {})
+
+
 class TestCrosscheck:
     def test_full_q5n1(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--q", "5", "--n", "1")

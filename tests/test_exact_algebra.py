@@ -1,11 +1,14 @@
 """Rationals, Q(r), Gaussian coefficients and the generating polynomials."""
 
 import json
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from polarcover.closed_form import eigenmatrices_closed
 from polarcover.exact_algebra import (
     GaussianContext,
     Polynomial,
@@ -170,6 +173,171 @@ class TestEPoly:
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
 
+class FractionQuadExt:
+    """Reference Q(r): a + b*r held as two Fractions, every operation done
+    in Fraction arithmetic.  QuadExt must agree with it result by result."""
+
+    __slots__ = ("a", "b", "q")
+
+    def __init__(self, a, b=0, q=None):
+        a, b = Fraction(a), Fraction(b)
+        s = math.isqrt(q)
+        if s * s == q and b != 0:
+            a, b = a + b * s, Fraction(0)
+        self.a, self.b, self.q = a, b, q
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQuadExt):
+            assert other.q == self.q
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQuadExt(other, 0, self.q)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionQuadExt(self.a + o.a, self.b + o.b, self.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadExt(-self.a, -self.b, self.q)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FractionQuadExt(self.a * o.a + self.b * o.b * self.q,
+                               self.a * o.b + self.b * o.a, self.q)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self:
+            raise ZeroDivisionError("inverse of zero in Q(r)")
+        norm = self.a * self.a - self.b * self.b * self.q
+        return FractionQuadExt(self.a / norm, -self.b / norm, self.q)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, m):
+        if m < 0:
+            return self.inverse() ** (-m)
+        result = FractionQuadExt(1, 0, self.q)
+        for _ in range(m):
+            result = result * self
+        return result
+
+    def conjugate(self):
+        return FractionQuadExt(self.a, -self.b, self.q)
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        o = self._coerce(other)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.q))
+
+    def sign(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        bigger_a = a * a > b * b * self.q
+        return (1 if a > 0 else -1) * (1 if bigger_a else -1)
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        return f"{self.a}+{self.b}r"
+
+    def to_json(self):
+        return {"a": f"{self.a.numerator}/{self.a.denominator}",
+                "b": f"{self.b.numerator}/{self.b.denominator}",
+                "q": self.q}
+
+
+def assert_canonical(x):
+    """The integer form (x + y r)/den: den > 0, gcd(x, y, den) = 1, and
+    y = 0 when q is a perfect square."""
+    assert type(x) is QuadExt
+    assert all(type(v) is int for v in (x.x, x.y, x.den, x.q))
+    assert x.den > 0 and math.gcd(x.x, x.y, x.den) == 1
+    if math.isqrt(x.q) ** 2 == x.q:
+        assert x.y == 0
+
+
+def assert_matches(res, ref):
+    """res (a QuadExt) and ref (a FractionQuadExt) are the same number and
+    look the same through every public view."""
+    assert_canonical(res)
+    assert type(res.a) is Fraction and type(res.b) is Fraction
+    assert (res.a, res.b, res.q) == (ref.a, ref.b, ref.q)
+    assert hash(res) == hash(ref)
+    assert str(res) == str(ref)
+    assert res.to_json() == ref.to_json()
+    assert res.is_rational() == (ref.b == 0)
+    assert bool(res) == bool(ref)
+    assert res.sign() == ref.sign()
+
+
+def check_against_reference(x, y, X, Y, k, f, m):
+    """Every operation on (x, y) against the same on the references (X, Y),
+    with an int k, a Fraction f and an exponent m as the other operands."""
+    pairs = [(x + y, X + Y), (x - y, X - Y), (x * y, X * Y), (-x, -X),
+             (x + k, X + k), (k + x, k + X), (x - f, X - f), (f - x, f - X),
+             (x - k, X - k), (k - x, k - X), (x + f, X + f), (f + x, f + X),
+             (x * k, X * k), (k * x, k * X), (x * f, X * f), (f * x, f * X),
+             (x.conjugate(), X.conjugate())]
+    if y:
+        pairs += [(x / y, X / Y), (k / y, k / Y), (f / y, f / Y),
+                  (y.inverse(), Y.inverse()), (y ** -m, Y ** -m)]
+    if k:
+        pairs.append((x / k, X / k))
+    if f:
+        pairs.append((x / f, X / f))
+    pairs.append((x ** m, X ** m))
+    for res, ref in pairs:
+        assert_matches(res, ref)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne):
+        for other, other_ref in ((y, Y), (x, X), (k, k), (f, f)):
+            assert op(x, other) == op(X, other_ref), (op, other)
+            assert op(other, x) == op(other_ref, X), (op, other)
+
+
+
+
 class TestQuadExt:
     def test_examples(self):
         r = QuadExt.root(5)
@@ -249,6 +417,45 @@ class TestQuadExt:
                             y.inverse()]
             for res in results:
                 check(res)
+
+    @pytest.mark.parametrize("q", [5, 13, 9, 25])
+    @settings(deadline=None)
+    @given(a=rationals, b=rationals, c=rationals, d=rationals,
+           k=st.integers(-10**6, 10**6), f=rationals, m=st.integers(0, 6))
+    def test_matches_fraction_reference(self, q, a, b, c, d, k, f, m):
+        x, y = QuadExt(a, b, q), QuadExt(c, d, q)
+        X, Y = FractionQuadExt(a, b, q), FractionQuadExt(c, d, q)
+        assert_matches(x, X)
+        assert_matches(y, Y)
+        assert_matches(QuadExt(k, m, q), FractionQuadExt(k, m, q))
+        check_against_reference(x, y, X, Y, k, f, m)
+        # Equal values built two ways must compare and hash equal.
+        z = x * y - x * y + x
+        assert z == x and hash(z) == hash(x) and (z != x) is False
+
+    def test_matches_fraction_reference_large(self):
+        # Entries of the closed-form P at n=12, q=101 have numerators and
+        # denominators of hundreds of digits.
+        P = eigenmatrices_closed(12, 101).p_full
+        flat = [v for row in P for v in row]
+        for i in range(0, len(flat), 23):
+            x, y = flat[i], flat[(7 * i + 5) % len(flat)]
+            X = FractionQuadExt(x.a, x.b, 101)
+            Y = FractionQuadExt(y.a, y.b, 101)
+            assert_matches(x, X)
+            check_against_reference(x, y, X, Y, 101 ** 12 + 1,
+                                    Fraction(-(101 ** 7), 2 ** 40 + 1), 3)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le,
+                                    operator.gt, operator.ge])
+    @pytest.mark.parametrize("other", [1.5, "1"])
+    def test_order_with_unsupported_operand_raises(self, op, other):
+        with pytest.raises(TypeError) as info:
+            op(QuadExt(1, 0, 5), other)
+        assert "NotImplementedType" not in str(info.value)
+        with pytest.raises(TypeError) as info:
+            op(other, QuadExt(1, 0, 5))
+        assert "NotImplementedType" not in str(info.value)
 
     @given(a=rationals, b=rationals)
     def test_conjugate_involution(self, a, b):

@@ -262,17 +262,20 @@ def _suite_maslov():
 
 
 def _suite_cover():
-    from .cover import CoverGraph, SignedVertex
+    from .cover import CoverGraph
     from .maslov import CoherenceTable
+    from .scheme_core import SchemeInstance, class_distances, verify_scheme
 
     space = _build_space(5, 1, 10**6)
     cover = CoverGraph(CoherenceTable(space))
     assert cover.num_vertices == 12
-    assert all(len(cover.neighbors(v)) == 5 for v in cover.vertices())
-    assert cover.diameter() == 3
-    u = SignedVertex(0, 1)
-    assert cover.bfs_distance(u, u.antipode()) == 3
-    assert cover.antipodal_by_paths(u, u.antipode())
+    assert ((cover.relation_matrix_index() == 1).sum(axis=1) == 5).all()
+    t = verify_scheme(SchemeInstance.from_cover(cover))
+    # diameter 3, with the antipodes (class 3) at distance 3
+    assert class_distances(t) == [0, 1, 2, 3]
+    # 3-walks between antipodes, sum_j p_11^j p_j1^3, are paths at
+    # distance 3; there are q(q^n - 1)/2 of them
+    assert sum(t.p[1][1][j] * t.p[j][1][3] for j in range(4)) == 10
 
 
 def _suite_scheme():

@@ -172,7 +172,7 @@ class ClosedFormEigenmatrices:
 
 def _quotient_eigenrow_sum(i, j, with_shift, G, rp):
     """sum_l (-1)^l r^(e) [i choose l][n-i choose j-l], e as in the formulas,
-    from the tables G[a][b] = [a choose b]_q (a, b <= n) and rp[e] = r^e."""
+    from the int tables G[a][b] = [a choose b]_q (a, b <= n) and rp[e] = r^e."""
     n = len(G) - 1
     acc = QuadExt(0, 0, rp[0].q)
     for ell in range(j + 1):
@@ -200,7 +200,8 @@ def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
     _check_domain(n, q)
     m = n + 1
     ctx = GaussianContext(q)
-    G = [[gauss(a, b, ctx) for b in range(m)] for a in range(m)]
+    # [a choose b]_q is an integer for a, b >= 0
+    G = [[int(gauss(a, b, ctx)) for b in range(m)] for a in range(m)]
     rp = _powers(QuadExt.root(q), n * n + n + 1)   # e <= n^2 + n
     p_tilde = [[_quotient_eigenrow_sum(i, j, True, G, rp) for j in range(m)]
                for i in range(m)]

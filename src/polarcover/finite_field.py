@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import PolarcoverError
 
-__all__ = ["FieldSpec", "FieldTables", "FieldElement", "construct_field",
-           "field_arith", "chi"]
+__all__ = ["FieldSpec", "FieldTables", "FieldElement", "construct_field", "chi"]
 
 
 class ZeroCharacterArgument(PolarcoverError):
@@ -216,22 +215,6 @@ class FieldElement:
 def construct_field(p, e):
     """Field with the lexicographically smallest monic irreducible modulus."""
     return FieldSpec(p, e)
-
-
-_OPS = {"add", "sub", "mul", "div", "pow"}
-
-
-def field_arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Binary arithmetic on FieldElements; b is an int exponent for 'pow'."""
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
-    spec = a.spec
-    if op == "pow":
-        return FieldElement(spec, spec.pow(a.code, b))
-    if spec != b.spec:
-        raise ValueError("elements from different fields")
-    fn = getattr(spec, op)
-    return FieldElement(spec, fn(a.code, b.code))
 
 
 def chi(a: FieldElement, spec: FieldSpec = None) -> int:

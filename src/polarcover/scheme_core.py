@@ -43,6 +43,7 @@ __all__ = [
     "verify_scheme",
     "verify_scheme_bytes",
     "intersection_matrix",
+    "class_distances",
     "spectral_data",
     "krein",
     "q_poly_orderings",
@@ -230,6 +231,27 @@ def intersection_matrix(t: IntersectionTensor, i: int):
     if not 0 <= i <= t.d:
         raise IndexError(f"relation index {i} out of range")
     return [[Fraction(t.p[i][j][k]) for j in range(t.d + 1)] for k in range(t.d + 1)]
+
+
+def class_distances(t: IntersectionTensor):
+    """Graph distance of each class in relation 1's graph, read off the
+    verified tensor: a point in class k from a base point has p_1j^k
+    neighbours in class j, so a BFS over the d + 1 classes from class 0,
+    with j -> k iff p_1j^k > 0, gives every distance.  The diameter is the
+    maximum.  Raises when some class is unreachable (relation 1 is
+    disconnected)."""
+    dist = [0] + [None] * t.d
+    frontier, level = [0], 0
+    while frontier:
+        level += 1
+        frontier = [k for k in range(t.d + 1) if dist[k] is None
+                    and any(t.p[1][j][k] for j in frontier)]
+        for k in frontier:
+            dist[k] = level
+    if None in dist:
+        unreachable = [k for k, x in enumerate(dist) if x is None]
+        raise ValueError(f"classes {unreachable} are unreachable from class 0")
+    return dist
 
 
 @dataclass

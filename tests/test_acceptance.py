@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cover_oracles import adjacency, graph_distances
 from polarcover.closed_form import (
     crosscheck_P,
     eigenmatrices_closed,
@@ -21,7 +22,7 @@ from polarcover.closed_form import (
     s_family,
     verify_thm71,
 )
-from polarcover.cover import CoverGraph, SignedVertex
+from polarcover.cover import CoverGraph
 from polarcover.exact_algebra import (
     GaussianContext,
     Polynomial,
@@ -47,6 +48,7 @@ from polarcover.maslov import (
 )
 from polarcover.scheme_core import (
     SchemeInstance,
+    class_distances,
     intersection_matrix,
     krein,
     q_bipartite_check,
@@ -88,9 +90,9 @@ def test_criterion_1_icosahedron_identity():
     space, table, cover = build(5, 1, 1)
 
     assert cover.num_vertices == 12
-    A = cover.adjacency_matrix()
+    A = adjacency(cover)
     assert (A.sum(axis=1) == 5).all()
-    assert cover.diameter() == 3 == max(cover.n + 1, 3)
+    assert graph_distances(A).max() == 3 == max(cover.n + 1, 3)
 
     # exact spectrum {5^1, sqrt5^3, (-1)^5, (-sqrt5)^3} via the factored
     # characteristic polynomial (x-5)(x+1)^5 (x^2-5)^3
@@ -153,6 +155,7 @@ def test_criterion_3_square_q_rationality():
     for n in (1, 2):
         space, table, cover = build(3, 2, n)
         tensor, sd, kt, orderings = full_verification(cover)
+        assert max(class_distances(tensor)) == 3
         assert all(not v.b for row in sd.P for v in row)
         assert all(not v.b for row in sd.Q for v in row)
         assert len(orderings) == 2
@@ -209,20 +212,10 @@ def test_criterion_4_coherence_combinatorics_exhaustive():
 
     # length-3 path counts in the cover (exhaustive via A^3; for
     # non-adjacent endpoint pairs every 3-walk is a path)
-    A = cover.adjacency_matrix()
+    A = adjacency(cover)
     A3 = A @ A @ A
     R = cover.relation_matrix_index()
-    # cover distances from powers of A
-    N = cover.num_vertices
-    dist = np.full((N, N), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reach = np.eye(N, dtype=bool)
-    power = np.eye(N, dtype=np.int64)
-    for d in range(1, 5):
-        power = power @ A
-        newly = (power > 0) & ~reach
-        dist[newly] = d
-        reach |= newly
+    dist = graph_distances(A)
     antipodal = R == 5
     assert (dist[antipodal] == 3).all()
     assert (A3[antipodal] == 60).all()              # = q(q^2 - 1)/2

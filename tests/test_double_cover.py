@@ -6,8 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polarcover.cover import CoverGraph, SignedVertex
+from cover_oracles import (
+    adjacency,
+    adjacency_lists,
+    adjacent,
+    antipodal_by_paths,
+    bfs_distances,
+    count_paths3,
+    fiber_block_adjacency,
+    lift_geodesic,
+    neighbors,
+    relation_index,
+)
+from polarcover.cover import SignedVertex
 from polarcover.exact_algebra import GaussianContext, Polynomial, gauss, mat_charpoly
+from polarcover.scheme_core import class_distances, verify_scheme
 
 
 class TestSignedVertex:
@@ -33,8 +46,8 @@ class TestCoveringProperty:
         q, n = space.spec.q, space.n
         assert cover.num_vertices == 2 * len(space.generators())
         deg = q * int(gauss(n, 1, GaussianContext(q)))
-        for v in cover.vertices()[:10]:
-            assert len(cover.neighbors(v)) == deg
+        for vid in range(10):
+            assert len(neighbors(cover, SignedVertex.from_vid(vid))) == deg
 
     def test_neighbors_project_bijectively(self, q5n2):
         # Exactly one lift of each base neighbor, and the two lifts of a
@@ -43,14 +56,14 @@ class TestCoveringProperty:
         for gen in (0, 17, 100):
             up = SignedVertex(gen, 1)
             down = SignedVertex(gen, -1)
-            nu = cover.neighbors(up)
-            nd = cover.neighbors(down)
+            nu = neighbors(cover, up)
+            nd = neighbors(cover, down)
             assert len({w.gen for w in nu}) == len(nu)
             assert {w.vid for w in nu}.isdisjoint({w.vid for w in nd})
             assert {w.gen for w in nu} == {w.gen for w in nd}
 
     def test_adjacency_matrix_symmetric_regular(self, q5n2):
-        A = q5n2["cover"].adjacency_matrix()
+        A = adjacency(q5n2["cover"])
         assert (A == A.T).all()
         assert (A.sum(axis=1) == 30).all()
         assert (np.diag(A) == 0).all()
@@ -58,29 +71,46 @@ class TestCoveringProperty:
     def test_no_edge_within_fiber(self, q5n2):
         cover = q5n2["cover"]
         for gen in range(0, 156, 13):
-            assert not cover.adjacent(SignedVertex(gen, 1), SignedVertex(gen, -1))
+            assert not adjacent(cover, SignedVertex(gen, 1), SignedVertex(gen, -1))
+
+    def test_adjacency_is_relation_one(self, q5n2):
+        # Relation 1 of the index is exactly the fiber-block rule
+        # d(X, Y) = 1 with sigma(X, Y) = sx * sy: a disagreeing pair would
+        # need 2n+1-k = 1, that is k = 2n > n.
+        A = adjacency(q5n2["cover"])
+        assert (A == fiber_block_adjacency(q5n2["cover"])).all()
+        assert (A == A.T).all()
 
 
 class TestDiameter:
     @pytest.mark.parametrize("bundle,want", [("q5n1", 3), ("q9n1", 3),
                                              ("q13n1", 3), ("q5n2", 3)])
     def test_diameter(self, bundle, want, request):
-        cover = request.getfixturevalue(bundle)["cover"]
-        assert cover.diameter() == want
+        data = request.getfixturevalue(bundle)
+        cover = data["cover"]
+        dist = class_distances(verify_scheme(data["instance"]))
+        assert max(dist) == want
         assert want == max(cover.n + 1, 3)
+        # Every pair's BFS distance on R == 1 is the distance of its class.
+        R = cover.relation_matrix_index()
+        adj = adjacency_lists(R == 1)
+        by_class = np.array(dist)
+        for u in range(cover.num_vertices):
+            assert bfs_distances(adj, u) == by_class[R[u]].tolist()
 
     def test_antipode_at_full_distance(self, q5n1, q5n2):
         for bundle in (q5n1, q5n2):
             cover = bundle["cover"]
             u = SignedVertex(0, 1)
-            assert cover.bfs_distance(u, u.antipode()) == max(cover.n + 1, 3)
+            dist = bfs_distances(adjacency_lists(adjacency(cover)), u.vid)
+            assert dist[u.antipode().vid] == max(cover.n + 1, 3)
 
 
 class TestSpectrum:
     def test_icosahedron_exact_charpoly(self, q5n1):
         # q=5, n=1 gives the icosahedron; its adjacency spectrum is
         # 5^1, sqrt(5)^3, (-sqrt(5))^3, (-1)^5.
-        A = q5n1["cover"].adjacency_matrix()
+        A = adjacency(q5n1["cover"])
         coeffs = mat_charpoly([[Fraction(int(x)) for x in row] for row in A])
         x = Polynomial([0, 1], 5)
         const = lambda c: Polynomial([c], 5)
@@ -91,7 +121,7 @@ class TestSpectrum:
         assert Polynomial(coeffs, 5) == want
 
     def test_icosahedron_is_icosahedron(self, q5n1):
-        A = q5n1["cover"].adjacency_matrix()
+        A = adjacency(q5n1["cover"])
         assert A.shape == (12, 12)
         assert (A.sum(axis=1) == 5).all()
         # Each edge lies in exactly 2 triangles, the icosahedral signature.
@@ -109,12 +139,12 @@ class TestRelations:
         y = int(np.flatnonzero(D[x] == 1)[0])
         s = cover.table.sigma(gens[x], gens[y])
         u = SignedVertex(x, 1)
-        assert cover.relation_index(u, u) == 0
-        assert cover.relation_index(u, u.antipode()) == 5
+        assert relation_index(cover, u, u) == 0
+        assert relation_index(cover, u, u.antipode()) == 5
         v_match = SignedVertex(y, s)
         v_flip = SignedVertex(y, -s)
-        assert cover.relation_index(u, v_match) == 1
-        assert cover.relation_index(u, v_flip) == 2 * cover.n   # = 4
+        assert relation_index(cover, u, v_match) == 1
+        assert relation_index(cover, u, v_flip) == 2 * cover.n   # = 4
 
     def test_relation_matrix_agrees_with_pointwise(self, q5n2):
         cover = q5n2["cover"]
@@ -123,7 +153,7 @@ class TestRelations:
         for _ in range(300):
             a, b = rng.randrange(312), rng.randrange(312)
             u, v = SignedVertex.from_vid(a), SignedVertex.from_vid(b)
-            assert int(R[a, b]) == cover.relation_index(u, v)
+            assert int(R[a, b]) == relation_index(cover, u, v)
         assert (R == R.T).all()
 
     def test_relation_row_profile(self, q5n2):
@@ -148,14 +178,14 @@ class TestLifts:
         y = int(np.flatnonzero(D[x] == 1)[0])
         z = int(np.flatnonzero((D[x] == 2) & (D[y] == 1))[0])
         path = [gens[x], gens[y], gens[z]]
-        lift = cover.lift_geodesic(path, 1)
+        lift = lift_geodesic(cover, path, 1)
         assert [v.gen for v in lift] == [x, y, z]
         assert lift[1].sign == cover.table.sigma(gens[x], gens[y])
         assert lift[2].sign == (lift[1].sign
                                 * cover.table.sigma(gens[y], gens[z]))
         # consecutive lifted vertices really are cover edges
         for a, b in zip(lift, lift[1:]):
-            assert cover.adjacent(a, b)
+            assert adjacent(cover, a, b)
         # and the end sign matches sigma of the endpoints (distance 2 pair,
         # geodesics preserve coherence)
         assert lift[2].sign == cover.table.sigma(gens[x], gens[z])
@@ -167,7 +197,7 @@ class TestLifts:
         D = space.distance_matrix()
         y = int(np.flatnonzero(D[0] == 1)[0])
         with pytest.raises(ValueError):
-            cover.lift_geodesic([gens[0], gens[y], gens[0]], 1)
+            lift_geodesic(cover, [gens[0], gens[y], gens[0]], 1)
 
     def test_coherent_triangle_lifts_to_two_triangles(self, q5n1):
         # A coherent base triangle lifts to two disjoint triangles; a
@@ -191,11 +221,11 @@ class TestLifts:
                     u = SignedVertex(x, 1)
                     v = SignedVertex(y, table.sigma(gens[x], gens[y]))
                     w = SignedVertex(z, table.sigma(gens[x], gens[z]))
-                    assert cover.adjacent(u, v) and cover.adjacent(u, w)
+                    assert adjacent(cover, u, v) and adjacent(cover, u, w)
                     # closing edge exists iff the triangle is coherent
-                    assert cover.adjacent(v, w) == (s == 1)
+                    assert adjacent(cover, v, w) == (s == 1)
                     if s == -1:
-                        assert cover.adjacent(v, w.antipode())
+                        assert adjacent(cover, v, w.antipode())
                     found[s] += 1
         assert found[1] > 0 and found[-1] > 0
 
@@ -205,8 +235,8 @@ class TestAntipodality:
         cover = q5n1["cover"]
         u = SignedVertex(0, 1)
         # antipodal pair: 10 = q(q^n - 1)/2 shortest length-3 paths
-        assert cover.count_paths3(u, u.antipode()) == 10
-        assert cover.antipodal_by_paths(u, u.antipode())
+        assert count_paths3(cover, u, u.antipode()) == 10
+        assert antipodal_by_paths(cover, u, u.antipode())
 
     def test_metric_detection_matches_relation(self, q5n1, q9n1):
         for bundle in (q5n1, q9n1):
@@ -216,12 +246,5 @@ class TestAntipodality:
                 u = SignedVertex.from_vid(vid)
                 for wid in range(cover.num_vertices):
                     v = SignedVertex.from_vid(wid)
-                    want = cover.relation_index(u, v) == d
-                    assert cover.antipodal_by_paths(u, v) == want
-
-    def test_export_shape(self, q5n1):
-        data = q5n1["cover"].export()
-        assert data["vertex_count"] == 12
-        assert data["degree"] == 5
-        assert len(data["edges"]) == 30
-        assert all(a < b for a, b in data["edges"])
+                    want = relation_index(cover, u, v) == d
+                    assert antipodal_by_paths(cover, u, v) == want

@@ -9,7 +9,6 @@ from polarcover.finite_field import (
     ZeroCharacterArgument,
     chi,
     construct_field,
-    field_arith,
 )
 
 
@@ -158,19 +157,6 @@ class TestElementApi:
         assert str(FieldElement(f5, 3)) == "3"
         f9 = construct_field(3, 2)
         assert str(FieldElement(f9, 5)) == "2,1"   # 2 + x
-
-    def test_field_arith(self):
-        f = construct_field(5, 1)
-        a, b = FieldElement(f, 3), FieldElement(f, 4)
-        assert field_arith(a, b, "add").code == 2
-        assert field_arith(a, b, "mul").code == 2
-        assert field_arith(a, b, "sub").code == 4
-        assert field_arith(a, b, "div").code == f.div(3, 4)
-        assert field_arith(a, 3, "pow").code == f.pow(3, 3)
-        with pytest.raises(ValueError):
-            field_arith(a, b, "xor")
-        with pytest.raises(ValueError):
-            field_arith(a, FieldElement(construct_field(13, 1), 1), "add")
 
 
 @pytest.mark.parametrize("p,e", ODD_PRIME_POWERS,

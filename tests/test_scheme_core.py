@@ -25,6 +25,7 @@ from polarcover.scheme_core import (
     KreinTensor,
     SchemeInstance,
     _exact_eigenvalues,
+    class_distances,
     export_scheme,
     intersection_matrix,
     krein,
@@ -101,6 +102,17 @@ class TestPentagon:
         assert t.p[1][1][2] == 1
         assert t.p[1][2][1] == 1
         assert intersection_matrix(t, 1)[0][1] == 2
+
+    def test_class_distances(self):
+        assert class_distances(verify_scheme(pentagon_instance())) == [0, 1, 2]
+
+    def test_class_distances_disconnected(self):
+        # two triangles: relation 1 never reaches relation 2 (K_{3,3})
+        R = np.array([[0 if x == y else 1 if x // 3 == y // 3 else 2
+                       for y in range(6)] for x in range(6)])
+        t = verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+        with pytest.raises(ValueError, match=r"classes \[2\] are unreachable"):
+            class_distances(t)
 
     def test_spectral(self):
         t = verify_scheme(pentagon_instance())

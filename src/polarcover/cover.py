@@ -54,8 +54,8 @@ class CoverGraph:
 
     def relation_matrix_index(self):
         """num_vertices^2 array of relation indices (numpy int8)."""
+        S = self.table.sigma_matrix()  # 0 diagonal; fills D in the same pass
         D = self.space.distance_matrix()
-        S = self.table.sigma_matrix()  # 0 diagonal
         d = 2 * self.n + 1
         R = np.empty((self.num_vertices,) * 2, dtype=np.int8)
         # Fiber block (sx, sy): the pair (x, sx), (y, sy).

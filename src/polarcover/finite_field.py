@@ -105,9 +105,6 @@ class FieldSpec:
             raise ZeroDivisionError("division by zero in F_q")
         return self._inv[x]
 
-    def div(self, x, y):
-        return self._mul[x][self.inv(y)]
-
     def pow(self, x, m):
         if m < 0:
             x, m = self.inv(x), -m

@@ -27,6 +27,11 @@ These Y-coordinates are the rows of M_Y, and the head Gram block is
 R[:k, pc] = I.  So sigma = chi(det E * det M_Y), and chi(det E) is chi of
 the product of the pivots because the row swaps only change its sign and
 chi(-1) = 1 for q = 1 mod 4.
+
+The rank k of that same elimination is d(X, Y), so the pass fills the
+distance matrix D as well.  At k = n every row of M_Y is a unit row e_pc,
+so M_Y is a permutation matrix, det M_Y = +-1 and chi(det M_Y) = 1; only
+the pairs with k < n eliminate M_Y.
 """
 
 from __future__ import annotations
@@ -155,26 +160,46 @@ class CoherenceTable:
         return int(self.sigma_matrix()[X.id, Y.id])
 
     def sigma_matrix(self):
-        """Full symmetric matrix of sigma values, diagonal 0 (numpy int8)."""
+        """Full symmetric matrix of sigma values, diagonal 0 (numpy int8).
+
+        The same pass fills the space's distance matrix with the ranks of
+        G, or, when the rank-only pass already ran, checks it pair by pair.
+        """
         if self._S is None:
             space = self.space
             t, n = space.spec.tables, space.n
             codes, pivots, codes_j = space.generator_arrays()
             m = len(codes)
+            known = space._dist
+            D = np.zeros((m, m), dtype=np.int8) if known is None else known
             S = np.zeros((m, m), dtype=np.int8)
             unit = np.eye(n, dtype=np.int16)
             for a, b in pair_chunks(m):
                 # [G | X_Y] -> [R | E X_Y]
                 X_Y = np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2)
                 M = np.concatenate([gram_batch(t, codes_j[a], codes[b]), X_Y], axis=2)
-                _, pc, pivot_product = eliminate_batch(t, M, n)
-                M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[:, :, n:])
-                rank, _, det = eliminate_batch(t, M_Y)
-                if (rank < n).any():
-                    x = int(np.flatnonzero(rank < n)[0])
+                rank, pc, pivot_product = eliminate_batch(t, M, n)
+                if known is None:
+                    D[a, b] = D[b, a] = rank
+                elif (D[a, b] != rank).any():
+                    x = int(np.flatnonzero(D[a, b] != rank)[0])
                     raise AssertionError(
-                        f"singular tail coordinates at pair ({a[x]}, {b[x]})")
-                S[a, b] = S[b, a] = t.chi(pivot_product) * t.chi(det)
+                        f"rank {rank[x]} of G differs from the cached distance "
+                        f"{D[a[x], b[x]]} at pair ({a[x]}, {b[x]})")
+                sign = t.chi(pivot_product)
+                # At rank n, M_Y is a permutation matrix and chi(det M_Y) = 1.
+                tail = np.flatnonzero(rank < n)
+                if len(tail):
+                    pc = pc[tail]
+                    M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[tail, :, n:])
+                    tail_rank, _, det = eliminate_batch(t, M_Y)
+                    if (tail_rank < n).any():
+                        x = tail[np.flatnonzero(tail_rank < n)[0]]
+                        raise AssertionError(
+                            f"singular tail coordinates at pair ({a[x]}, {b[x]})")
+                    sign[tail] *= t.chi(det)
+                S[a, b] = S[b, a] = sign
+            space._dist = D
             self._S = S
         return self._S
 
@@ -238,6 +263,7 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
     space = table.space
     spec = space.spec
     gens = space.generators()
+    table.sigma_matrix()        # fills D in the same pass
     D = space.distance_matrix()
     rng = random.Random(seed)
     failures = []
@@ -265,8 +291,8 @@ def coherent_split_count(table: CoherenceTable, X: Generator, Y: Generator):
     if X.id == Y.id:
         raise ValueError("distinct generators required")
     x, y = X.id, Y.id
-    D = table.space.distance_matrix()
     S = table.sigma_matrix()
+    D = table.space.distance_matrix()
     zs = np.flatnonzero((D[x] == D[x, y]) & (D[y] == 1))     # never x or y
     coherent = int((S[x, y] * S[y, zs] * S[zs, x] == 1).sum())
     return coherent, len(zs) - coherent

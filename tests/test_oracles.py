@@ -14,6 +14,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from polarcover import maslov
 from polarcover.cover import CoverGraph
 from polarcover.errors import (
     IdentityNotR0,
@@ -131,10 +132,11 @@ class TestEliminateBatch:
 
 
 def _check_rows(space, rows, columns):
-    """D and S against distance and sigma_pair on the given pairs."""
+    """D and S against distance and sigma_pair on the given pairs; D is the
+    one the sign pass fills."""
     gens = space.generators()
-    D = space.distance_matrix()
     S = CoherenceTable(space).sigma_matrix()
+    D = space.distance_matrix()
     assert (np.diagonal(D) == 0).all() and (np.diagonal(S) == 0).all()
     for x in rows:
         X = gens[x]
@@ -155,6 +157,39 @@ class TestPairMatrices:
         space = make_space(13, 2)
         m = len(space.generators())
         _check_rows(space, range(0, m, 7), lambda x: (y for y in range(m) if y != x))
+
+    @pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (13, 1), (5, 2), (9, 2)])
+    def test_rank_only_distance_matches_sign_pass(self, q, n):
+        rank_only = make_space(q, n).distance_matrix()
+        space = make_space(q, n)
+        CoherenceTable(space).sigma_matrix()
+        assert (space.distance_matrix() == rank_only).all()
+
+    def test_cached_distance_mismatch_names_the_pair(self):
+        space = make_space(5, 2)
+        D = make_space(5, 2).distance_matrix().copy()
+        D[3, 100] = D[100, 3] = 0
+        space._dist = D
+        with pytest.raises(AssertionError, match=r"at pair \(3, 100\)"):
+            CoherenceTable(space).sigma_matrix()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tail_elimination_only_below_rank_n(self, n, monkeypatch):
+        # At rank n, M_Y is a permutation matrix and its elimination is skipped.
+        tail_lanes = 0
+
+        def counted(t, M, ncols=None):
+            nonlocal tail_lanes
+            if M.shape[1:] == (n, n):
+                tail_lanes += len(M)
+            return eliminate_batch(t, M, ncols)
+
+        monkeypatch.setattr(maslov, "eliminate_batch", counted)
+        space = make_space(5, n)
+        CoherenceTable(space).sigma_matrix()
+        D = space.distance_matrix()
+        assert tail_lanes == int(np.triu(D < n, 1).sum())
+        assert tail_lanes == (0 if n == 1 else 2340)   # 156 * 30 / 2
 
     @pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (3, 2)])
     def test_distance_for_q_3_mod_4(self, q, n):

@@ -79,6 +79,16 @@ def _build_space(q, n, cap, verify=False):
     return space
 
 
+def _verified_cover(q, n, cap):
+    """The double cover of (q, n) and its verified intersection tensor."""
+    from .cover import CoverGraph
+    from .maslov import CoherenceTable
+    from .scheme_core import SchemeInstance, verify_scheme
+
+    cover = CoverGraph(CoherenceTable(_build_space(q, n, cap, verify=True)))
+    return cover, verify_scheme(SchemeInstance.from_cover(cover))
+
+
 def _emit(args, payload, csv_rows=None):
     if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
@@ -112,24 +122,16 @@ def cmd_enumerate(args):
 
 
 def cmd_scheme(args):
-    from .cover import CoverGraph
-    from .maslov import CoherenceTable
     from .scheme_core import (
-        SchemeInstance,
         export_scheme,
         krein,
         q_bipartite_check,
         q_poly_orderings,
         spectral_data,
-        verify_scheme,
     )
 
-    space = _build_space(args.q, args.n, args.cap_generators, verify=True)
-    table = CoherenceTable(space)
-    cover = CoverGraph(table)
-    instance = SchemeInstance.from_cover(cover)
-    tensor = verify_scheme(instance)
-    sd = spectral_data(tensor, instance.N)
+    _, tensor = _verified_cover(args.q, args.n, args.cap_generators)
+    sd = spectral_data(tensor, tensor.N)
     kt = krein(sd)
     orderings = q_poly_orderings(kt)
     if not orderings:
@@ -171,19 +173,9 @@ def cmd_crosscheck(args):
 
     if not args.formula_only:
         from .closed_form import crosscheck_P
-        from .cover import CoverGraph
-        from .maslov import CoherenceTable
-        from .scheme_core import (
-            SchemeInstance,
-            intersection_matrix,
-            spectral_data,
-            verify_scheme,
-        )
+        from .scheme_core import intersection_matrix, spectral_data
 
-        space = _build_space(args.q, args.n, args.cap_generators, verify=True)
-        table = CoherenceTable(space)
-        cover = CoverGraph(table)
-        tensor = verify_scheme(SchemeInstance.from_cover(cover))
+        _, tensor = _verified_cover(args.q, args.n, args.cap_generators)
         L1b = intersection_matrix(tensor, 1)
         payload["l1_matches"] = L1b == L1c
         rep_b = verify_thm71(L1b, sigma, polys, args.q)
@@ -262,15 +254,11 @@ def _suite_maslov():
 
 
 def _suite_cover():
-    from .cover import CoverGraph
-    from .maslov import CoherenceTable
-    from .scheme_core import SchemeInstance, class_distances, verify_scheme
+    from .scheme_core import class_distances
 
-    space = _build_space(5, 1, 10**6)
-    cover = CoverGraph(CoherenceTable(space))
+    cover, t = _verified_cover(5, 1, 10**6)
     assert cover.num_vertices == 12
     assert ((cover.relation_matrix_index() == 1).sum(axis=1) == 5).all()
-    t = verify_scheme(SchemeInstance.from_cover(cover))
     # diameter 3, with the antipodes (class 3) at distance 3
     assert class_distances(t) == [0, 1, 2, 3]
     # 3-walks between antipodes, sum_j p_11^j p_j1^3, are paths at
@@ -279,20 +267,9 @@ def _suite_cover():
 
 
 def _suite_scheme():
-    from .cover import CoverGraph
-    from .maslov import CoherenceTable
-    from .scheme_core import (
-        SchemeInstance,
-        krein,
-        q_bipartite_check,
-        q_poly_orderings,
-        spectral_data,
-        verify_scheme,
-    )
+    from .scheme_core import krein, q_bipartite_check, q_poly_orderings, spectral_data
 
-    space = _build_space(5, 1, 10**6)
-    cover = CoverGraph(CoherenceTable(space))
-    tensor = verify_scheme(SchemeInstance.from_cover(cover))
+    _, tensor = _verified_cover(5, 1, 10**6)
     assert tensor.p[1][1][0] == 5
     sd = spectral_data(tensor, tensor.N)
     kt = krein(sd)

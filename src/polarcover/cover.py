@@ -10,17 +10,16 @@ sigma at distance k, and 2n+1-k when they disagree; index 0 is the identity
 and 2n+1 the antipodality relation.  Adjacency is relation 1 (a disagreeing
 pair would need 2n+1-k = 1, that is k = 2n > n), and the cover's metric
 comes from the verified intersection tensor
-(``scheme_core.class_distances``), so the cover holds no N x N data of its
-own beyond the one relation index.
+(``scheme_core.class_distances``).  The relation rule lives in
+``SchemeInstance.from_cover``; the cover holds no N x N data of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .maslov import CoherenceTable
+from .scheme_core import SchemeInstance
 
 __all__ = ["SignedVertex", "CoverGraph"]
 
@@ -53,16 +52,6 @@ class CoverGraph:
         self.num_vertices = 2 * len(self.space.generators())
 
     def relation_matrix_index(self):
-        """num_vertices^2 array of relation indices (numpy int8)."""
-        S = self.table.sigma_matrix()  # 0 diagonal; fills D in the same pass
-        D = self.space.distance_matrix()
-        d = 2 * self.n + 1
-        R = np.empty((self.num_vertices,) * 2, dtype=np.int8)
-        # Fiber block (sx, sy): the pair (x, sx), (y, sy).
-        for sx, ex in enumerate((1, -1)):
-            for sy, ey in enumerate((1, -1)):
-                block = np.where(S == ex * ey, D, d - D)
-                # same-generator pairs: identity or antipodality
-                np.fill_diagonal(block, 0 if ex == ey else d)
-                R[sx::2, sy::2] = block
-        return R
+        """num_vertices^2 array of relation indices (numpy int8), the
+        expansion of ``SchemeInstance.from_cover``."""
+        return SchemeInstance.from_cover(self).relation_matrix()

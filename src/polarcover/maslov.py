@@ -225,25 +225,24 @@ def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
     entries exactly +-1.  Given that, every 4-set has evenly many coherent
     triples, because each pair sign occurs twice in the product of a
     4-set's four triple signs; so these entry conditions are the whole check.
+    A failing S reports its first bad pair and no count.  Coherent minus
+    incoherent triples is then trace(S^3)/6; S^2 has entries of size at most
+    m, so its float64 product is exact.
     """
     from math import comb
 
-    S = table.sigma_matrix().astype(np.int64)
+    S = table.sigma_matrix()
     m = len(S)
-
-    coherent = 0
     total = comb(m, 3)
-    for a in range(m):
-        for b in range(a + 1, m):
-            prods = S[a, b] * S[a, b + 1:] * S[b, b + 1:]
-            coherent += int((prods == 1).sum())
 
     off_diagonal = ~np.eye(m, dtype=bool)
     bad = (S != S.T) | np.where(off_diagonal, np.abs(S) != 1, S != 0)
     if bad.any():
         x, y = map(int, np.argwhere(bad)[0])
-        return TwoGraphReport(False, coherent, total, (x, y))
-    return TwoGraphReport(True, coherent, total)
+        return TwoGraphReport(False, 0, total, (x, y))
+    F = S.astype(np.float64)
+    trace = int(((F @ F).astype(np.int64) * S).sum())      # S = S^T
+    return TwoGraphReport(True, (total + trace // 6) // 2, total)
 
 
 @dataclass

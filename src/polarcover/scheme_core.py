@@ -117,9 +117,9 @@ class IntersectionTensor:
 
 def verify_scheme_bytes(N, d):
     """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
-    points and d classes.  Per fiber pair: two int8 sheets, d + 1 int8 U_i
-    and V_i, and 32 bytes of int64/float64 products, operands and expected
-    values at any one time.  Plus 64 KiB for the Python objects."""
+    points and d classes.  Per fiber pair: two int8 sheets, at most d + 1
+    int8 U_i and V_i, and 32 bytes of int64/float64 products, operands and
+    expected values at any one time.  Plus 64 KiB for the Python objects."""
     m = N // 2
     return m * m * (2 + (d + 1) + 32) + 2**16
 
@@ -140,10 +140,11 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
     U_i = B_i + B_{d-i} and V_i = B_i - B_{d-i} the same- and cross-sheet
     blocks of A_i A_j are (U_i U_j +- V_i V_j)/2, and each pair of points is
-    one entry of one block.  U_{d-i} = U_i, V_{d-i} = -V_i and (given the
-    identity axiom) U_0 = V_0 = I leave the products among classes
-    1..d//2.  A relation matrix is the one-sheet case, A_i = U_i without V.
-    Witnesses are point pairs.
+    one entry of one block.  Only the pairs 1 <= a <= b <= d//2 are
+    multiplied and checked: A_0 = I once the identity axiom holds, and
+    A_{d-i} is A_i with its sheets swapped, which maps class k to d - k.
+    A relation matrix is the one-sheet case, A_i = U_i without V, where
+    every pair 1 <= a <= b <= d is checked.  Witnesses are point pairs.
     """
     d, s = instance.d, instance.sheets
     sheets = [instance.matrix] + ([d - instance.matrix] if s == 2 else [])
@@ -173,46 +174,42 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
         if hit := _first_true(R != R.T):
             raise NotSymmetric(int(R[hit]), pair(g, *hit))
 
-    # W[h][i]: U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
+    # W[h][i - 1]: U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
     W = [[sum((-1) ** (h * g) * (R == i).view(np.int8) for g, R in enumerate(sheets))
-          for i in range(half + 1)] for h in range(s)]
-    # Pairs i <= j grouped by their folded classes and by the parity of
-    # their folds (folding i flips V_i).
-    fold = [(i, 0) if i <= half else (d - i, 1) for i in range(d + 1)]
-    groups = {}
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            (a, fa), (b, fb) = fold[i], fold[j]
-            groups.setdefault((min(a, b), max(a, b)), {}).setdefault(
-                (fa + fb) % 2, []).append((i, j))
+          for i in range(1, half + 1)] for h in range(s)]
 
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-
-    def check(a, b, parities):
-        P = [W[h][b].copy() if a == 0 else _exact_int_product(W[h][a], W[h][b])
-             for h in range(s)]
+    def check(a, b):
+        """Row (p_ab^k)_k, checked on every pair of every sheet."""
+        P = [_exact_int_product(W[h][a - 1], W[h][b - 1]) for h in range(s)]
         if s == 2:      # the blocks (UU + VV)/2 and (UU - VV)/2, in place
             P[1] += P[0]
             P[1] //= 2
             P[0] -= P[1]
             P.reverse()
-        # Pairs of one parity have the same blocks up to transposition, which
-        # the symmetric sheets make irrelevant; the first, (a, b) or
-        # (a, d - b), is checked untransposed.
-        for flips, members in parities.items():
-            i, j = members[0]
-            v = np.zeros(d + 1, dtype=np.int64)
-            for g, R in enumerate(sheets):
-                M = P[(g + flips) % 2]
-                for k, at in first[g]:
-                    v[k] = M[at]
-                if hit := _first_true(M != v[R]):
-                    raise NonConstant(i, j, int(R[hit]), pair(g, *hit))
-            for i, j in members:
-                p[i][j], p[j][i] = v.tolist(), v.tolist()
+        v = np.zeros(d + 1, dtype=np.int64)
+        for g, R in enumerate(sheets):
+            for k, at in first[g]:
+                v[k] = P[g][at]
+            if hit := _first_true(P[g] != v[R]):
+                raise NonConstant(a, b, int(R[hit]), pair(g, *hit))
+        return v.tolist()
 
-    for (a, b), parities in groups.items():
-        check(a, b, parities)
+    p = [[None] * (d + 1) for _ in range(d + 1)]
+    for j in range(d + 1):          # A_0 = I by the identity axiom
+        p[0][j] = [int(k == j) for k in range(d + 1)]
+        p[j][0] = list(p[0][j])
+    for a in range(1, half + 1):
+        for b in range(a, half + 1):
+            p[a][b] = check(a, b)
+            p[b][a] = list(p[a][b])
+    # Two sheets: the cross-sheet index is d minus the same-sheet one, so
+    # A_(d-i) is A_i with its sheets swapped, whatever A_d is, and
+    # p_(d-i)j^k = p_ij^(d-k), p_(d-i)(d-j)^k = p_ij^k.
+    for i in range(d + 1):
+        for j in range(d + 1):
+            if p[i][j] is None:
+                v = p[min(i, d - i)][min(j, d - j)]
+                p[i][j] = v[::-1] if (i > half) != (j > half) else list(v)
     valencies = [p[i][i][0] for i in range(d + 1)]
 
     for i in range(d + 1):

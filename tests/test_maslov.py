@@ -1,6 +1,7 @@
 """Pair and triple signs, gauge invariance, the two-graph, half splits."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -130,18 +131,22 @@ class TestTwoGraph:
         report = verify_two_graph(table)
         assert report.ok and report.witness is None
         assert (report.coherent_triples, report.triples_total) == (coherent, total)
-        # coherent minus incoherent triples is trace(S^3)/6 (S has zero diagonal)
-        S = table.sigma_matrix().astype(np.int64)
-        assert 2 * coherent - total == np.trace(S @ S @ S) // 6
+
+    def _check_per_triple(self, table, coherent, total):
+        S = table.sigma_matrix().tolist()
+        triples = list(combinations(range(len(S)), 3))
+        assert (sum(S[x][y] * S[y][z] * S[z][x] == 1 for x, y, z in triples),
+                len(triples)) == (coherent, total)
+        self._check(table, coherent, total)
 
     def test_exhaustive_q5n1(self, q5n1):
-        self._check(CoherenceTable(q5n1["space"]), 10, 20)
+        self._check_per_triple(CoherenceTable(q5n1["space"]), 10, 20)
 
     def test_exhaustive_q5n2(self, q5n2):
         self._check(CoherenceTable(q5n2["space"]), 372060, 620620)   # C(156, 3)
 
     def test_exhaustive_q9n1(self, q9n1):
-        self._check(CoherenceTable(q9n1["space"]), 60, 120)         # C(10, 3)
+        self._check_per_triple(CoherenceTable(q9n1["space"]), 60, 120)  # C(10, 3)
 
     @pytest.mark.parametrize("fault", ["asymmetric", "zero_off_diagonal"])
     def test_broken_sign_matrix_has_witness(self, q5n1, monkeypatch, fault):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polarcover.scheme_core as scheme_core
 from polarcover.closed_form import eigenmatrices_closed, l1_closed
 from polarcover.errors import (
     EigenvalueOutsideField,
@@ -140,6 +141,27 @@ class TestCoverScheme:
         t = q5n2_scheme["tensor"]
         assert t.valencies == [1, 30, 125, 125, 30, 1]
         assert t.N == 312
+
+    @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
+    def test_one_check_per_sheet_per_folded_pair(self, bundle, n, request,
+                                                 monkeypatch):
+        # n(n+1)/2 folded pairs 1 <= a <= b <= n, each with two products
+        # and one constancy comparison per sheet
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_exact_int_product", "_first_true"):
+            monkeypatch.setattr(scheme_core, name,
+                                counted(name, getattr(scheme_core, name)))
+        verify_scheme(request.getfixturevalue(bundle)["instance"])
+        fiber_loop = calls[calls.index("_exact_int_product"):]
+        assert fiber_loop.count("_exact_int_product") == n * (n + 1)
+        assert fiber_loop.count("_first_true") == n * (n + 1)
 
     @pytest.mark.parametrize("bundle", ["q5n2", "q9n1"])
     def test_memory_prediction_bounds_peak(self, bundle, request):

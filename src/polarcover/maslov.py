@@ -11,27 +11,9 @@ is symmetric and independent of the basis choice; the coherent triples
 (sigma(X,Y)sigma(Y,Z)sigma(Z,X) = +1) form a two-graph.
 
 ``sigma_pair`` computes this one pair at a time and is the reference.
-``CoherenceTable.sigma_matrix`` computes all pairs at once from one batched
-elimination per chunk of pairs.  With X, Y the RREF bases, let
-G = X J Y^T (G_ij = B(x_i, y_j)) and eliminate [G | X_Y], X_Y being the
-columns of X at the pivot columns of Y, so that E G = R is in RREF with
-k = rank(G) = d(X, Y) pivot rows at columns pc.  Then
-
-    sigma(X, Y) = chi(product of the pivots of G) * chi(det M_Y),
-
-where M_Y has rows e_pc (i < k) and (E X_Y)_i (i >= k).  Proof sketch: the
-rows K = E[k:] span the left kernel of G, so K X spans X meet Y; take the
-basis x = E X of X (coordinates E) and, for Y, the heads y_i = Y_{pc_i}
-with the tail K X, whose Y-coordinates are (K X)[:, pivots of Y] = K X_Y.
-These Y-coordinates are the rows of M_Y, and the head Gram block is
-R[:k, pc] = I.  So sigma = chi(det E * det M_Y), and chi(det E) is chi of
-the product of the pivots because the row swaps only change its sign and
-chi(-1) = 1 for q = 1 mod 4.
-
-The rank k of that same elimination is d(X, Y), so the pass fills the
-distance matrix D as well.  At k = n every row of M_Y is a unit row e_pc,
-so M_Y is a permutation matrix, det M_Y = +-1 and chi(det M_Y) = 1; only
-the pairs with k < n eliminate M_Y.
+``CoherenceTable.sigma_matrix`` reads all pairs off the space's one pair
+pass, ``SymplecticSpace.pair_matrices``, which gives the distance matrix D
+from the same eliminations; its docstring derives the batched formula.
 """
 
 from __future__ import annotations
@@ -46,11 +28,8 @@ from .symplectic import (
     Generator,
     SymplecticSpace,
     eliminate,
-    eliminate_batch,
-    gram_batch,
     intersect,
     mat_vec,
-    pair_chunks,
     rank_of,
 )
 
@@ -147,12 +126,11 @@ def _random_extension(space, G, tail, rng):
 
 
 class CoherenceTable:
-    """The sign matrix S of all generator pairs, computed once on first use."""
+    """The sign matrix S of all generator pairs, for q = 1 mod 4."""
 
     def __init__(self, space: SymplecticSpace):
         _require_q1mod4(space.spec)
         self.space = space
-        self._S = None
 
     def sigma(self, X: Generator, Y: Generator) -> int:
         if X.id == Y.id:
@@ -160,48 +138,9 @@ class CoherenceTable:
         return int(self.sigma_matrix()[X.id, Y.id])
 
     def sigma_matrix(self):
-        """Full symmetric matrix of sigma values, diagonal 0 (numpy int8).
-
-        The same pass fills the space's distance matrix with the ranks of
-        G, or, when the rank-only pass already ran, checks it pair by pair.
-        """
-        if self._S is None:
-            space = self.space
-            t, n = space.spec.tables, space.n
-            codes, pivots, codes_j = space.generator_arrays()
-            m = len(codes)
-            known = space._dist
-            D = np.zeros((m, m), dtype=np.int8) if known is None else known
-            S = np.zeros((m, m), dtype=np.int8)
-            unit = np.eye(n, dtype=np.int16)
-            for a, b in pair_chunks(m):
-                # [G | X_Y] -> [R | E X_Y]
-                X_Y = np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2)
-                M = np.concatenate([gram_batch(t, codes_j[a], codes[b]), X_Y], axis=2)
-                rank, pc, pivot_product = eliminate_batch(t, M, n)
-                if known is None:
-                    D[a, b] = D[b, a] = rank
-                elif (D[a, b] != rank).any():
-                    x = int(np.flatnonzero(D[a, b] != rank)[0])
-                    raise AssertionError(
-                        f"rank {rank[x]} of G differs from the cached distance "
-                        f"{D[a[x], b[x]]} at pair ({a[x]}, {b[x]})")
-                sign = t.chi(pivot_product)
-                # At rank n, M_Y is a permutation matrix and chi(det M_Y) = 1.
-                tail = np.flatnonzero(rank < n)
-                if len(tail):
-                    pc = pc[tail]
-                    M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[tail, :, n:])
-                    tail_rank, _, det = eliminate_batch(t, M_Y)
-                    if (tail_rank < n).any():
-                        x = tail[np.flatnonzero(tail_rank < n)[0]]
-                        raise AssertionError(
-                            f"singular tail coordinates at pair ({a[x]}, {b[x]})")
-                    sign[tail] *= t.chi(det)
-                S[a, b] = S[b, a] = sign
-            space._dist = D
-            self._S = S
-        return self._S
+        """Full symmetric matrix of sigma values, diagonal 0 (numpy int8),
+        from ``SymplecticSpace.pair_matrices``."""
+        return self.space.pair_matrices()[1]
 
 
 def sigma_triple(table: CoherenceTable, X, Y, Z) -> int:
@@ -262,7 +201,6 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
     space = table.space
     spec = space.spec
     gens = space.generators()
-    table.sigma_matrix()        # fills D in the same pass
     D = space.distance_matrix()
     rng = random.Random(seed)
     failures = []

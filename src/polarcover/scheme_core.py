@@ -90,7 +90,9 @@ class SchemeInstance:
         S[x, y] is +1 and 2n+1 - D[x, y] where it is -1; any other sign off
         the diagonal gives the out-of-range index -1."""
         d = 2 * cover.n + 1
-        S = cover.table.sigma_matrix()     # fills D in the same pass
+        # One pass gives both; reading S first charges it to
+        # CoherenceTable.sigma_matrix in a traced run.
+        S = cover.table.sigma_matrix()
         D = cover.space.distance_matrix()
         R = np.where(S == 1, D, d - D)
         R[(S != 1) & (S != -1)] = -1

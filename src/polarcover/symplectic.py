@@ -7,9 +7,11 @@ and hashing are structural.
 
 Bulk work runs on numpy arrays of codes instead: the generators packed as
 one (m, n, 2n) array, and one batched Gauss-Jordan (``eliminate_batch``)
-over stacks of small matrices.  The per-object functions (``eliminate``,
-``distance``, ``intersect``) stay as the reference the batched paths are
-tested against.
+over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
+pass over all generator pairs: it gives the distance matrix D and the sign
+matrix S of ``maslov`` together, and its docstring derives the sign formula.
+The per-object functions (``eliminate``, ``distance``, ``intersect``) stay
+as the reference the batched paths are tested against.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ class SymplecticSpace:
         self._generators = None
         self._gen_index = None
         self._arrays = None
-        self._dist = None
+        self._pairs = None
 
     # B in the hyperbolic basis: sum u_i v_{n+i} - u_{n+i} v_i.
     def bform(self, u, v):
@@ -309,22 +311,63 @@ class SymplecticSpace:
         basis, _ = rref(self.spec, rows)
         return self.generator_by_basis(basis)
 
-    def distance_matrix(self):
-        """Symmetric int8 matrix of dual-polar-graph distances.
+    def pair_matrices(self):
+        """(D, S): symmetric int8 matrices of distances and pair signs.
 
-        d(X, Y) is the rank of the Gram matrix X J Y^T, whose left kernel
-        gives X meet Y; all pairs go through ``eliminate_batch`` in chunks.
+        Computed once, in one pass over all pairs a < b in chunks.  With X,
+        Y the RREF bases, G = X J Y^T (G_ij = B(x_i, y_j)) and X_Y the
+        columns of X at the pivot columns of Y, one elimination of
+        [G | X_Y] on G's columns gives E G = R in RREF with
+        k = rank(G) = d(X, Y) pivot rows at columns pc, since the left
+        kernel of G gives X meet Y.  D[a, b] is that k, and
+
+            S[a, b] = chi(product of the pivots of G) * chi(det M_Y),
+
+        where M_Y has rows e_pc (i < k) and (E X_Y)_i (i >= k).  For
+        q = 1 mod 4 this is the sign sigma of ``maslov``.  Proof sketch:
+        the rows K = E[k:] span the left kernel of G, so K X spans X meet Y;
+        take the basis x = E X of X (coordinates E) and, for Y, the heads
+        y_i = Y_{pc_i} with the tail K X, whose Y-coordinates are
+        (K X)[:, pivots of Y] = K X_Y.  These Y-coordinates are the rows of
+        M_Y, and the head Gram block is R[:k, pc] = I.  So
+        sigma = chi(det E * det M_Y), and chi(det E) is chi of the product
+        of the pivots because the row swaps only change its sign and
+        chi(-1) = 1.  At q = 3 mod 4 S is computed but has no such meaning
+        (M_Y is nonsingular for every q).  At k = n every row of M_Y is a
+        unit row e_pc, so only the pairs with k < n eliminate M_Y.
         """
-        if self._dist is None:
-            codes, _, codes_j = self.generator_arrays()
-            t = self.spec.tables
+        if self._pairs is None:
+            t, n = self.spec.tables, self.n
+            codes, pivots, codes_j = self.generator_arrays()
             m = len(codes)
             D = np.zeros((m, m), dtype=np.int8)
+            S = np.zeros((m, m), dtype=np.int8)
+            unit = np.eye(n, dtype=np.int16)
             for a, b in pair_chunks(m):
-                rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[a], codes[b]))
+                # [G | X_Y] -> [R | E X_Y]
+                X_Y = np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2)
+                M = np.concatenate([gram_batch(t, codes_j[a], codes[b]), X_Y], axis=2)
+                rank, pc, pivot_product = eliminate_batch(t, M, n)
+                sign = t.chi(pivot_product)
+                # At rank n, M_Y is a permutation matrix and chi(det M_Y) = 1.
+                tail = np.flatnonzero(rank < n)
+                if len(tail):
+                    pc = pc[tail]
+                    M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[tail, :, n:])
+                    tail_rank, _, det = eliminate_batch(t, M_Y)
+                    if (tail_rank < n).any():
+                        x = tail[np.flatnonzero(tail_rank < n)[0]]
+                        raise AssertionError(
+                            f"singular tail coordinates at pair ({a[x]}, {b[x]})")
+                    sign[tail] *= t.chi(det)
                 D[a, b] = D[b, a] = rank
-            self._dist = D
-        return self._dist
+                S[a, b] = S[b, a] = sign
+            self._pairs = D, S
+        return self._pairs
+
+    def distance_matrix(self):
+        """Symmetric int8 matrix of dual-polar-graph distances."""
+        return self.pair_matrices()[0]
 
 
 def _kernel_basis(spec, constraint_rows, ncols):
@@ -428,10 +471,12 @@ def intersect(space: SymplecticSpace, X: Subspace, Y: Subspace) -> Subspace:
 
 
 def distance_profile(space: SymplecticSpace, X: Generator) -> dict:
-    """Number of generators at each distance from X."""
-    D = space.distance_matrix()
-    row = D[X.id]
-    return {k: int((row == k).sum()) for k in range(space.n + 1)}
+    """Number of generators at each distance from X, from the ranks of the
+    m Gram matrices of X's row alone."""
+    codes, _, codes_j = space.generator_arrays()
+    t = space.spec.tables
+    rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[X.id][None], codes))
+    return {k: int((rank == k).sum()) for k in range(space.n + 1)}
 
 
 @dataclass

@@ -45,6 +45,13 @@ def relation_index(cover, u: SignedVertex, v: SignedVertex) -> int:
     return 2 * cover.n + 1 - k
 
 
+def relation_index_matrix(cover):
+    """The N x N relation index, one ``relation_index`` call per ordered pair."""
+    vertices = [SignedVertex.from_vid(v) for v in range(cover.num_vertices)]
+    return np.array([[relation_index(cover, u, v) for v in vertices]
+                     for u in vertices], dtype=np.int8)
+
+
 def adjacent(cover, u: SignedVertex, v: SignedVertex) -> bool:
     return relation_index(cover, u, v) == 1
 

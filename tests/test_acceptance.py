@@ -207,8 +207,11 @@ def test_criterion_4_coherence_combinatorics_exhaustive():
     assert (S == S.T).all() and set(np.unique(S[distinct])) == {-1, 1}
     report = verify_two_graph(table)
     assert report.ok and report.witness is None
-    assert 2 * report.coherent_triples - report.triples_total \
-        == np.trace(S @ S @ S) // 6
+    # coherent triples x < y < z, counted directly (vectorized over z)
+    coherent = sum(int((S[x, y] * S[y, y + 1:] * S[y + 1:, x] == 1).sum())
+                   for x in range(m) for y in range(x + 1, m))
+    assert (report.coherent_triples, report.triples_total) \
+        == (coherent, m * (m - 1) * (m - 2) // 6)
 
     # length-3 path counts in the cover (exhaustive via A^3; for
     # non-adjacent endpoint pairs every 3-walk is a path)

@@ -140,6 +140,20 @@ class TestEnumerate:
         _, out2, _ = run(capsys, "enumerate", "--q", "5", "--n", "2")
         assert out1 == out2
 
+    def test_builds_no_pair_matrices(self, capsys, monkeypatch):
+        # The profile ranks one row of Gram matrices, not the m x m pairs.
+        import polarcover.symplectic as symplectic
+
+        _, want, _ = run(capsys, "enumerate", "--q", "5", "--n", "2")
+
+        def refuse(self):
+            raise AssertionError("the pair matrices were built")
+
+        monkeypatch.setattr(symplectic.SymplecticSpace, "pair_matrices", refuse)
+        code, out, _ = run(capsys, "enumerate", "--q", "5", "--n", "2")
+        assert code == EXIT_OK and out == want
+        assert json.loads(out)["distance_profile"] == {"0": 1, "1": 30, "2": 125}
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "gens.json"
         code, out, _ = run(capsys, "enumerate", "--q", "5", "--n", "1",

@@ -1,6 +1,5 @@
 """The signed double cover: adjacency, lifts, relations, antipodality."""
 
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ from cover_oracles import (
     lift_geodesic,
     neighbors,
     relation_index,
+    relation_index_matrix,
 )
 from polarcover.cover import SignedVertex
 from polarcover.exact_algebra import GaussianContext, Polynomial, gauss, mat_charpoly
@@ -149,11 +149,7 @@ class TestRelations:
     def test_relation_matrix_agrees_with_pointwise(self, q5n2):
         cover = q5n2["cover"]
         R = cover.relation_matrix_index()
-        rng = random.Random(6)
-        for _ in range(300):
-            a, b = rng.randrange(312), rng.randrange(312)
-            u, v = SignedVertex.from_vid(a), SignedVertex.from_vid(b)
-            assert int(R[a, b]) == relation_index(cover, u, v)
+        assert (R == relation_index_matrix(cover)).all()
         assert (R == R.T).all()
 
     def test_relation_row_profile(self, q5n2):

@@ -70,13 +70,25 @@ class TestMetrics:
         profile = distance_profile(space, space.generators()[0])
         assert profile == {0: 1, 1: 30, 2: 125}
 
-    def test_distance_profile_counts(self, q5n1, q9n1):
-        # At distance k there are q^C(k+1,2) [n choose k] generators.
-        for bundle in (q5n1, q9n1):
-            space = bundle["space"]
-            q = space.spec.q
-            profile = distance_profile(space, space.generators()[0])
-            assert profile == {0: 1, 1: q * 1}  # n = 1: q * [1 choose 1]
+    def test_distance_profile_counts(self):
+        # At distance k there are q^C(k+1,2) [n choose k]_q generators.
+        def gaussian_binomial(n, k, q):
+            num = den = 1
+            for i in range(k):
+                num *= q**(n - i) - 1
+                den *= q**(i + 1) - 1
+            return num // den
+
+        for p, e, n in [(5, 1, 1), (3, 2, 1), (5, 1, 2), (3, 2, 2), (13, 1, 2),
+                        (5, 2, 1), (5, 1, 3)]:
+            space = SymplecticSpace(construct_field(p, e), n)
+            q = p**e
+            want = {k: q**(k * (k + 1) // 2) * gaussian_binomial(n, k, q)
+                    for k in range(n + 1)}
+            gens = space.generators()
+            for X in (gens[0], gens[len(gens) // 2], gens[-1]):
+                assert distance_profile(space, X) == want, (q, n, X.id)
+        assert want == {0: 1, 1: 155, 2: 3875, 3: 15625}      # q = 5, n = 3
 
     def test_distance_symmetric_and_metric(self, q5n2):
         space = q5n2["space"]

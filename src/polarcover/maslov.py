@@ -13,7 +13,9 @@ is symmetric and independent of the basis choice; the coherent triples
 ``sigma_pair`` computes this one pair at a time and is the reference.
 ``CoherenceTable.sigma_matrix`` reads all pairs off the space's one pair
 pass, ``SymplecticSpace.pair_matrices``, which gives the distance matrix D
-from the same eliminations; its docstring derives the batched formula.
+from the same eliminations; its docstring derives the batched formula, and
+shows why a big-cell pair [I | A], [I | B] has the sign of
+([I | 0], [I | B - A]), so that those pairs read one table.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Bulk work runs on numpy arrays of codes instead: the generators packed as
 one (m, n, 2n) array, and one batched Gauss-Jordan (``eliminate_batch``)
 over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
 pass over all generator pairs: it gives the distance matrix D and the sign
-matrix S of ``maslov`` together, and its docstring derives the sign formula.
+matrix S of ``maslov`` together, and its docstring derives the sign formula
+and why big-cell pairs can read (D, S) from one table.
 The per-object functions (``eliminate``, ``distance``, ``intersect``) stay
 as the reference the batched paths are tested against.
 """
@@ -169,25 +170,52 @@ def gram_batch(t: FieldTables, XJ, Y):
 PAIR_CHUNK = 1 << 13
 
 
-def pair_chunks(m):
-    """(a, b) index arrays over all pairs a < b of range(m), in row order.
+def pair_chunks(m, rows=None):
+    """(a, b) index arrays over all pairs a < b of range(m) with a in
+    range(rows) (every row by default), in row order.
 
     Whole rows of the upper triangle are grouped until a chunk holds about
     PAIR_CHUNK pairs (a single row may exceed it).
     """
+    rows = m - 1 if rows is None else min(rows, m - 1)
     start = 0
-    while start < m - 1:
+    while start < rows:
         stop, count = start + 1, m - 1 - start
-        while stop < m - 1 and count + (m - 1 - stop) <= PAIR_CHUNK:
+        while stop < rows and count + (m - 1 - stop) <= PAIR_CHUNK:
             count += m - 1 - stop
             stop += 1
-        rows = np.arange(start, stop)
-        lengths = m - 1 - rows
-        a = np.repeat(rows, lengths)
+        chunk_rows = np.arange(start, stop)
+        lengths = m - 1 - chunk_rows
+        a = np.repeat(chunk_rows, lengths)
         firsts = np.cumsum(lengths) - lengths          # chunk offset of each row
-        b = np.arange(count) - np.repeat(firsts - rows - 1, lengths)
+        b = np.arange(count) - np.repeat(firsts - chunk_rows - 1, lengths)
         yield a, b
         start = stop
+
+
+def _pair_kernel(t: FieldTables, X, XJ, Y, Y_pivots):
+    """(rank, sign) of each pair of the stacks X, Y of RREF bases (P, n, 2n),
+    given XJ = X J and the (P, n) pivot columns of Y: the distance D and the
+    sign S of ``SymplecticSpace.pair_matrices``, whose docstring derives them.
+    """
+    n = X.shape[1]
+    # [G | X_Y] -> [R | E X_Y]
+    X_Y = np.take_along_axis(X, Y_pivots[:, None, :], axis=2)
+    M = np.concatenate([gram_batch(t, XJ, Y), X_Y], axis=2)
+    rank, pc, pivot_product = eliminate_batch(t, M, n)
+    sign = t.chi(pivot_product)
+    # At rank n, M_Y is a permutation matrix and chi(det M_Y) = 1.
+    tail = np.flatnonzero(rank < n)
+    if len(tail):
+        pc = pc[tail]
+        M_Y = np.where((pc >= 0)[:, :, None], np.eye(n, dtype=np.int16)[pc], M[tail, :, n:])
+        tail_rank, _, det = eliminate_batch(t, M_Y)
+        if (tail_rank < n).any():
+            x = tail[np.flatnonzero(tail_rank < n)[0]]
+            raise AssertionError(
+                f"singular tail coordinates at X = {X[x].tolist()}, Y = {Y[x].tolist()}")
+        sign[tail] *= t.chi(det)
+    return rank, sign
 
 
 @dataclass(frozen=True)
@@ -335,6 +363,17 @@ class SymplecticSpace:
         chi(-1) = 1.  At q = 3 mod 4 S is computed but has no such meaning
         (M_Y is nonsingular for every q).  At k = n every row of M_Y is a
         unit row e_pc, so only the pairs with k < n eliminate M_Y.
+
+        Big-cell pairs read a table.  The big cell is the generators whose
+        RREF basis is [I | A], A symmetric.  For X = [I | A], Y = [I | B]
+        the Gram matrix is XJ Y^T = [-A | I] [I | B]^T = sub(B, A), entry
+        by entry in codes, and X_Y is I, so the elimination input is
+        [sub(B, A) | I]: the input of ([I | 0], [I | C]) with C = sub(B, A).
+        The same input gives the same rank, pivots and tail, so D and S of
+        every big-cell pair are read from one run of the same elimination
+        over the q^(n(n+1)/2) symmetric C, indexed by C's upper triangle.
+        Only the pairs with a member outside the big cell run the pair
+        elimination.
         """
         if self._pairs is None:
             t, n = self.spec.tables, self.n
@@ -342,26 +381,31 @@ class SymplecticSpace:
             m = len(codes)
             D = np.zeros((m, m), dtype=np.int8)
             S = np.zeros((m, m), dtype=np.int8)
-            unit = np.eye(n, dtype=np.int16)
-            for a, b in pair_chunks(m):
-                # [G | X_Y] -> [R | E X_Y]
-                X_Y = np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2)
-                M = np.concatenate([gram_batch(t, codes_j[a], codes[b]), X_Y], axis=2)
-                rank, pc, pivot_product = eliminate_batch(t, M, n)
-                sign = t.chi(pivot_product)
-                # At rank n, M_Y is a permutation matrix and chi(det M_Y) = 1.
-                tail = np.flatnonzero(rank < n)
-                if len(tail):
-                    pc = pc[tail]
-                    M_Y = np.where((pc >= 0)[:, :, None], unit[pc], M[tail, :, n:])
-                    tail_rank, _, det = eliminate_batch(t, M_Y)
-                    if (tail_rank < n).any():
-                        x = tail[np.flatnonzero(tail_rank < n)[0]]
-                        raise AssertionError(
-                            f"singular tail coordinates at pair ({a[x]}, {b[x]})")
-                    sign[tail] *= t.chi(det)
+            big = (pivots == np.arange(n)).all(axis=1)
+            cell, rest = np.flatnonzero(big), np.flatnonzero(~big)
+            # Pairs with a member outside the big cell: those members first,
+            # each pair eliminated as (lower index, higher index).
+            order = np.concatenate([rest, cell])
+            for x, y in pair_chunks(m, len(rest)):
+                a, b = np.minimum(order[x], order[y]), np.maximum(order[x], order[y])
+                rank, sign = _pair_kernel(t, codes[a], codes_j[a], codes[b], pivots[b])
                 D[a, b] = D[b, a] = rank
                 S[a, b] = S[b, a] = sign
+            # Big-cell pairs: one table over C of the pairs ([I | 0], [I | C]).
+            # It has one lane per big-cell generator, so it needs no chunks.
+            C = next(_chart_bases(self))
+            X = np.broadcast_to(C[0], C.shape)
+            table_D, table_S = _pair_kernel(
+                t, X, _times_j(t, X, n), C, np.broadcast_to(np.arange(n), C.shape[:2]))
+            # The table index of C = B - A: its upper triangle in base q.
+            iu, ju = np.triu_indices(n)
+            upper = codes[cell][:, iu, n + ju]
+            weights = self.spec.q ** np.arange(len(iu))[::-1]
+            for i, j in pair_chunks(len(cell)):
+                idx = t.sub(upper[j], upper[i]) @ weights
+                a, b = cell[i], cell[j]
+                D[a, b] = D[b, a] = table_D[idx]
+                S[a, b] = S[b, a] = table_S[idx]
             self._pairs = D, S
         return self._pairs
 
@@ -399,7 +443,10 @@ def _chart_bases(space: SymplecticSpace):
     The row space of b_i + sum_j A_ij c_j is isotropic exactly when A is
     symmetric, and every generator is such a graph over one of the 2^n
     coordinate spans of the b_i.  Yields each chart's (q^(n(n+1)/2), n, 2n)
-    stack, in the hyperbolic coordinates e_1..e_n, f_1..f_n.
+    stack, in the hyperbolic coordinates e_1..e_n, f_1..f_n.  The first
+    chart (T empty) is the big cell, the RREF bases [I | A]; in every chart
+    the upper triangle of A_i, in ``np.triu_indices`` order, holds the
+    base-q digits of i, most significant first.
     """
     t, n = space.spec.tables, space.n
     iu, ju = np.triu_indices(n)

@@ -36,13 +36,15 @@ def fiber_block_adjacency(cover):
 
 
 def relation_index(cover, u: SignedVertex, v: SignedVertex) -> int:
+    """The relation of (u, v); a pair whose sign is neither +1 nor -1 is in
+    the out-of-range relation -1."""
     if u.gen == v.gen:
         return 0 if u.sign == v.sign else 2 * cover.n + 1
     D, S = pair_data(cover)
-    k = int(D[u.gen, v.gen])
-    if u.sign * v.sign == S[u.gen, v.gen]:
-        return k
-    return 2 * cover.n + 1 - k
+    k, s = int(D[u.gen, v.gen]), int(S[u.gen, v.gen])
+    if s not in (1, -1):
+        return -1
+    return k if u.sign * v.sign == s else 2 * cover.n + 1 - k
 
 
 def relation_index_matrix(cover):

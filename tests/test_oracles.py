@@ -36,7 +36,9 @@ from polarcover.symplectic import (
     distance,
     eliminate,
     eliminate_batch,
+    gram_batch,
     mat_vec,
+    rank_of,
 )
 
 FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}
@@ -149,6 +151,18 @@ def _check_rows(space, rows, columns):
             assert S[x, y] == sigma_pair(space, X, Y), (x, y)
 
 
+def symmetric_matrices(q, n):
+    """Every symmetric n x n matrix over F_q as code rows, in the order of the
+    big-cell table: the upper triangle, row by row, read as base-q digits,
+    most significant first."""
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    for digits in product(range(q), repeat=len(upper)):
+        C = [[0] * n for _ in range(n)]
+        for (i, j), c in zip(upper, digits):
+            C[i][j] = C[j][i] = c
+        yield C
+
+
 def count_gram_lanes(monkeypatch):
     """Counts the Gram matrices that gram_batch forms from now on, wherever
     a polarcover module binds it; the count is the one item of the list."""
@@ -178,6 +192,32 @@ class TestPairMatrices:
         m = len(space.generators())
         _check_rows(space, range(0, m, 7), lambda x: (y for y in range(m) if y != x))
 
+    @pytest.mark.parametrize("q,n", [(5, 2), (9, 1)])
+    def test_big_cell_pairs_read_the_table(self, q, n):
+        # For X = [I | A], Y = [I | B] the kernel's input [G | X_Y] is
+        # [sub(B, A) | I], which is also the input of ([I | 0], [I | C]) with
+        # C = sub(B, A); so the table entry of C is d(X, Y) and sigma(X, Y).
+        space = make_space(q, n)
+        t, gens = space.spec.tables, space.generators()
+        codes, pivots, codes_j = space.generator_arrays()
+        cell = np.flatnonzero((pivots == np.arange(n)).all(axis=1))
+        assert len(cell) == q ** (n * (n + 1) // 2)
+        a, b = (cell[i] for i in np.triu_indices(len(cell), 1))
+        C = t.sub(codes[b][:, :, n:], codes[a][:, :, n:])
+        assert (gram_batch(t, codes_j[a], codes[b]) == C).all()
+        assert (np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2) == np.eye(n)).all()
+
+        table_C = np.array(list(symmetric_matrices(q, n)), dtype=np.int16)
+        Y = np.concatenate([np.broadcast_to(np.eye(n, dtype=np.int16), table_C.shape), table_C], axis=2)
+        X = np.broadcast_to(Y[0], Y.shape)                  # C = 0 comes first
+        XJ = np.broadcast_to(np.roll(Y[0], n, axis=1), Y.shape)  # [I | 0] J = [0 | I]
+        rank, sign = symplectic._pair_kernel(t, X, XJ, Y, np.broadcast_to(np.arange(n), Y.shape[:2]))
+        position = {c.tobytes(): i for i, c in enumerate(table_C)}
+        for x, y, c in zip(a, b, C):
+            i = position[c.tobytes()]
+            assert rank[i] == distance(space, gens[x], gens[y]), (x, y)
+            assert sign[i] == sigma_pair(space, gens[x], gens[y]), (x, y)
+
     @pytest.mark.parametrize("distance_first", [True, False])
     def test_one_pass_in_either_order(self, distance_first, monkeypatch):
         space = make_space(5, 2)
@@ -187,11 +227,16 @@ class TestPairMatrices:
         for call in calls if distance_first else calls[::-1]:
             call()
             call()
-        assert lanes[0] == m * (m - 1) // 2 == 12090
+        # The table over the q^3 symmetric C, then every pair with a member
+        # outside the big cell of q^3 generators.
+        cell = 5 ** 3
+        assert lanes[0] == cell + m * (m - 1) // 2 - cell * (cell - 1) // 2 == 125 + 4340
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tail_elimination_only_below_rank_n(self, n, monkeypatch):
         # At rank n, M_Y is a permutation matrix and its elimination is skipped.
+        # The lanes below rank n are the singular C of the big-cell table and
+        # the pairs at distance < n with a member outside the big cell.
         tail_lanes = 0
 
         def counted(t, M, ncols=None):
@@ -204,8 +249,12 @@ class TestPairMatrices:
         space = make_space(5, n)
         CoherenceTable(space).sigma_matrix()
         D = space.distance_matrix()
-        assert tail_lanes == int(np.triu(D < n, 1).sum())
-        assert tail_lanes == (0 if n == 1 else 2340)   # 156 * 30 / 2
+        _, pivots, _ = space.generator_arrays()
+        outside = ~(pivots == np.arange(n)).all(axis=1)
+        singular = sum(rank_of(space.spec, C) < n for C in symmetric_matrices(5, n))
+        below = np.triu(D < n, 1) & (outside[:, None] | outside[None, :])
+        assert tail_lanes == singular + int(below.sum())
+        assert tail_lanes == (1 + 0 if n == 1 else 25 + 840)
 
     @pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (3, 2)])
     def test_distance_for_q_3_mod_4(self, q, n):
@@ -329,6 +378,7 @@ class TestSchemeQuotient:
             x, y = first_edge(D)
             S[x, y] = S[y, x] = 0
 
-        quotient, _ = both_paths(edited_cover(5, 1, zero))
-        with pytest.raises(NotAPartition, match=r"at pair \(0, \d+\)"):
-            verify_scheme(quotient)
+        quotient, one_sheet = both_paths(edited_cover(5, 1, zero))
+        for instance in (quotient, one_sheet):
+            with pytest.raises(NotAPartition, match=r"at pair \(0, \d+\)"):
+                verify_scheme(instance)

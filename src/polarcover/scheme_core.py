@@ -3,9 +3,11 @@
 Takes a relation matrix on ordered pairs of points, verifies the scheme
 axioms exhaustively, and computes the intersection tensor, the exact
 eigenmatrices P and Q over Q(r), Krein parameters, and the Q-polynomial
-orderings.  All results are exact; numpy float64 appears only as a carrier
-for integer matrix products, guarded against exceeding 2^53, and as hints
-for eigenvalues that are then certified exactly.
+orderings.  All results are exact.  numpy floats appear only as carriers
+for integer matrix products and as hints for eigenvalues that are then
+certified exactly.  Products of int8 operands run in float32, after a
+check that no partial sum can exceed 2^24; products of other integer
+operands run in float64 and are checked against 2^53.
 """
 
 from __future__ import annotations
@@ -52,13 +54,29 @@ __all__ = [
     "export_scheme",
 ]
 
-_EXACT_FLOAT_BOUND = 2.0**53
+_EXACT_FLOAT32_BOUND = 2**24
+_EXACT_FLOAT64_BOUND = 2.0**53
 
 
 def _exact_int_product(A, B):
-    """Integer matrix product via float64 BLAS, verified exact."""
+    """Integer matrix product via float BLAS, exact.
+
+    int8 operands multiply in float32 and the float32 product is returned.
+    Every partial sum of an entry is bounded by A.shape[1] * max|A| * max|B|;
+    while that is at most 2^24, every partial sum is an integer that float32
+    holds exactly, so the product is exact.  Past it OverflowError is raised
+    before multiplying.  Other operands multiply in float64, are checked
+    against 2^53 afterwards, and come back as int64.
+    """
+    if A.dtype == B.dtype == np.int8:
+        bound = A.shape[1]
+        for X in (A, B):
+            bound *= max(int(X.max(initial=0)), -int(X.min(initial=0)))
+        if bound > _EXACT_FLOAT32_BOUND:
+            raise OverflowError("matrix product may exceed float32 exact range")
+        return A.astype(np.float32) @ B.astype(np.float32)
     M = A.astype(np.float64) @ B.astype(np.float64)
-    if np.abs(M).max(initial=0.0) >= _EXACT_FLOAT_BOUND:
+    if np.abs(M).max(initial=0.0) >= _EXACT_FLOAT64_BOUND:
         raise OverflowError("matrix product exceeds float64 exact range")
     return M.astype(np.int64)
 
@@ -103,8 +121,10 @@ class SchemeInstance:
         """The N x N relation index."""
         if self.sheets == 1:
             return self.matrix
-        # Entry (2x + b, 2y + c) is block [b][c] at (x, y).
-        R0, R1 = self.matrix, self.d - self.matrix
+        # Entry (2x + b, 2y + c) is block [b][c] at (x, y); the
+        # out-of-range index -1 stays -1 in both blocks.
+        R0 = self.matrix
+        R1 = np.where(R0 == -1, R0, self.d - R0)
         return np.array([[R0, R1], [R1, R0]]).transpose(2, 0, 3, 1).reshape(self.N, self.N)
 
 
@@ -119,11 +139,15 @@ class IntersectionTensor:
 
 def verify_scheme_bytes(N, d):
     """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
-    points and d classes.  Per fiber pair: two int8 sheets, at most d + 1
-    int8 U_i and V_i, and 32 bytes of int64/float64 products, operands and
-    expected values at any one time.  Plus 64 KiB for the Python objects."""
+    points and d classes: 2 + (d + 1) + 16 bytes per fiber pair, plus
+    64 KiB for the Python objects.  The 2 are the two int8 sheets, the
+    d + 1 bound the d - 1 int8 U_i and V_i, and the 16 are four float32
+    matrices, the most a product holds at once: the other block's product,
+    this product, and the float32 copies of its two operands.  The
+    constancy comparison holds less: both blocks, the float32 expected
+    values and a bool mask."""
     m = N // 2
-    return m * m * (2 + (d + 1) + 32) + 2**16
+    return m * m * (2 + (d + 1) + 16) + 2**16
 
 
 def _first_true(mask):
@@ -176,25 +200,27 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
         if hit := _first_true(R != R.T):
             raise NotSymmetric(int(R[hit]), pair(g, *hit))
 
-    # W[h][i - 1]: U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
+    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
     W = [[sum((-1) ** (h * g) * (R == i).view(np.int8) for g, R in enumerate(sheets))
           for i in range(1, half + 1)] for h in range(s)]
 
     def check(a, b):
         """Row (p_ab^k)_k, checked on every pair of every sheet."""
         P = [_exact_int_product(W[h][a - 1], W[h][b - 1]) for h in range(s)]
-        if s == 2:      # the blocks (UU + VV)/2 and (UU - VV)/2, in place
+        # The float32 blocks (UU + VV)/2 and (UU - VV)/2, in place; exact,
+        # since UU + VV is even and at most 2m.
+        if s == 2:
             P[1] += P[0]
-            P[1] //= 2
+            P[1] /= 2
             P[0] -= P[1]
             P.reverse()
-        v = np.zeros(d + 1, dtype=np.int64)
+        v = np.zeros(d + 1, dtype=np.float32)
         for g, R in enumerate(sheets):
             for k, at in first[g]:
                 v[k] = P[g][at]
             if hit := _first_true(P[g] != v[R]):
                 raise NonConstant(a, b, int(R[hit]), pair(g, *hit))
-        return v.tolist()
+        return [int(x) for x in v]
 
     p = [[None] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):          # A_0 = I by the identity axiom

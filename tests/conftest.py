@@ -33,6 +33,11 @@ def q9n1():
 
 
 @pytest.fixture(scope="session")
+def q9n2():
+    return _bundle(3, 2, 2)
+
+
+@pytest.fixture(scope="session")
 def q13n1():
     return _bundle(13, 1, 1)
 

@@ -60,7 +60,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["scheme", "crosscheck"])
     def test_memory_cap_before_computing(self, capsys, monkeypatch, command):
-        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~16 GB,
+        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~10 GB,
         # more than the 8 GiB simulated here.
         import polarcover.cli as cli
         import polarcover.symplectic as symplectic
@@ -83,8 +83,8 @@ class TestExitCodes:
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
 
-        # m = 6 fibers: two int8 sheets, d+1 int8 U/V, 32 bytes of products
-        assert verify_scheme_bytes(12, 3) == 36 * (2 + 4 + 32) + 2**16
+        # m = 6 fibers: two int8 sheets, d+1 int8 U/V, 16 bytes of float32
+        assert verify_scheme_bytes(12, 3) == 36 * (2 + 4 + 16) + 2**16
         assert verify_scheme_bytes(3280, 5) < 10**9       # q=9, n=2 runs
 
     def test_math_fail_on_infeasible_r(self, capsys):

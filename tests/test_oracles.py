@@ -5,7 +5,8 @@ replaced, kept here as the oracle; ``eliminate_batch`` with ``eliminate``;
 and the distance and sign matrices with the per-pair ``distance`` and
 ``sigma_pair``.  The fiber-quotient scheme check of a cover is compared with
 the one-sheet check on the relation index that ``relation_index`` gives pair
-by pair.
+by pair, and with the p-tensor that int64 products of that index's 0/1
+relation matrices give.
 """
 
 import random
@@ -306,6 +307,24 @@ class TestSchemeQuotient:
         got, want = verify_scheme(quotient), verify_scheme(one_sheet)
         assert (got.N, got.p, got.valencies) == (want.N, want.p, want.valencies)
 
+    @pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (13, 1), (5, 2)])
+    def test_matches_integer_matmul(self, q, n):
+        # p_ij^k from int64 matmul (numpy's integer loop: no BLAS, no float)
+        # of the 0/1 relation matrices of the pair-by-pair relation index
+        cover = CoverGraph(CoherenceTable(make_space(q, n)))
+        R = relation_index_matrix(cover)
+        d = 2 * cover.n + 1
+        A = [(R == i).astype(np.int64) for i in range(d + 1)]
+        want = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+        for i in range(d + 1):
+            for j in range(d + 1):
+                M = np.matmul(A[i], A[j])
+                for k in range(d + 1):
+                    values = np.unique(M[R == k])
+                    assert len(values) == 1, (i, j, k)
+                    want[i][j][k] = int(values[0])
+        assert verify_scheme(SchemeInstance.from_cover(cover)).p == want
+
     @pytest.mark.parametrize("m,schemes", [(4, 16), (5, 32)])
     def test_every_signed_complete_graph(self, m, schemes):
         # Each sign pattern on the edges of K_m is a 3-class double cover
@@ -379,6 +398,7 @@ class TestSchemeQuotient:
             S[x, y] = S[y, x] = 0
 
         quotient, one_sheet = both_paths(edited_cover(5, 1, zero))
+        assert (quotient.relation_matrix() == one_sheet.matrix).all()
         for instance in (quotient, one_sheet):
             with pytest.raises(NotAPartition, match=r"at pair \(0, \d+\)"):
                 verify_scheme(instance)

@@ -96,6 +96,37 @@ class TestFaultInjection:
         assert exc.value.witness is not None
 
 
+class TestExactProduct:
+    """``_exact_int_product`` at its float32 bound: 1040 * 127 * 127 =
+    16,774,160 <= 2^24 < 1041 * 127 * 127."""
+
+    @staticmethod
+    def operands(inner):
+        return (np.full((1, inner), 127, dtype=np.int8),
+                np.full((inner, 1), 127, dtype=np.int8))
+
+    def test_int8_at_bound_is_exact_float32(self):
+        M = scheme_core._exact_int_product(*self.operands(1040))
+        assert M.dtype == np.float32
+        assert int(M[0, 0]) == 16_774_160
+
+    def test_int8_past_bound_raises(self):
+        with pytest.raises(OverflowError):
+            scheme_core._exact_int_product(*self.operands(1041))
+
+    def test_int8_bound_reads_the_most_negative_entry(self):
+        A = np.full((1, 1040), -128, dtype=np.int8)
+        B = np.full((1040, 1), 127, dtype=np.int8)
+        with pytest.raises(OverflowError):
+            scheme_core._exact_int_product(A, B)
+
+    def test_int64_returns_int64(self):
+        A, B = (X.astype(np.int64) for X in self.operands(1041))
+        M = scheme_core._exact_int_product(A, B)
+        assert M.dtype == np.int64
+        assert M[0, 0] == 1041 * 127 * 127
+
+
 class TestPentagon:
     def test_tensor(self):
         t = verify_scheme(pentagon_instance())
@@ -163,7 +194,7 @@ class TestCoverScheme:
         assert fiber_loop.count("_exact_int_product") == n * (n + 1)
         assert fiber_loop.count("_first_true") == n * (n + 1)
 
-    @pytest.mark.parametrize("bundle", ["q5n2", "q9n1"])
+    @pytest.mark.parametrize("bundle", ["q5n2", "q9n1", "q9n2"])
     def test_memory_prediction_bounds_peak(self, bundle, request):
         instance = request.getfixturevalue(bundle)["instance"]
         tracemalloc.start()

@@ -131,7 +131,7 @@ def cmd_scheme(args):
     )
 
     _, tensor = _verified_cover(args.q, args.n, args.cap_generators)
-    sd = spectral_data(tensor, tensor.N)
+    sd = spectral_data(tensor)
     kt = krein(sd)
     orderings = q_poly_orderings(kt)
     if not orderings:
@@ -180,7 +180,7 @@ def cmd_crosscheck(args):
         payload["l1_matches"] = L1b == L1c
         rep_b = verify_thm71(L1b, sigma, polys, args.q)
         payload["moment_identities_brute_ok"] = rep_b.ok
-        sd = spectral_data(tensor, tensor.N)
+        sd = spectral_data(tensor)
         ck = crosscheck_P(args.n, args.q, sd, cf)
         payload["p_matrix_matches"] = ck.ok
         if not ck.ok:
@@ -271,7 +271,7 @@ def _suite_scheme():
 
     _, tensor = _verified_cover(5, 1, 10**6)
     assert tensor.p[1][1][0] == 5
-    sd = spectral_data(tensor, tensor.N)
+    sd = spectral_data(tensor)
     kt = krein(sd)
     orderings = q_poly_orderings(kt)
     assert len(orderings) == 2

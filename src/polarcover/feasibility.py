@@ -213,6 +213,13 @@ def _is_nonneg_integer(x: QuadExt):
     return x.is_rational() and x.a.denominator == 1 and x.a >= 0
 
 
+def _first_witness(d, witness):
+    """The first nonempty witness(a, b, c) over a, b, c in 0..d, in row-major
+    order, or "" if there is none; later triples are not evaluated."""
+    r = range(d + 1)
+    return next((w for a in r for b in r for c in r if (w := witness(a, b, c))), "")
+
+
 @dataclass
 class FeasibilityReport:
     checks: list = field(default_factory=list)  # (name, ok, witness)
@@ -227,10 +234,7 @@ class FeasibilityReport:
 
     @property
     def first_failure(self):
-        for name, ok, _ in self.checks:
-            if not ok:
-                return name
-        return ""
+        return next((name for name, ok, _ in self.checks if not ok), "")
 
     def as_dict(self):
         return {
@@ -259,56 +263,28 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     bad = [str(Q[0][j]) for j in range(d + 1) if not _is_positive_integer(Q[0][j])]
     rep.add("multiplicities_positive_integral", not bad, ", ".join(bad))
 
-    ok, witness = True, ""
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for m in range(d + 1):
-                v = p(i, j, m)
-                if not _is_nonneg_integer(v):
-                    ok, witness = False, f"p[{i}][{j}]^{m} = {v}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("p_tensor_nonneg_integral", ok, witness)
+    def p_witness(i, j, m):
+        v = p(i, j, m)
+        return "" if _is_nonneg_integer(v) else f"p[{i}][{j}]^{m} = {v}"
+    witness = _first_witness(d, p_witness)
+    rep.add("p_tensor_nonneg_integral", not witness, witness)
 
-    ok, witness = True, ""
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for ell in range(d + 1):
-                v = krein(i, j, ell)
-                if v.sign() < 0:
-                    ok, witness = False, f"q[{i}][{j}]^{ell} = {v}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("krein_nonneg", ok, witness)
+    def krein_witness(i, j, ell):
+        v = krein(i, j, ell)
+        return f"q[{i}][{j}]^{ell} = {v}" if v.sign() < 0 else ""
+    witness = _first_witness(d, krein_witness)
+    rep.add("krein_nonneg", not witness, witness)
 
-    ok, witness = True, ""
-    for i in range(1, d + 1):
-        edges2 = P[0][i] * N
-        if not (edges2.is_rational() and edges2.a.denominator == 1
-                and edges2.a % 2 == 0):
-            ok, witness = False, f"k_{i} * N = {edges2}"
-            break
-    rep.add("handshake", ok, witness)
+    witness = next((f"k_{i} * N = {e}" for i in range(1, d + 1)
+                    if not ((e := P[0][i] * N).is_rational()
+                            and e.a.denominator == 1 and e.a % 2 == 0)), "")
+    rep.add("handshake", not witness, witness)
 
     if ps.L is not None:
-        ok, witness = True, ""
-        for i in range(d + 1):
-            for k in range(d + 1):
-                for j in range(d + 1):
-                    if ps.L[i][k][j] != p(i, j, k):
-                        ok, witness = False, f"L_{i}[{k}][{j}]"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("L_consistency", ok, witness)
+        def L_witness(i, k, j):
+            return f"L_{i}[{k}][{j}]" if ps.L[i][k][j] != p(i, j, k) else ""
+        witness = _first_witness(d, L_witness)
+        rep.add("L_consistency", not witness, witness)
 
     if ps.Lstar is not None:
         rep.lstar = verify_Lstar(ps, krein)
@@ -322,23 +298,14 @@ def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
     krein, if given, is the Krein lookup of a check_feasibility call.
     """
     rep = FeasibilityReport()
-    d = ps.d
     krein = krein or pq_tensor(ps.Q, ps.P, ps.N)
-    ok, witness = True, ""
-    for i in range(d + 1):
-        for k in range(d + 1):
-            for j in range(d + 1):
-                v = krein(i, j, k)
-                if ps.Lstar[i][k][j] != v:
-                    ok, witness = False, (
-                        f"L*_{i}[{k}][{j}]: template {ps.Lstar[i][k][j]}, "
-                        f"computed {v}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("Lstar_match", ok, witness)
+
+    def lstar_witness(i, k, j):
+        v = krein(i, j, k)
+        return (f"L*_{i}[{k}][{j}]: template {ps.Lstar[i][k][j]}, computed {v}"
+                if ps.Lstar[i][k][j] != v else "")
+    witness = _first_witness(ps.d, lstar_witness)
+    rep.add("Lstar_match", not witness, witness)
     return rep
 
 

@@ -23,8 +23,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ResourceCapExceeded
+from .errors import ResourceCapExceeded, SchemeAxiomError
 from .finite_field import FieldSpec, FieldTables
+from .scheme_core import SchemeInstance, verify_scheme
 
 __all__ = [
     "SymplecticSpace",
@@ -536,42 +537,22 @@ class DRGReport:
 def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
     """Check distance regularity by exhaustive counting, plus no diamonds.
 
-    For every ordered pair at distance k, counts neighbors of the second
-    vertex at distances k-1, k, k+1 from the first and verifies constancy.
+    The distance matrix, as a relation matrix, is verified as a scheme by
+    ``verify_scheme``, which checks every pair; then (c_k, a_k, b_k) =
+    (p_{1,k-1}^k, p_{1,k}^k, p_{1,k+1}^k), with 0 for an index out of range.
     """
     D = space.distance_matrix()
     n = space.n
+    try:
+        p = verify_scheme(SchemeInstance.from_matrix(D, n)).p
+    except SchemeAxiomError as exc:
+        return DRGReport(False, {}, str(exc))
+    params = {k: tuple(p[1][j][k] if 0 <= j <= n else 0 for j in (k - 1, k, k + 1))
+              for k in range(n + 1)}
     A = (D == 1)
-    params = {}
-    for k in range(n + 1):
-        pairs = D == k
-        if k == 0:
-            np.fill_diagonal(pairs, True)
-        if not pairs.any():
-            continue
-        counts = {}
-        for delta, name in ((-1, "c"), (0, "a"), (1, "b")):
-            kk = k + delta
-            if 0 <= kk <= n:
-                Nk = (D == kk).astype(np.float64)
-                if kk == 0:
-                    np.fill_diagonal(Nk, 1.0)
-                # counts[X, Y] = #{Z : d(X,Z)=kk and Z ~ Y}
-                M = Nk @ A.astype(np.float64)
-                vals = np.unique(M[pairs])
-                if len(vals) != 1:
-                    return DRGReport(False, params, f"non-constant {name}_{k}")
-                counts[name] = int(vals[0])
-            else:
-                counts[name] = 0
-        if k == 0:
-            counts["a"] = 0  # a vertex is not its own neighbor
-            counts["c"] = 0
-        params[k] = (counts["c"], counts["a"], counts["b"])
     # Diamond exclusion: common neighbors of an edge form a clique
     # together with endpoints only (no two nonadjacent vertices share the edge).
     m = len(space.generators())
-    Af = A.astype(np.float64)
     for x in range(m):
         for y in range(x + 1, m):
             if not A[x, y]:

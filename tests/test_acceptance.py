@@ -75,7 +75,7 @@ def build(p, e, n):
 def full_verification(cover):
     instance = SchemeInstance.from_cover(cover)
     tensor = verify_scheme(instance)
-    sd = spectral_data(tensor, instance.N)
+    sd = spectral_data(tensor)
     kt = krein(sd)
     orderings = q_poly_orderings(kt)
     return tensor, sd, kt, orderings

@@ -323,7 +323,7 @@ class TestCrosscheck:
         from polarcover.scheme_core import spectral_data, verify_scheme
 
         t = verify_scheme(q9n1["instance"])
-        sd = spectral_data(t, q9n1["instance"].N)
+        sd = spectral_data(t)
         report = crosscheck_P(1, 9, sd, eigenmatrices_closed(1, 9))
         assert report.ok, report.failure
 

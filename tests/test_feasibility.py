@@ -127,6 +127,59 @@ class TestChecker:
             check_feasibility(candidate_parameters(parse_r(text)))
 
 
+CHECK_NAMES = [
+    "pq_identity", "valencies_positive_integral",
+    "multiplicities_positive_integral", "p_tensor_nonneg_integral",
+    "krein_nonneg", "handshake", "L_consistency", "Lstar_consistency",
+]
+
+# The witness of each check in CHECK_NAMES order, then that of Lstar_match;
+# "" where the check passes.  "3+X": r = 3 with one entry of X raised by 1.
+PINNED_WITNESSES = {
+    "2": (["", "", "15/2, 85/2, 51/2, 17/2", "p[1][1]^1 = 5/4",
+           "q[1][1]^1 = -29/40", "k_1 * N = 1275", "", ""], ""),
+    "4": (["", "", "255/2, 4369/2, 3855/2, 257/2", "p[1][1]^1 = 21/4",
+           "", "", "", ""], ""),
+    "-3": ([""] * 8, ""),
+    "sqrt:5": (["", "15+3r, 15+-3r", "", "p[1][1]^0 = 15+3r",
+                "q[1][1]^1 = -4/15", "k_1 * N = 2340+468r", "", ""], ""),
+    "sqrt:13": (["", "91+7r, 91+-7r", "", "p[1][1]^0 = 91+7r", "",
+                 "k_1 * N = 216580+16660r", "", ""], ""),
+    "3+L": (["", "", "", "", "", "", "L_2[3][1]", ""], ""),
+    "3+Lstar": (["", "", "", "", "", "", "", "Lstar_match"],
+                "L*_2[3][1]: template 214/9, computed 205/9"),
+    "3+P": (["(PQ)[1][0] = 1", "", "", "p[0][1]^0 = 2/41",
+             "q[0][3]^1 = -1/30", "", "L_0[0][1]", "Lstar_match"],
+            "L*_0[1][0]: template 0, computed 1/820"),
+}
+
+
+def pinned_parameters(case):
+    text, _, perturbed = case.partition("+")
+    ps = candidate_parameters(parse_r(text))
+    one = QuadExt(1, 0, ps.r.q)
+    if perturbed == "P":
+        ps.P[1][1] += one
+    elif perturbed:
+        getattr(ps, perturbed)[2][3][1] += one
+    return ps
+
+
+def report_dict(names, witnesses):
+    return {"ok": not any(witnesses),
+            "checks": [{"name": n, "ok": not w, "witness": w}
+                       for n, w in zip(names, witnesses)]}
+
+
+@pytest.mark.parametrize("case", list(PINNED_WITNESSES))
+def test_pinned_reports(case):
+    # Every check's verdict and first witness, in row-major search order.
+    witnesses, lstar = PINNED_WITNESSES[case]
+    rep = check_feasibility(pinned_parameters(case))
+    assert rep.as_dict() == report_dict(CHECK_NAMES, witnesses)
+    assert rep.lstar.as_dict() == report_dict(["Lstar_match"], [lstar])
+
+
 class TestLstar:
     def test_match_at_r3(self):
         ps = candidate_parameters(int_r(3))

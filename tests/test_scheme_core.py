@@ -19,12 +19,13 @@ from polarcover.errors import (
     RepeatedEigenvalue,
 )
 from polarcover.cover import CoverGraph
-from polarcover.exact_algebra import QuadExt, mat_mul, pq_tensor
+from polarcover.exact_algebra import QuadExt, mat_inverse, mat_mul, pq_tensor
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
     KreinTensor,
     SchemeInstance,
+    SpectralData,
     _exact_eigenvalues,
     class_distances,
     export_scheme,
@@ -95,6 +96,18 @@ class TestFaultInjection:
             verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
         assert exc.value.witness is not None
 
+    def test_nonconstant_past_the_first_row_block(self):
+        # K_64 and K_2, in relation 2 across: (A_1 A_1)[x, x] is 63 on the
+        # first 64 points and 1 on the last two, so only rows past the
+        # constancy comparison's first 64-row block break.
+        R = np.full((66, 66), 2, dtype=np.int8)
+        R[:64, :64] = R[64:, 64:] = 1
+        np.fill_diagonal(R, 0)
+        with pytest.raises(NonConstant) as exc:
+            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+        assert (exc.value.i, exc.value.j, exc.value.k) == (1, 1, 0)
+        assert exc.value.witness == (64, 64)
+
 
 class TestExactProduct:
     """``_exact_int_product`` at its float32 bound: 1040 * 127 * 127 =
@@ -148,7 +161,7 @@ class TestPentagon:
 
     def test_spectral(self):
         t = verify_scheme(pentagon_instance())
-        sd = spectral_data(t, 5)
+        sd = spectral_data(t)
         r = QuadExt.root(5)
         two = QuadExt(2, 0, 5)
         # eigenvalues of C5: 2, (-1+sqrt5)/2, (-1-sqrt5)/2
@@ -159,7 +172,7 @@ class TestPentagon:
 
     def test_pq_identity(self):
         t = verify_scheme(pentagon_instance())
-        sd = spectral_data(t, 5)
+        sd = spectral_data(t)
         prod = mat_mul(sd.P, sd.Q)
         for i in range(3):
             for j in range(3):
@@ -231,10 +244,10 @@ class TestCoverScheme:
         sd5 = q5n1_scheme["sd"]
         assert any(x.b for row in sd5.P for x in row)
         t13 = verify_scheme(q13n1["instance"])
-        sd13 = spectral_data(t13, q13n1["instance"].N)
+        sd13 = spectral_data(t13)
         assert any(x.b for row in sd13.P for x in row)
         t9 = verify_scheme(q9n1["instance"])
-        sd9 = spectral_data(t9, q9n1["instance"].N)
+        sd9 = spectral_data(t9)
         assert all(not x.b for row in sd9.P for x in row)
 
     def test_conjugation_permutes_p_rows(self, q5n2_scheme):
@@ -253,7 +266,7 @@ def cover_scheme(p, e, n):
     space = SymplecticSpace(construct_field(p, e), n)
     instance = SchemeInstance.from_cover(CoverGraph(CoherenceTable(space)))
     tensor = verify_scheme(instance)
-    return tensor, spectral_data(tensor, instance.N)
+    return tensor, spectral_data(tensor)
 
 
 def krein_per_term(sd):
@@ -299,6 +312,15 @@ class TestKreinAndOrderings:
         assert want
         assert sorted(q_poly_orderings(kt)) == want
 
+    def test_orderings_of_thirteen_classes(self):
+        # The closed-form P at n = 6, q = 5 (d = 13), Q = N P^(-1).
+        P = eigenmatrices_closed(6, 5).p_full
+        N = int(sum(P[0][1:], P[0][0]).a)
+        Q = [[N * x for x in row] for row in mat_inverse(P)]
+        sd = SpectralData(N, 13, 5, P, Q, P[0], Q[0], [row[1] for row in P])
+        assert q_poly_orderings(krein(sd)) == [
+            tuple(range(14)), (0, 13, 2, 11, 4, 9, 6, 7, 8, 5, 10, 3, 12, 1)]
+
     def test_krein_nonnegative(self, q5n2_scheme):
         kt = krein(q5n2_scheme["sd"])
         for plane in kt.qk:
@@ -339,7 +361,7 @@ class TestKreinAndOrderings:
         # complete graph on 3 points: d = 1, unique ordering (0, 1)
         R = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         t = verify_scheme(SchemeInstance.from_matrix(R, 1, field_q=5))
-        sd = spectral_data(t, 3)
+        sd = spectral_data(t)
         kt = krein(sd)
         assert q_poly_orderings(kt) == [(0, 1)]
 
@@ -359,14 +381,14 @@ class TestEigenvalueResolver:
                       for x in range(7)])
         t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
         with pytest.raises(EigenvalueOutsideField):
-            spectral_data(t, 7)
+            spectral_data(t)
 
     def test_klein_four_repeated(self):
         # Z2 x Z2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1
         R = np.array([[x ^ y for y in range(4)] for x in range(4)])
         t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
         with pytest.raises(RepeatedEigenvalue):
-            spectral_data(t, 4)
+            spectral_data(t)
 
 
 class TestIdempotents:
@@ -383,7 +405,7 @@ class TestIdempotents:
     def test_pentagon(self):
         inst = pentagon_instance()
         t = verify_scheme(inst)
-        sd = spectral_data(t, 5)
+        sd = spectral_data(t)
         report = verify_idempotents(sd, self._a_list(inst))
         assert report.ok, report.failure
 

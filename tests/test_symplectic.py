@@ -1,5 +1,6 @@
 """Symplectic space, generator enumeration, dual polar graph metrics."""
 
+import numpy as np
 import pytest
 
 from polarcover.errors import ResourceCapExceeded
@@ -121,6 +122,16 @@ class TestMetrics:
         for k, (c, a, b) in report.parameters.items():
             ak, bk, ck = drg_abc(n, q, k)
             assert (c, a, b) == (int(ck) if k else 0, int(ak), int(bk))
+
+    def test_drg_rejects_perturbed_distance(self, monkeypatch):
+        space = SymplecticSpace(construct_field(5, 1), 2)
+        D = space.distance_matrix().copy()
+        x, y = map(int, np.argwhere(D == 1)[0])
+        D[x, y] = D[y, x] = 2
+        monkeypatch.setattr(space, "distance_matrix", lambda: D)
+        report = verify_drg_parameters(space)
+        assert not report.ok
+        assert report.parameters == {}
 
 
 class TestIsometries:

@@ -24,10 +24,10 @@ _EXPORTS = {
         ["CoherenceTable", "coherent_split_count", "sigma_pair",
          "sigma_triple", "verify_invariance", "verify_two_graph"],
         "maslov"),
-    **dict.fromkeys(["CoverGraph", "SignedVertex"], "cover"),
+    "CoverGraph": "cover",
     **dict.fromkeys(
         ["SchemeInstance", "verify_scheme", "spectral_data", "krein",
-         "q_poly_orderings", "q_bipartite_check", "verify_idempotents"],
+         "q_poly_orderings", "q_bipartite_check"],
         "scheme_core"),
     **dict.fromkeys(
         ["l1_closed", "q_sequence", "s_family", "verify_thm71",

@@ -75,7 +75,7 @@ def _build_space(q, n, cap, verify=False):
         limit = _physical_memory()
         if predicted > limit:
             raise ResourceCapExceeded(predicted, limit)
-    space.generators(cap=cap)
+    space.generator_arrays(cap)
     return space
 
 
@@ -109,11 +109,11 @@ def cmd_enumerate(args):
     from .symplectic import distance_profile, export_generators
 
     space = _build_space(args.q, args.n, args.cap_generators)
-    profile = distance_profile(space, space.generators()[0])
+    profile = distance_profile(space, 0)
     payload = {
         "q": args.q,
         "n": args.n,
-        "count": len(space.generators()),
+        "count": len(space.generator_arrays()[0]),
         "distance_profile": {str(k): v for k, v in profile.items()},
         "generators": export_generators(space),
     }

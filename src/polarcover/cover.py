@@ -16,29 +16,10 @@ comes from the verified intersection tensor
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .maslov import CoherenceTable
 from .scheme_core import SchemeInstance
 
-__all__ = ["SignedVertex", "CoverGraph"]
-
-
-@dataclass(frozen=True)
-class SignedVertex:
-    gen: int    # generator id
-    sign: int   # +1 or -1
-
-    @property
-    def vid(self):
-        return 2 * self.gen + (0 if self.sign == 1 else 1)
-
-    @staticmethod
-    def from_vid(vid):
-        return SignedVertex(vid // 2, 1 if vid % 2 == 0 else -1)
-
-    def antipode(self):
-        return SignedVertex(self.gen, -self.sign)
+__all__ = ["CoverGraph"]
 
 
 class CoverGraph:
@@ -49,7 +30,7 @@ class CoverGraph:
         self.table = table
         self.space = table.space
         self.n = self.space.n
-        self.num_vertices = 2 * len(self.space.generators())
+        self.num_vertices = 2 * len(self.space.generator_arrays()[0])
 
     def relation_matrix_index(self):
         """num_vertices^2 array of relation indices (numpy int8), the

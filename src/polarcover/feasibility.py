@@ -313,11 +313,11 @@ def lstar1_is_tridiagonal(ps: ParameterSet) -> bool:
     return is_tridiagonal(ps.Lstar[1])
 
 
-def sweep(r_values, parameters=candidate_parameters):
+def sweep(r_values):
     """One (r, q, N, verdict, first_failing_check) row per requested r."""
     rows = []
     for r in r_values:
-        ps = parameters(r)
+        ps = candidate_parameters(r)
         rep = check_feasibility(ps)
         nval = ps.N
         rows.append({

@@ -5,17 +5,15 @@ axioms exhaustively, and computes the intersection tensor, the exact
 eigenmatrices P and Q over Q(r), Krein parameters, and the Q-polynomial
 orderings.  All results are exact.  numpy floats appear only as carriers
 for integer matrix products and as hints for eigenvalues that are then
-certified exactly.  Products of int8 operands run in float32, after a
-check that no partial sum can exceed 2^24; products of other integer
-operands run in float64 and are checked against 2^53.
+certified exactly.  Integer matrix products run in float32, after a
+check that no partial sum can exceed 2^24.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -50,35 +48,26 @@ __all__ = [
     "krein",
     "q_poly_orderings",
     "q_bipartite_check",
-    "verify_idempotents",
     "export_scheme",
 ]
 
 _EXACT_FLOAT32_BOUND = 2**24
-_EXACT_FLOAT64_BOUND = 2.0**53
 
 
 def _exact_int_product(A, B):
-    """Integer matrix product via float BLAS, exact.
+    """Integer matrix product via float32 BLAS, exact.
 
-    int8 operands multiply in float32 and the float32 product is returned.
     Every partial sum of an entry is bounded by A.shape[1] * max|A| * max|B|;
     while that is at most 2^24, every partial sum is an integer that float32
-    holds exactly, so the product is exact.  Past it OverflowError is raised
-    before multiplying.  Other operands multiply in float64, are checked
-    against 2^53 afterwards, and come back as int64.
+    holds exactly, so the float32 product returned is exact.  Past it
+    OverflowError is raised before multiplying.
     """
-    if A.dtype == B.dtype == np.int8:
-        bound = A.shape[1]
-        for X in (A, B):
-            bound *= max(int(X.max(initial=0)), -int(X.min(initial=0)))
-        if bound > _EXACT_FLOAT32_BOUND:
-            raise OverflowError("matrix product may exceed float32 exact range")
-        return A.astype(np.float32) @ B.astype(np.float32)
-    M = A.astype(np.float64) @ B.astype(np.float64)
-    if np.abs(M).max(initial=0.0) >= _EXACT_FLOAT64_BOUND:
-        raise OverflowError("matrix product exceeds float64 exact range")
-    return M.astype(np.int64)
+    bound = A.shape[1]
+    for X in (A, B):
+        bound *= max(int(X.max(initial=0)), -int(X.min(initial=0)))
+    if bound > _EXACT_FLOAT32_BOUND:
+        raise OverflowError("matrix product may exceed float32 exact range")
+    return A.astype(np.float32) @ B.astype(np.float32)
 
 
 @dataclass
@@ -447,81 +436,6 @@ def q_bipartite_check(kt: KreinTensor, ordering) -> bool:
     c = ordering[1]
     return all(not kt.qk[c][ordering[j]][ordering[j]]
                for j in range(1, kt.d + 1))
-
-
-@dataclass
-class IdempotentReport:
-    ok: bool
-    checks: dict = field(default_factory=dict)
-    failure: str = ""
-
-
-def verify_idempotents(sd: SpectralData, A_list) -> IdempotentReport:
-    """Exact check of E_jE_j = E_j, E_iE_j = 0, sum E_j = I, A_1E_j = P_j1 E_j.
-
-    E_j = (1/N) sum_i Q_ij A_i.  Internally the idempotents are carried as
-    scaled integer matrices S_j = D*N*E_j = Sa + Sb*r with D clearing all
-    Q-entry denominators, so every identity becomes integer matrix algebra.
-    """
-    N, d, q = sd.N, sd.d, sd.q
-    D = 1
-    for row in sd.Q:
-        for x in row:
-            D = lcm(D, x.a.denominator, x.b.denominator)
-    S = []
-    for j in range(d + 1):
-        Sa = np.zeros((N, N), dtype=np.int64)
-        Sb = np.zeros((N, N), dtype=np.int64)
-        for i in range(d + 1):
-            ca = int(sd.Q[i][j].a * D)
-            cb = int(sd.Q[i][j].b * D)
-            if ca:
-                Sa += ca * A_list[i]
-            if cb:
-                Sb += cb * A_list[i]
-        S.append((Sa, Sb))
-    DN = D * N
-
-    def product(si, sj):
-        a1, b1 = si
-        a2, b2 = sj
-        pa = _exact_int_product(a1, a2) + q * _exact_int_product(b1, b2)
-        pb = _exact_int_product(a1, b2) + _exact_int_product(b1, a2)
-        return pa, pb
-
-    checks = {}
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            pa, pb = product(S[i], S[j])
-            if i == j:
-                ok = (pa == DN * S[i][0]).all() and (pb == DN * S[i][1]).all()
-                checks[f"E{i}E{i}=E{i}"] = ok
-            else:
-                ok = not pa.any() and not pb.any()
-                checks[f"E{i}E{j}=0"] = ok
-            if not ok:
-                return IdempotentReport(False, checks, f"pair ({i},{j})")
-    suma = sum(s[0] for s in S)
-    sumb = sum(s[1] for s in S)
-    ok = (suma == DN * np.eye(N, dtype=np.int64)).all() and not sumb.any()
-    checks["sum E_j = I"] = ok
-    if not ok:
-        return IdempotentReport(False, checks, "completeness")
-    A1 = A_list[1]
-    for j in range(d + 1):
-        ev = sd.P[j][1]
-        den = lcm(ev.a.denominator, ev.b.denominator)
-        na, nb = int(ev.a * den), int(ev.b * den)
-        Sa, Sb = S[j]
-        la = den * _exact_int_product(A1, Sa)
-        lb = den * _exact_int_product(A1, Sb)
-        ra = na * Sa + q * nb * Sb
-        rb = na * Sb + nb * Sa
-        ok = (la == ra).all() and (lb == rb).all()
-        checks[f"A1E{j} = P[{j}][1] E{j}"] = ok
-        if not ok:
-            return IdempotentReport(False, checks, f"eigen identity j={j}")
-    return IdempotentReport(True, checks)
 
 
 def export_scheme(sd: SpectralData, t: IntersectionTensor, kt: KreinTensor,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ResourceCapExceeded, SchemeAxiomError
 from .finite_field import FieldSpec, FieldTables
-from .scheme_core import SchemeInstance, verify_scheme
+from .scheme_core import SchemeInstance, _first_true, verify_scheme
 
 __all__ = [
     "SymplecticSpace",
@@ -311,27 +311,33 @@ class SymplecticSpace:
             count *= q**i + 1
         return count
 
-    def generators(self, cap=DEFAULT_GENERATOR_CAP):
+    def generators(self):
+        """The generators as ``Generator`` objects, in enumeration order,
+        built on first use from ``generator_arrays``."""
         if self._generators is None:
-            self._generators = enumerate_generators(self, cap=cap)
-            self._gen_index = {g.sub.basis: g.id for g in self._generators}
+            codes, pivots, _ = self.generator_arrays()
+            bases = zip(codes.tolist(), pivots.tolist())
+            self._generators = [Generator(Subspace(tuple(map(tuple, basis)), tuple(piv)), i)
+                                for i, (basis, piv) in enumerate(bases)]
         return self._generators
 
-    def generator_arrays(self):
+    def generator_arrays(self, cap=DEFAULT_GENERATOR_CAP):
         """(codes, pivots, codes_j) of all generators, in enumeration order.
 
-        codes is the (m, n, 2n) int16 array of RREF bases, pivots the (m, n)
-        pivot columns, and codes_j the bases times J, so that
-        codes_j[x] @ codes[y]^T is the Gram matrix B(x_i, y_j).
+        codes is the (m, n, 2n) array of RREF bases from
+        ``enumerate_generators``, pivots the (m, n) pivot columns, and
+        codes_j the bases times J, so that codes_j[x] @ codes[y]^T is the
+        Gram matrix B(x_i, y_j).
         """
         if self._arrays is None:
-            codes = np.array([g.sub.basis for g in self.generators()], dtype=np.int16)
+            codes = enumerate_generators(self, cap=cap)
             pivots = (codes != 0).argmax(axis=2)
             self._arrays = (codes, pivots, _times_j(self.spec.tables, codes, self.n))
         return self._arrays
 
     def generator_by_basis(self, basis):
-        self.generators()
+        if self._gen_index is None:
+            self._gen_index = {g.sub.basis: g.id for g in self.generators()}
         return self._generators[self._gen_index[basis]]
 
     def generator_image(self, g: Generator, iso: Isometry):
@@ -462,7 +468,8 @@ def _chart_bases(space: SymplecticSpace):
 
 
 def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
-    """All maximal totally isotropic subspaces, in lexicographic RREF order.
+    """The (m, n, 2n) code array of the RREF bases of all maximal totally
+    isotropic subspaces, in lexicographic order.
 
     Each chart of ``_chart_bases`` is brought to RREF by one batched
     elimination; the flattened bases are then sorted lexicographically and
@@ -489,9 +496,7 @@ def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
         )
     if gram_batch(t, _times_j(t, codes, n), codes).any():
         raise AssertionError("non-isotropic subspace in enumeration")
-    pivots = (codes != 0).argmax(axis=2).tolist()
-    return [Generator(Subspace(tuple(map(tuple, basis)), tuple(piv)), i)
-            for i, (basis, piv) in enumerate(zip(codes.tolist(), pivots))]
+    return codes
 
 
 def distance(space: SymplecticSpace, X: Generator, Y: Generator) -> int:
@@ -518,12 +523,12 @@ def intersect(space: SymplecticSpace, X: Subspace, Y: Subspace) -> Subspace:
     return Subspace(basis, pivots)
 
 
-def distance_profile(space: SymplecticSpace, X: Generator) -> dict:
-    """Number of generators at each distance from X, from the ranks of the
-    m Gram matrices of X's row alone."""
+def distance_profile(space: SymplecticSpace, x: int) -> dict:
+    """Number of generators at each distance from generator x, from the
+    ranks of the m Gram matrices of x's row alone."""
     codes, _, codes_j = space.generator_arrays()
     t = space.spec.tables
-    rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[X.id][None], codes))
+    rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[x][None], codes))
     return {k: int((rank == k).sum()) for k in range(space.n + 1)}
 
 
@@ -540,6 +545,16 @@ def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
     The distance matrix, as a relation matrix, is verified as a scheme by
     ``verify_scheme``, which checks every pair; then (c_k, a_k, b_k) =
     (p_{1,k-1}^k, p_{1,k}^k, p_{1,k+1}^k), with 0 for an index out of range.
+
+    A diamond is an edge xy, its spine, with two non-adjacent common
+    neighbours u, v.  A vertex x is an endpoint of a spine exactly when the
+    relation C = A | I on its neighbours is not transitive, that is, when
+    its local graph is not a disjoint union of cliques.  C is reflexive and
+    symmetric, so it is an equivalence relation exactly when it equals
+    "same label", each neighbour labelled by its first C-neighbour.  The
+    first vertex x that fails is the smallest spine endpoint; the witness
+    is its smallest y > x and the first non-adjacent pair u < v of their
+    common neighbours, the first diamond in the order (x, y, u, v).
     """
     D = space.distance_matrix()
     n = space.n
@@ -550,19 +565,24 @@ def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
     params = {k: tuple(p[1][j][k] if 0 <= j <= n else 0 for j in (k - 1, k, k + 1))
               for k in range(n + 1)}
     A = (D == 1)
-    # Diamond exclusion: common neighbors of an edge form a clique
-    # together with endpoints only (no two nonadjacent vertices share the edge).
-    m = len(space.generators())
-    for x in range(m):
-        for y in range(x + 1, m):
-            if not A[x, y]:
-                continue
+    valency = p[1][1][0]
+    eye = np.eye(valency, dtype=bool)
+    for start in range(0, len(A), 64):
+        # The verified tensor makes every row's valency the same: its
+        # neighbours, ascending, fill one row of nbrs.
+        nbrs = np.nonzero(A[start:start + 64])[1].reshape(-1, valency)
+        C = A[nbrs[:, :, None], nbrs[:, None, :]] | eye
+        label = C.argmax(axis=2)
+        bad = (C != (label[:, :, None] == label[:, None, :])).any(axis=(1, 2))
+        if not bad.any():
+            continue
+        x = start + int(bad.argmax())
+        for y in x + 1 + np.flatnonzero(A[x, x + 1:]):
             common = np.flatnonzero(A[x] & A[y])
-            for ii in range(len(common)):
-                for jj in range(ii + 1, len(common)):
-                    u, v = common[ii], common[jj]
-                    if not A[u, v]:
-                        return DRGReport(False, params, f"induced diamond on ({x},{y},{u},{v})")
+            if hit := _first_true(np.triu(~A[np.ix_(common, common)], 1)):
+                u, v = common[list(hit)]
+                return DRGReport(False, params, f"induced diamond on ({x},{y},{u},{v})")
+        raise AssertionError(f"vertex {x} has an intransitive local graph but starts no diamond")
     return DRGReport(True, params)
 
 
@@ -640,10 +660,7 @@ def nonsquare_similarity(space: SymplecticSpace) -> Isometry:
 def export_generators(space: SymplecticSpace):
     """Generator list in enumeration order, JSON-friendly row-major matrices."""
     spec = space.spec
-    out = []
-    for g in space.generators():
-        if spec.e == 1:
-            out.append([list(row) for row in g.sub.basis])
-        else:
-            out.append([[spec.element_str(c) for c in row] for row in g.sub.basis])
-    return out
+    codes = space.generator_arrays()[0].tolist()
+    if spec.e == 1:
+        return codes
+    return [[[spec.element_str(c) for c in row] for row in basis] for basis in codes]

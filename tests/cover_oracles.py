@@ -9,10 +9,28 @@ cover's relation 1, so they stay independent of the N x N builder
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from polarcover.cover import SignedVertex
+
+@dataclass(frozen=True)
+class SignedVertex:
+    """The cover vertex (gen, sign), with id 2*gen + (0 if sign = +1 else 1)."""
+
+    gen: int    # generator id
+    sign: int   # +1 or -1
+
+    @property
+    def vid(self):
+        return 2 * self.gen + (0 if self.sign == 1 else 1)
+
+    @staticmethod
+    def from_vid(vid):
+        return SignedVertex(vid // 2, 1 if vid % 2 == 0 else -1)
+
+    def antipode(self):
+        return SignedVertex(self.gen, -self.sign)
 
 
 def pair_data(cover):

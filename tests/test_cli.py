@@ -215,10 +215,9 @@ PACKAGE_EXPORTS = {
                    "enumerate_generators"],
     "maslov": ["CoherenceTable", "coherent_split_count", "sigma_pair",
                "sigma_triple", "verify_invariance", "verify_two_graph"],
-    "cover": ["CoverGraph", "SignedVertex"],
+    "cover": ["CoverGraph"],
     "scheme_core": ["SchemeInstance", "verify_scheme", "spectral_data",
-                    "krein", "q_poly_orderings", "q_bipartite_check",
-                    "verify_idempotents"],
+                    "krein", "q_poly_orderings", "q_bipartite_check"],
     "closed_form": ["l1_closed", "q_sequence", "s_family", "verify_thm71",
                     "eigenmatrices_closed", "crosscheck_P"],
     "feasibility": ["candidate_parameters", "check_feasibility",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cover_oracles import (
+    SignedVertex,
     adjacency,
     adjacency_lists,
     adjacent,
@@ -18,7 +19,6 @@ from cover_oracles import (
     relation_index,
     relation_index_matrix,
 )
-from polarcover.cover import SignedVertex
 from polarcover.exact_algebra import GaussianContext, Polynomial, gauss, mat_charpoly
 from polarcover.scheme_core import class_distances, verify_scheme
 

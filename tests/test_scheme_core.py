@@ -1,5 +1,6 @@
 """Scheme axioms, exact eigenmatrices, Krein parameters, idempotents."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -34,11 +35,11 @@ from polarcover.scheme_core import (
     q_bipartite_check,
     q_poly_orderings,
     spectral_data,
-    verify_idempotents,
     verify_scheme,
     verify_scheme_bytes,
 )
 from polarcover.symplectic import SymplecticSpace
+from scheme_oracles import verify_idempotents
 
 
 def pentagon_instance():
@@ -133,11 +134,14 @@ class TestExactProduct:
         with pytest.raises(OverflowError):
             scheme_core._exact_int_product(A, B)
 
-    def test_int64_returns_int64(self):
-        A, B = (X.astype(np.int64) for X in self.operands(1041))
+    def test_int64_operands_share_the_float32_bound(self):
+        A, B = (X.astype(np.int64) for X in self.operands(1040))
         M = scheme_core._exact_int_product(A, B)
-        assert M.dtype == np.int64
-        assert M[0, 0] == 1041 * 127 * 127
+        assert M.dtype == np.float32
+        assert int(M[0, 0]) == 16_774_160
+        with pytest.raises(OverflowError):
+            scheme_core._exact_int_product(*(X.astype(np.int64)
+                                             for X in self.operands(1041)))
 
 
 class TestPentagon:
@@ -392,6 +396,9 @@ class TestEigenvalueResolver:
 
 
 class TestIdempotents:
+    """``spectral_data``'s Q against the relation matrices: the idempotents
+    E_j = (1/N) sum_i Q_ij A_i, in exact int64 products."""
+
     def _a_list(self, instance):
         R = instance.relation_matrix()
         return [(R == i).astype(np.int64) for i in range(instance.d + 1)]
@@ -408,6 +415,16 @@ class TestIdempotents:
         sd = spectral_data(t)
         report = verify_idempotents(sd, self._a_list(inst))
         assert report.ok, report.failure
+
+    def test_perturbed_q_fails(self, q5n1_scheme):
+        sd = q5n1_scheme["sd"]
+        Q = [list(row) for row in sd.Q]
+        Q[1][2] = Q[1][2] + 1
+        report = verify_idempotents(dataclasses.replace(sd, Q=Q),
+                                    self._a_list(q5n1_scheme["instance"]))
+        assert not report.ok
+        assert report.failure == "pair (0,2)"
+        assert not report.checks["E0E2=0"]
 
 
 class TestExport:

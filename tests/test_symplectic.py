@@ -6,6 +6,7 @@ import pytest
 from polarcover.errors import ResourceCapExceeded
 from polarcover.finite_field import construct_field
 from polarcover.symplectic import (
+    DRGReport,
     SymplecticSpace,
     distance,
     distance_profile,
@@ -16,6 +17,7 @@ from polarcover.symplectic import (
     verify_drg_parameters,
     verify_similarity,
 )
+from scheme_oracles import drg_report_by_loop
 
 
 def predicted(q, n):
@@ -45,7 +47,7 @@ class TestEnumeration:
         assert bases == sorted(bases)
         assert [g.id for g in gens] == list(range(len(gens)))
         again = enumerate_generators(space)
-        assert [g.sub.basis for g in again] == bases
+        assert [tuple(map(tuple, basis)) for basis in again.tolist()] == bases
 
     def test_resource_cap(self):
         space = SymplecticSpace(construct_field(5, 1), 9)
@@ -68,7 +70,7 @@ class TestEnumeration:
 class TestMetrics:
     def test_distance_profile_q5n2(self, q5n2):
         space = q5n2["space"]
-        profile = distance_profile(space, space.generators()[0])
+        profile = distance_profile(space, 0)
         assert profile == {0: 1, 1: 30, 2: 125}
 
     def test_distance_profile_counts(self):
@@ -86,9 +88,9 @@ class TestMetrics:
             q = p**e
             want = {k: q**(k * (k + 1) // 2) * gaussian_binomial(n, k, q)
                     for k in range(n + 1)}
-            gens = space.generators()
-            for X in (gens[0], gens[len(gens) // 2], gens[-1]):
-                assert distance_profile(space, X) == want, (q, n, X.id)
+            m = predicted(q, n)
+            for x in (0, m // 2, m - 1):
+                assert distance_profile(space, x) == want, (q, n, x)
         assert want == {0: 1, 1: 155, 2: 3875, 3: 15625}      # q = 5, n = 3
 
     def test_distance_symmetric_and_metric(self, q5n2):
@@ -117,6 +119,7 @@ class TestMetrics:
         q, n = space.spec.q, space.n
         report = verify_drg_parameters(space)
         assert report.ok, report.failure
+        assert report == drg_report_by_loop(space)
         from polarcover.closed_form import drg_abc
 
         for k, (c, a, b) in report.parameters.items():
@@ -132,6 +135,59 @@ class TestMetrics:
         report = verify_drg_parameters(space)
         assert not report.ok
         assert report.parameters == {}
+
+
+class CayleyStub:
+    """A diameter-2 graph in the place of a space: ``verify_drg_parameters``
+    reads only n and the distance matrix."""
+
+    n = 2
+
+    def __init__(self, adjacent):
+        self.D = np.where(adjacent, 1, 2).astype(np.int8)
+        np.fill_diagonal(self.D, 0)
+
+    def distance_matrix(self):
+        return self.D
+
+
+def z4_squared(connection):
+    """Adjacency of the Cayley graph on Z4^2 with the given connection set,
+    vertex i*4 + j."""
+    points = [(i, j) for i in range(4) for j in range(4)]
+    return np.array([[((a - c) % 4, (b - e) % 4) in connection for c, e in points]
+                     for a, b in points])
+
+
+SHRIKHANDE = z4_squared({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+ROOK_4X4 = z4_squared({(a, 0) for a in (1, 2, 3)} | {(0, b) for b in (1, 2, 3)})
+PALEY_13 = np.array([[(x - y) % 13 in {z * z % 13 for z in range(1, 13)}
+                      for y in range(13)] for x in range(13)])
+
+
+class TestDiamonds:
+    """The diamond test of ``verify_drg_parameters`` on strongly regular
+    graphs with and without diamonds, and against the loop over edges and
+    common-neighbour pairs in ``scheme_oracles``."""
+
+    @pytest.mark.parametrize("graph,ok,failure", [
+        ("SHRIKHANDE", False, "induced diamond on (0,1,5,12)"),
+        ("ROOK_4X4", True, ""),
+    ])
+    def test_same_parameters_one_diamond(self, graph, ok, failure):
+        # Both are strongly regular with the same parameters.
+        report = verify_drg_parameters(CayleyStub(globals()[graph]))
+        assert report == DRGReport(ok, {0: (0, 0, 6), 1: (1, 2, 3), 2: (2, 4, 0)},
+                                   failure)
+
+    @pytest.mark.parametrize("graph", ["SHRIKHANDE", "ROOK_4X4", "PALEY_13"])
+    def test_relabelled_graphs_match_loop(self, graph):
+        adjacent = globals()[graph]
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            perm = rng.permutation(len(adjacent))
+            stub = CayleyStub(adjacent[perm][:, perm])
+            assert verify_drg_parameters(stub) == drg_report_by_loop(stub)
 
 
 class TestIsometries:

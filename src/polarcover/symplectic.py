@@ -18,14 +18,13 @@ as the reference the batched paths are tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import ResourceCapExceeded, SchemeAxiomError
+from .errors import ResourceCapExceeded
 from .finite_field import FieldSpec, FieldTables
-from .scheme_core import SchemeInstance, _first_true, verify_scheme
 
 __all__ = [
     "SymplecticSpace",
@@ -39,7 +38,6 @@ __all__ = [
     "distance",
     "intersect",
     "distance_profile",
-    "verify_drg_parameters",
     "sp_sample_elements",
     "nonsquare_similarity",
 ]
@@ -530,60 +528,6 @@ def distance_profile(space: SymplecticSpace, x: int) -> dict:
     t = space.spec.tables
     rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[x][None], codes))
     return {k: int((rank == k).sum()) for k in range(space.n + 1)}
-
-
-@dataclass
-class DRGReport:
-    ok: bool
-    parameters: dict = field(default_factory=dict)  # k -> (c_k, a_k, b_k)
-    failure: str = ""
-
-
-def verify_drg_parameters(space: SymplecticSpace) -> DRGReport:
-    """Check distance regularity by exhaustive counting, plus no diamonds.
-
-    The distance matrix, as a relation matrix, is verified as a scheme by
-    ``verify_scheme``, which checks every pair; then (c_k, a_k, b_k) =
-    (p_{1,k-1}^k, p_{1,k}^k, p_{1,k+1}^k), with 0 for an index out of range.
-
-    A diamond is an edge xy, its spine, with two non-adjacent common
-    neighbours u, v.  A vertex x is an endpoint of a spine exactly when the
-    relation C = A | I on its neighbours is not transitive, that is, when
-    its local graph is not a disjoint union of cliques.  C is reflexive and
-    symmetric, so it is an equivalence relation exactly when it equals
-    "same label", each neighbour labelled by its first C-neighbour.  The
-    first vertex x that fails is the smallest spine endpoint; the witness
-    is its smallest y > x and the first non-adjacent pair u < v of their
-    common neighbours, the first diamond in the order (x, y, u, v).
-    """
-    D = space.distance_matrix()
-    n = space.n
-    try:
-        p = verify_scheme(SchemeInstance.from_matrix(D, n)).p
-    except SchemeAxiomError as exc:
-        return DRGReport(False, {}, str(exc))
-    params = {k: tuple(p[1][j][k] if 0 <= j <= n else 0 for j in (k - 1, k, k + 1))
-              for k in range(n + 1)}
-    A = (D == 1)
-    valency = p[1][1][0]
-    eye = np.eye(valency, dtype=bool)
-    for start in range(0, len(A), 64):
-        # The verified tensor makes every row's valency the same: its
-        # neighbours, ascending, fill one row of nbrs.
-        nbrs = np.nonzero(A[start:start + 64])[1].reshape(-1, valency)
-        C = A[nbrs[:, :, None], nbrs[:, None, :]] | eye
-        label = C.argmax(axis=2)
-        bad = (C != (label[:, :, None] == label[:, None, :])).any(axis=(1, 2))
-        if not bad.any():
-            continue
-        x = start + int(bad.argmax())
-        for y in x + 1 + np.flatnonzero(A[x, x + 1:]):
-            common = np.flatnonzero(A[x] & A[y])
-            if hit := _first_true(np.triu(~A[np.ix_(common, common)], 1)):
-                u, v = common[list(hit)]
-                return DRGReport(False, params, f"induced diamond on ({x},{y},{u},{v})")
-        raise AssertionError(f"vertex {x} has an intransitive local graph but starts no diamond")
-    return DRGReport(True, params)
 
 
 def _transvection_matrix(space: SymplecticSpace, v, lam):

@@ -2,8 +2,8 @@
 
 ``verify_idempotents`` tests ``spectral_data``'s P and Q on the relation
 matrices themselves, with exact int64 matrix products.
-``drg_report_by_loop`` is the edge-by-edge diamond loop that
-``symplectic.verify_drg_parameters`` replaces with its local-clique test.
+``verify_drg_parameters`` checks that a dual polar graph is
+distance-regular with no diamond, by counting.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +13,6 @@ import numpy as np
 
 from polarcover.errors import SchemeAxiomError
 from polarcover.scheme_core import SchemeInstance, verify_scheme
-from polarcover.symplectic import DRGReport
 
 
 def int64_product(A, B):
@@ -102,9 +101,22 @@ def verify_idempotents(sd, A_list) -> IdempotentReport:
     return IdempotentReport(True, checks)
 
 
-def drg_report_by_loop(space) -> DRGReport:
-    """``verify_drg_parameters`` with its diamond test as a loop over every
-    edge x < y and every pair u < v of its common neighbours."""
+@dataclass
+class DRGReport:
+    ok: bool
+    parameters: dict = field(default_factory=dict)  # k -> (c_k, a_k, b_k)
+    failure: str = ""
+
+
+def verify_drg_parameters(space) -> DRGReport:
+    """Check distance regularity by exhaustive counting, plus no diamonds.
+
+    The distance matrix, as a relation matrix, is verified as a scheme by
+    ``verify_scheme``, which checks every pair; then (c_k, a_k, b_k) =
+    (p_{1,k-1}^k, p_{1,k}^k, p_{1,k+1}^k), with 0 for an index out of range.
+    A diamond is an edge x < y with two non-adjacent common neighbours
+    u < v; the first one in the order (x, y, u, v) is reported.
+    """
     D = space.distance_matrix()
     n = space.n
     try:

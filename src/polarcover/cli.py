@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -342,7 +343,9 @@ def cmd_selftest(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="polarcover",
         description="Exact double-cover association scheme toolkit",

@@ -10,11 +10,19 @@ against each other by exact residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QNotOneModFour
-from .exact_algebra import GaussianContext, Polynomial, QuadExt, gauss
+from .exact_algebra import (
+    GaussianContext,
+    Polynomial,
+    QuadExt,
+    _isqrt_if_square,
+    _make,
+    gauss,
+)
 
 __all__ = [
     "l1_closed",
@@ -120,14 +128,6 @@ def s_family(n, q):
     return out
 
 
-def _powers(x, count):
-    """[x^0, x^1, .., x^(count-1)] by repeated multiplication."""
-    out = [QuadExt(1, 0, x.q)]
-    while len(out) < count:
-        out.append(out[-1] * x)
-    return out
-
-
 @dataclass
 class Thm71Report:
     ok: bool
@@ -136,25 +136,57 @@ class Thm71Report:
 
 
 def verify_thm71(L1, sigma, s_polys, q) -> Thm71Report:
-    """Check sum_j (L_1)[k][j] sigma_j^l = s_l(sigma_k) for all k, l, with
-    one power table per call and sums over nonzero terms only."""
+    """Check sum_j (L_1)[k][j] sigma_j^l = s_l(sigma_k) for all k, l.
+
+    The sums run on integer pairs (x, y), meaning x + y r, with one common
+    denominator per table: the powers sigma_j^l over D_p, the rational
+    entries of L_1 over D_l and the coefficients of the s_l over D_s.
+    Identity (k, l) is then D_s sum_j L[k][j] P[j][l] = D_l sum_i S[l][i]
+    P[k][i], with (a + b r)(c + d r) = (ac + q bd, ad + bc), summed over
+    nonzero terms only.  At square q every canonical QuadExt has y = 0, so
+    every pair here does too.  QuadExt values are built only for the
+    failure report.
+    """
     m = len(L1)
-    zero = QuadExt(0, 0, q)
     width = max([m] + [len(p.coeffs) for p in s_polys])
-    pw = [_powers(s, width) for s in sigma]
-    support = [[(j, x) for j, x in enumerate(row) if x] for row in L1]
-    terms = [[(i, c) for i, c in enumerate(p.coeffs) if c] for p in s_polys]
+    # sigma_j = (u_j + v_j r)/D over D = lcm den(sigma_j), so sigma_j^l is
+    # (u_j + v_j r)^l D^(width-1-l) over D_p = D^(width-1).
+    D = math.lcm(*(s.den for s in sigma))
+    d_p = D ** (width - 1)
+    scale = [D ** (width - 1 - ell) for ell in range(width)]
+    pw = []
+    for s in sigma:
+        u, v = s.x * (D // s.den), s.y * (D // s.den)
+        x, y, row = 1, 0, []
+        for c in scale:
+            row.append((x * c, y * c))
+            x, y = x * u + q * y * v, x * v + y * u
+        pw.append(row)
+    d_l = math.lcm(*(x.denominator for row in L1 for x in row))
+    support = [[(j, x.numerator * (d_l // x.denominator))
+                for j, x in enumerate(row) if x] for row in L1]
+    d_s = math.lcm(*(c.den for p in s_polys for c in p.coeffs))
+    terms = [[(i, c.x * (d_s // c.den), c.y * (d_s // c.den))
+              for i, c in enumerate(p.coeffs) if c] for p in s_polys]
     checked = 0
     for k in range(m):
+        pk = pw[k]
         for ell in range(m):
-            lhs = zero
-            for j, x in support[k]:
-                lhs = lhs + x * pw[j][ell]
-            rhs = zero
-            for i, c in terms[ell]:
-                rhs = rhs + c * pw[k][i]
+            lx = ly = 0
+            for j, a in support[k]:
+                x, y = pw[j][ell]
+                lx += a * x
+                ly += a * y
+            rx = ry = 0
+            for i, a, b in terms[ell]:
+                x, y = pk[i]
+                rx += a * x + q * b * y
+                ry += a * y + b * x
             checked += 1
-            if lhs != rhs:
+            if d_s * lx != d_l * rx or d_s * ly != d_l * ry:
+                lden, rden = d_l * d_p, d_s * d_p
+                lhs = QuadExt(Fraction(lx, lden), Fraction(ly, lden), q)
+                rhs = QuadExt(Fraction(rx, rden), Fraction(ry, rden), q)
                 return Thm71Report(False, checked, (k, ell, lhs, rhs))
     return Thm71Report(True, checked)
 
@@ -170,11 +202,23 @@ class ClosedFormEigenmatrices:
     p_full: list                # (2n+2)x(2n+2)
 
 
-def _quotient_eigenrow_sum(i, j, with_shift, G, rp):
-    """sum_l (-1)^l r^(e) [i choose l][n-i choose j-l], e as in the formulas,
-    from the int tables G[a][b] = [a choose b]_q (a, b <= n) and rp[e] = r^e."""
+def _gauss_table(size, q):
+    """G[a][b] = [a choose b]_q for 0 <= a, b < size, as ints, by the
+    q-Pascal rule [a choose b] = [a-1 choose b-1] + q^b [a-1 choose b]."""
+    qb = [q**b for b in range(size)]
+    G = [[1] + [0] * (size - 1)]
+    for _ in range(1, size):
+        prev = G[-1]
+        G.append([1] + [prev[b - 1] + qb[b] * prev[b] for b in range(1, size)])
+    return G
+
+
+def _quotient_entry(i, j, with_shift, G, rp):
+    """sum_l (-1)^l r^e [i choose l][n-i choose j-l], e as in the formulas,
+    as the integer pair (x, y) of x + y r, from G[a][b] = [a choose b]_q
+    (a, b <= n) and the pairs rp[e] of r^e."""
     n = len(G) - 1
-    acc = QuadExt(0, 0, rp[0].q)
+    x = y = 0
     for ell in range(j + 1):
         g = G[i][ell] * G[n - i][j - ell]
         if not g:
@@ -182,11 +226,12 @@ def _quotient_eigenrow_sum(i, j, with_shift, G, rp):
         e = (j - ell) ** 2 + ell**2
         if with_shift:
             e += j - 2 * ell
-        term = rp[e] * g
         if ell % 2:
-            term = -term
-        acc = acc + term
-    return acc
+            g = -g
+        a, b = rp[e]
+        x += g * a
+        y += g * b
+    return x, y
 
 
 def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
@@ -196,16 +241,24 @@ def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
     exactly (D the diagonal of column-1 entries) before interleaving rows
     into the (2n+2)-square P: even row 2t mirrors row t of P~ symmetrically
     in j <-> 2n+1-j, odd row 2t+1 mirrors row t of P^ with a sign flip.
+    The entries of P~ and P^ lie in Z[r] and are built and checked as
+    integer pairs (x, y), meaning x + y r; each becomes a QuadExt at the
+    end.
     """
     _check_domain(n, q)
     m = n + 1
-    ctx = GaussianContext(q)
-    # [a choose b]_q is an integer for a, b >= 0
-    G = [[int(gauss(a, b, ctx)) for b in range(m)] for a in range(m)]
-    rp = _powers(QuadExt.root(q), n * n + n + 1)   # e <= n^2 + n
-    p_tilde = [[_quotient_eigenrow_sum(i, j, True, G, rp) for j in range(m)]
+    G = _gauss_table(m, q)
+    # r^e for e <= n^2 + n; at square q, r = s is folded into x, as the
+    # canonical QuadExt form requires.
+    s = _isqrt_if_square(q)
+    if s is None:
+        rp = [(q ** (e // 2), 0) if e % 2 == 0 else (0, q ** (e // 2))
+              for e in range(n * n + n + 1)]
+    else:
+        rp = [(s**e, 0) for e in range(n * n + n + 1)]
+    p_tilde = [[_quotient_entry(i, j, True, G, rp) for j in range(m)]
                for i in range(m)]
-    p_hat = [[_quotient_eigenrow_sum(i, j, False, G, rp) for j in range(m)]
+    p_hat = [[_quotient_entry(i, j, False, G, rp) for j in range(m)]
              for i in range(m)]
 
     m_tilde = [[Fraction(0)] * m for _ in range(m)]
@@ -219,19 +272,28 @@ def eigenmatrices_closed(n, q) -> ClosedFormEigenmatrices:
     m_hat = [[m_tilde[i][j] if i != j else Fraction(0) for j in range(m)]
              for i in range(m)]
 
+    # Row i of P M over D_m = lcm den(M) against D_m (P[i][1] P[i][j]).
     for P, M, name in ((p_tilde, m_tilde, "symmetric"), (p_hat, m_hat, "skew")):
-        columns = [[(ell, M[ell][j]) for ell in range(m) if M[ell][j]]
-                   for j in range(m)]
+        d_m = math.lcm(*(x.denominator for row in M for x in row))
+        columns = [[(ell, M[ell][j].numerator * (d_m // M[ell][j].denominator))
+                    for ell in range(m) if M[ell][j]] for j in range(m)]
         for i in range(m):
-            di = P[i][1]
+            row = P[i]
+            a, b = row[1]
             for j in range(m):
-                lhs = QuadExt(0, 0, q)
-                for ell, x in columns[j]:
-                    lhs = lhs + P[i][ell] * x
-                if lhs != di * P[i][j]:
+                lx = ly = 0
+                for ell, c in columns[j]:
+                    x, y = row[ell]
+                    lx += c * x
+                    ly += c * y
+                x, y = row[j]
+                if lx != d_m * (a * x + q * b * y) or ly != d_m * (a * y + b * x):
                     raise AssertionError(
                         f"{name} quotient residual nonzero at ({i},{j})")
 
+    # Canonical already: den 1, and y = 0 at square q.
+    p_tilde = [[_make(x, y, 1, q) for x, y in row] for row in p_tilde]
+    p_hat = [[_make(x, y, 1, q) for x, y in row] for row in p_hat]
     p_full = []
     for t in range(m):
         p_full.append([p_tilde[t][j] if j <= n else p_tilde[t][2 * n + 1 - j]

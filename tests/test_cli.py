@@ -353,3 +353,40 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--suite", "exact_algebra")
         assert code == EXIT_OK
         assert out.strip().startswith("exact_algebra")
+
+
+class TestParserCache:
+    ARGVS = [
+        (["scheme", "--q", "5", "--n", "1"], EXIT_OK),
+        (["scheme", "--q", "7", "--n", "1"], EXIT_INVALID),
+        (["crosscheck", "--q", "5", "--n", "2", "--formula-only"], EXIT_OK),
+        (["feasibility", "--sweep", "3,sqrt:5"], EXIT_MATH_FAIL),
+    ]
+
+    def test_one_process_matches_fresh_processes(self):
+        # One interpreter runs all four commands on one parser, built by the
+        # first call; each must print and exit as in its own interpreter.
+        script = ("import contextlib, io, json, sys\n"
+                  "from polarcover import cli\n"
+                  "runs = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    buf = io.StringIO()\n"
+                  "    with contextlib.redirect_stdout(buf):\n"
+                  "        code = cli.main(argv)\n"
+                  "    runs.append([code, buf.getvalue()])\n"
+                  "print(json.dumps([runs, cli.build_parser.cache_info().misses]))\n")
+        src = Path(polarcover.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argvs = [argv for argv, _ in self.ARGVS]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120,
+                              env=env, check=True)
+        runs, builds = json.loads(proc.stdout)
+        assert builds == 1
+        fresh = [subprocess.run([sys.executable, "-m", "polarcover.cli", *argv],
+                                capture_output=True, text=True, timeout=120,
+                                env=env)
+                 for argv in argvs]
+        assert [p.returncode for p in fresh] == [code for _, code in self.ARGVS]
+        assert runs == [[p.returncode, p.stdout] for p in fresh]
+        assert [bool(p.stdout) for p in fresh] == [True, False, True, True]

@@ -20,7 +20,9 @@ from polarcover.closed_form import (
 from polarcover.scheme_core import intersection_matrix
 
 GRID = [(1, 5), (1, 9), (1, 13), (2, 5), (2, 9), (3, 5), (3, 13), (4, 29)]
-ORACLE_GRID = [(n, q) for q in (5, 9, 13, 29) for n in range(1, 7)]
+# Square q (r an integer) at n <= 4 as well: 25 and 81 beside 9.
+ORACLE_GRID = [(n, q) for q in (5, 9, 13, 29) for n in range(1, 7)] + \
+    [(n, q) for q in (25, 81) for n in range(1, 5)]
 
 
 def thm71_oracle(L1, sigma, s_polys, q):
@@ -212,6 +214,32 @@ class TestThm71Oracle:
                 rep = assert_same_report(L, sigma, polys, q)
                 assert not rep.ok and rep.failure[1] == ell
 
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_fractional_l1_entry(self, n, q):
+        # A non-integral entry puts L_1 over the denominator 2.
+        rng = random.Random(100 * n + q)
+        sigma, polys = q_sequence(n, q), s_family(n, q)
+        m = 2 * n + 2
+        for k, j in [(rng.randrange(m), rng.randrange(m)) for _ in range(3)]:
+            L = l1_closed(n, q)
+            L[k][j] += Fraction(1, 2)
+            rep = assert_same_report(L, sigma, polys, q)
+            assert not rep.ok and rep.failure[0] == k
+
+    @pytest.mark.parametrize("n,q", ORACLE_GRID)
+    def test_perturbed_sigma(self, n, q):
+        # sigma_j moved by an integer, a rational with a new denominator,
+        # or a multiple of r; the power table changes at j and at j alone.
+        rng = random.Random(100 * n + q)
+        L, polys = l1_closed(n, q), s_family(n, q)
+        m = 2 * n + 2
+        for shift in (1, Fraction(1, 3), QuadExt(0, Fraction(2, 7), q)):
+            sigma = q_sequence(n, q)
+            j = rng.randrange(m)
+            sigma[j] = sigma[j] + shift
+            rep = assert_same_report(L, sigma, polys, q)
+            assert not rep.ok
+
 
 class TestEigenmatricesOracle:
     @pytest.mark.parametrize("n,q", ORACLE_GRID)
@@ -232,12 +260,24 @@ class TestEigenmatricesOracle:
                            for j in range(2 * n + 2)])
         assert cf.p_full == p_full
 
-    @pytest.mark.parametrize("n,q", [(2, 5), (3, 13), (5, 29)])
-    def test_residual_failure_at_first_dense_mismatch(self, n, q, monkeypatch):
-        # b_1 + 1 breaks P~ M~ = D~ P~; the first failing (i, j) must be the
-        # one a dense product over every entry of M~ finds.
+    def test_largest_benchmark_instance(self):
+        n, q = 12, 101
+        cf = eigenmatrices_closed(n, q)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert cf.p_tilde[i][j] == eigenrow_oracle(n, q, i, j, True)
+                assert cf.p_hat[i][j] == eigenrow_oracle(n, q, i, j, False)
+
+    @pytest.mark.parametrize("q", [5, 9, 13, 81, 101])
+    def test_gauss_table_matches_gauss(self, q):
+        ctx = GaussianContext(q)
+        assert closed_form._gauss_table(13, q) == \
+            [[gauss(a, b, ctx) for b in range(13)] for a in range(13)]
+
+    @staticmethod
+    def assert_first_dense_mismatch(n, q, bump, monkeypatch):
         m_tilde = eigenmatrices_closed(n, q).m_tilde
-        m_tilde[1][2] += 1
+        m_tilde[1][2] += bump
         P = [[eigenrow_oracle(n, q, i, j, True) for j in range(n + 1)]
              for i in range(n + 1)]
         first = next(
@@ -248,11 +288,48 @@ class TestEigenmatricesOracle:
 
         def perturbed(n_, q_, k):
             a, b, c = abc(n_, q_, k)
-            return a, b + (k == 1), c
+            return a, b + bump * (k == 1), c
 
         monkeypatch.setattr(closed_form, "drg_abc", perturbed)
         with pytest.raises(AssertionError,
                            match=rf"symmetric quotient residual nonzero at \({first[0]},{first[1]}\)"):
+            eigenmatrices_closed(n, q)
+
+    @pytest.mark.parametrize("n,q", [(2, 5), (3, 13), (5, 29)])
+    def test_residual_failure_at_first_dense_mismatch(self, n, q, monkeypatch):
+        # b_1 + 1 breaks P~ M~ = D~ P~; the first failing (i, j) must be the
+        # one a dense product over every entry of M~ finds.
+        self.assert_first_dense_mismatch(n, q, 1, monkeypatch)
+
+    @pytest.mark.parametrize("n,q", [(2, 5), (3, 13), (3, 81)])
+    def test_fractional_residual_failure(self, n, q, monkeypatch):
+        # b_1 + 1/2 puts M~ over the denominator 2.
+        self.assert_first_dense_mismatch(n, q, Fraction(1, 2), monkeypatch)
+
+
+    @pytest.mark.parametrize("n,q", [(3, 5), (4, 13), (5, 29)])
+    def test_skew_residual_failure_at_first_dense_mismatch(self, n, q,
+                                                           monkeypatch):
+        # P^[1][3] + r breaks only P^ M^ = D^ P^, and first in an r part:
+        # at (1, 2), through M^[3][2] = c_3.
+        m_hat = eigenmatrices_closed(n, q).m_hat
+        P = [[eigenrow_oracle(n, q, i, j, False) for j in range(n + 1)]
+             for i in range(n + 1)]
+        P[1][3] = P[1][3] + QuadExt.root(q)
+        first = next(
+            (i, j) for i in range(n + 1) for j in range(n + 1)
+            if sum((P[i][ell] * m_hat[ell][j] for ell in range(n + 1)),
+                   QuadExt(0, 0, q)) != P[i][1] * P[i][j])
+        assert first == (1, 2)
+        entry = closed_form._quotient_entry
+
+        def perturbed(i, j, with_shift, G, rp):
+            x, y = entry(i, j, with_shift, G, rp)
+            return (x, y + ((i, j, with_shift) == (1, 3, False)))
+
+        monkeypatch.setattr(closed_form, "_quotient_entry", perturbed)
+        with pytest.raises(AssertionError,
+                           match=r"skew quotient residual nonzero at \(1,2\)"):
             eigenmatrices_closed(n, q)
 
 

@@ -15,14 +15,13 @@ _EXPORTS = {
     **dict.fromkeys(
         ["GaussianContext", "Polynomial", "QuadExt", "gauss", "e_poly"],
         "exact_algebra"),
-    **dict.fromkeys(["FieldSpec", "FieldElement", "construct_field"],
-                    "finite_field"),
+    **dict.fromkeys(["FieldSpec", "construct_field"], "finite_field"),
     **dict.fromkeys(
         ["SymplecticSpace", "Subspace", "Generator", "enumerate_generators"],
         "symplectic"),
     **dict.fromkeys(
         ["CoherenceTable", "coherent_split_count", "sigma_pair",
-         "sigma_triple", "verify_invariance", "verify_two_graph"],
+         "sigma_triple", "verify_two_graph"],
         "maslov"),
     "CoverGraph": "cover",
     **dict.fromkeys(

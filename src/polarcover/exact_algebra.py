@@ -3,16 +3,23 @@
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
 extension Q(r) as :class:`QuadExt`, univariate polynomials over Q(r), Gaussian
 coefficients evaluated at an arbitrary nonzero rational q, the generating
-polynomials ``prod (1 + q^i t)``, exact matrix routines (multiply, inverse,
-kernel, characteristic polynomial), and the scheme parameters read off a pair
-of eigenmatrices.
+polynomials ``prod (1 + q^i t)``, exact matrix routines (Gauss-Jordan,
+multiply, inverse, kernel, characteristic polynomial), and the scheme
+parameters read off a pair of eigenmatrices.
+
+Gauss-Jordan, kernel and product are the package's one copy of each: they
+take the field's arithmetic as an argument, so the same code runs over
+F_q codes (with a ``finite_field.FieldSpec``) and over Q and Q(r).  This
+module imports neither numpy nor ``finite_field``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 __all__ = [
     "QuadExt",
@@ -21,6 +28,7 @@ __all__ = [
     "gauss",
     "e_poly",
     "rpow",
+    "gauss_jordan",
     "mat_mul",
     "mat_identity",
     "mat_inverse",
@@ -468,61 +476,83 @@ def e_poly(m: int, ctx) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact matrices over Q(r)
+# Exact matrices over F_q, Q and Q(r)
 #
-# Matrices are lists of lists of QuadExt (or anything with field arithmetic,
-# e.g. Fraction).  These routines are deliberately dense and deterministic:
-# pivots are chosen as the first row with a nonzero entry.
+# Matrices are lists of rows.  Elimination, kernel and product take the
+# field's arithmetic as an object with add, sub, mul, neg and inv: a
+# ``finite_field.FieldSpec`` for matrices of F_q codes, and by default
+# ``PYTHON_OPS``, Python's operators, for Fraction and QuadExt entries.  The
+# ints 0 and 1 stand for zero and one in each of them (the codes 0 and 1 of
+# F_q), and truth is nonzero.  These routines are deliberately dense and
+# deterministic: pivots are chosen as the first row with a nonzero entry.
+
+# Fraction(1) / x, since 1 / x is a float for an int entry.
+PYTHON_OPS = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul,
+                             neg=operator.neg, inv=lambda x: Fraction(1) / x)
 
 
 def mat_identity(m, one, zero):
     return [[one if i == j else zero for j in range(m)] for i in range(m)]
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
+def mat_mul(A, B, field=PYTHON_OPS):
+    inner = len(B)
     if len(A[0]) != inner:
         raise ValueError("dimension mismatch")
+    add, mul = field.add, field.mul
     out = []
-    for i in range(rows):
+    for Ai in A:
         row = []
-        Ai = A[i]
-        for j in range(cols):
-            acc = Ai[0] * B[0][j]
+        for j in range(len(B[0])):
+            acc = mul(Ai[0], B[0][j])
             for k in range(1, inner):
-                acc = acc + Ai[k] * B[k][j]
+                acc = add(acc, mul(Ai[k], B[k][j]))
             row.append(acc)
         out.append(row)
     return out
 
 
-def _zero_one_like(x):
+def _zero_one_like(x, field=PYTHON_OPS):
+    """Zero and one of the field of the entry x: the codes 0 and 1 over F_q,
+    QuadExt over Q(r) and Fractions otherwise, so int matrices work in Q."""
+    if field is not PYTHON_OPS:
+        return 0, 1
     if isinstance(x, QuadExt):
         return QuadExt(0, 0, x.q), QuadExt(1, 0, x.q)
     return Fraction(0), Fraction(1)
 
 
-def _gauss_jordan(rows, ncols, zero, one):
-    """Reduce rows in place to RREF, pivoting on the first ncols columns only.
+def gauss_jordan(rows, ncols, field=PYTHON_OPS):
+    """Reduce the list rows in place to RREF, pivoting on the first ncols
+    columns only.
 
     Row operations act on whole rows, so columns past ncols ride along (an
-    augmented block).  Returns the pivot columns.
+    augmented block); rows are replaced, never mutated.  Returns (pivots,
+    det): the pivot columns, and the product of the pivots signed by the row
+    swaps, which is the determinant when rows is square and nonsingular.
     """
+    sub, mul = field.sub, field.mul
     pivots = []
+    det = 1
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = field.neg(det)
+        det = mul(det, rows[rank][col])
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [mul(x, inv) for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != zero:
+            if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [x - f * p for x, p in zip(rows[r], rows[rank])]
+                rows[r] = [sub(x, mul(f, p)) for x, p in zip(rows[r], rows[rank])]
         pivots.append(col)
-    return pivots
+        if rank + 1 == len(rows):
+            break
+    return pivots, det
 
 
 def mat_inverse(A):
@@ -532,23 +562,23 @@ def mat_inverse(A):
         raise ValueError("inverse requires a square matrix")
     zero, one = _zero_one_like(A[0][0])
     rows = [list(row) + unit for row, unit in zip(A, mat_identity(m, one, zero))]
-    if len(_gauss_jordan(rows, m, zero, one)) != m:
+    if len(gauss_jordan(rows, m)[0]) != m:
         raise ZeroDivisionError("matrix is singular")
     return [row[m:] for row in rows]
 
 
-def mat_kernel(A):
+def mat_kernel(A, field=PYTHON_OPS):
     """Basis of the right null space {v : A v = 0}, as a list of vectors.
 
     Deterministic: free columns are processed in increasing order and each
     basis vector has a 1 in its free position.
     """
-    rows = [list(r) for r in A]
+    rows = list(A)
     if not rows:
         return []
     ncols = len(rows[0])
-    zero, one = _zero_one_like(rows[0][0])
-    pivots = _gauss_jordan(rows, ncols, zero, one)
+    zero, one = _zero_one_like(rows[0][0], field)
+    pivots, _ = gauss_jordan(rows, ncols, field)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -557,7 +587,7 @@ def mat_kernel(A):
         v = [zero] * ncols
         v[free] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
+            v[pc] = field.neg(rows[r][free])
         basis.append(v)
     return basis
 

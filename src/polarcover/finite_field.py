@@ -11,19 +11,16 @@ lexicographically smallest irreducible, low degree first (x when e = 1).
 neg, inv and chi are read off the two tables.  :class:`FieldTables` holds
 them as numpy arrays, for lookups on whole arrays of codes;
 :class:`FieldSpec` also keeps them as Python lists, so scalar hot-loop
-arithmetic is list indexing on ints.  :class:`FieldElement` is the thin
-value wrapper used at API boundaries.
+arithmetic is list indexing on ints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PolarcoverError
 
-__all__ = ["FieldSpec", "FieldTables", "FieldElement", "construct_field", "chi"]
+__all__ = ["FieldSpec", "FieldTables", "construct_field"]
 
 
 class ZeroCharacterArgument(PolarcoverError):
@@ -191,34 +188,7 @@ class FieldTables:
         return self.chi_t[a]
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Value wrapper around an element code, for API-level use."""
-
-    spec: FieldSpec
-    code: int
-
-    @property
-    def coeffs(self):
-        return self.spec.coeffs(self.code)
-
-    def __str__(self):
-        return self.spec.element_str(self.code)
-
-    def __bool__(self):
-        return self.code != 0
-
-
 def construct_field(p, e):
     """Field with the lexicographically smallest monic irreducible modulus."""
     return FieldSpec(p, e)
 
-
-def chi(a: FieldElement, spec: FieldSpec = None) -> int:
-    """Quadratic character: +1 for squares in F_q^x, -1 for nonsquares.
-
-    Raises ZeroCharacterArgument for a = 0 (never silently returns a sign).
-    """
-    if isinstance(a, FieldElement):
-        return a.spec.chi_code(a.code)
-    return spec.chi_code(a)

@@ -20,23 +20,16 @@ shows why a big-cell pair [I | A], [I | B] has the sign of
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QNotOneModFour
-from .symplectic import (
-    Generator,
-    SymplecticSpace,
-    eliminate,
-    intersect,
-    mat_vec,
-    rank_of,
-)
+from .exact_algebra import gauss_jordan
+from .symplectic import Generator, SymplecticSpace, intersect, mat_vec, rank_of
 
 __all__ = ["CoherenceTable", "sigma_pair", "sigma_triple", "verify_two_graph",
-           "verify_invariance", "coherent_split_count"]
+           "coherent_split_count"]
 
 
 def _require_q1mod4(spec):
@@ -46,7 +39,7 @@ def _require_q1mod4(spec):
 
 def field_det(spec, rows):
     """Determinant of a square matrix over F_q."""
-    _, pivots, det = eliminate(spec, rows)
+    pivots, det = gauss_jordan(list(rows), len(rows), spec)
     return det if len(pivots) == len(rows) else 0
 
 
@@ -184,45 +177,6 @@ def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
     F = S.astype(np.float64)
     trace = int(((F @ F).astype(np.int64) * S).sum())      # S = S^T
     return TwoGraphReport(True, (total + trace // 6) // 2, total)
-
-
-@dataclass
-class InvarianceReport:
-    ok: bool
-    triples_checked: int
-    failures: list = field(default_factory=list)
-
-
-def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> InvarianceReport:
-    """Transformation law sigma(Xg,Yg,Zg) = chi(mu)^(perimeter) sigma(X,Y,Z).
-
-    For isometries (mu = 1) this is strict invariance; for a similarity with
-    nonsquare multiplier the sign flips exactly when the distance sum
-    d(X,Y) + d(Y,Z) + d(Z,X) is odd.
-    """
-    space = table.space
-    spec = space.spec
-    gens = space.generators()
-    D = space.distance_matrix()
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for iso in elements:
-        chi_mu = spec.chi_code(iso.multiplier)
-        for _ in range(max(1, trials // max(1, len(elements)))):
-            X, Y, Z = rng.sample(gens, 3)
-            perim = int(D[X.id, Y.id]) + int(D[Y.id, Z.id]) + int(D[Z.id, X.id])
-            lhs = sigma_triple(
-                table,
-                space.generator_image(X, iso),
-                space.generator_image(Y, iso),
-                space.generator_image(Z, iso),
-            )
-            rhs = (chi_mu**perim) * sigma_triple(table, X, Y, Z)
-            checked += 1
-            if lhs != rhs:
-                failures.append((iso, X.id, Y.id, Z.id, lhs, rhs))
-    return InvarianceReport(not failures, checked, failures)
 
 
 def coherent_split_count(table: CoherenceTable, X: Generator, Y: Generator):

@@ -11,26 +11,27 @@ over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
 pass over all generator pairs: it gives the distance matrix D and the sign
 matrix S of ``maslov`` together, and its docstring derives the sign formula
 and why big-cell pairs can read (D, S) from one table.
-The per-object functions (``eliminate``, ``distance``, ``intersect``) stay
-as the reference the batched paths are tested against.
+The per-object functions (``rref``, ``distance``, ``intersect``) stay as the
+reference the batched paths are tested against; they run on the exact
+routines of ``exact_algebra`` (``gauss_jordan``, ``mat_kernel``,
+``mat_mul``) with the ``FieldSpec`` as the field.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import ResourceCapExceeded
+from .exact_algebra import gauss_jordan, mat_kernel, mat_mul
 from .finite_field import FieldSpec, FieldTables
 
 __all__ = [
     "SymplecticSpace",
     "Subspace",
     "Generator",
-    "Isometry",
     "enumerate_generators",
     "eliminate_batch",
     "gram_batch",
@@ -38,8 +39,6 @@ __all__ = [
     "distance",
     "intersect",
     "distance_profile",
-    "sp_sample_elements",
-    "nonsquare_similarity",
 ]
 
 DEFAULT_GENERATOR_CAP = 10**6
@@ -48,72 +47,26 @@ DEFAULT_GENERATOR_CAP = 10**6
 # -- vector/matrix helpers over F_q (codes) ---------------------------------
 
 
-def eliminate(spec: FieldSpec, rows):
-    """Gauss-Jordan elimination over F_q codes, first-nonzero pivoting.
-
-    Returns (rows, pivots, det): the nonzero rows of the reduced row echelon
-    form, their pivot columns, and the product of the pivots signed by the
-    row swaps, which is the determinant when the input is square and
-    nonsingular.
-    """
-    rows = [list(r) for r in rows if any(r)]
-    pivots = []
-    det = 1
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = spec.neg(det)
-        det = spec.mul(det, rows[rank][col])
-        inv = spec.inv(rows[rank][col])
-        rows[rank] = [spec.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [spec.sub(x, spec.mul(f, p)) for x, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots, det
-
-
 def rref(spec: FieldSpec, rows):
     """Reduced row echelon form; returns (rows, pivot_columns) as tuples."""
-    rows, pivots, _ = eliminate(spec, rows)
-    return tuple(tuple(r) for r in rows), tuple(pivots)
+    rows = list(rows)
+    pivots, _ = gauss_jordan(rows, len(rows[0]) if rows else 0, spec)
+    return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
 
 
 def rank_of(spec, rows):
-    return len(eliminate(spec, rows)[1])
-
-
-def vec_add(spec, u, v):
-    return tuple(spec.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(spec, c, u):
-    return tuple(spec.mul(c, a) for a in u)
+    return len(gauss_jordan(list(rows), len(rows[0]), spec)[0])
 
 
 def mat_vec(spec, rows, coeffs):
     """Linear combination sum coeffs[i] * rows[i]."""
-    out = [0] * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                out[j] = spec.add(out[j], spec.mul(c, x))
-    return tuple(out)
+    return tuple(mat_mul([coeffs], rows, spec)[0])
 
 
 def eliminate_batch(t: FieldTables, M, ncols=None):
     """Gauss-Jordan on every matrix of a stack M (B, r, c) of codes, in place.
 
-    First-nonzero pivoting as in ``eliminate``, but pivots are sought only
+    First-nonzero pivoting as in ``exact_algebra.gauss_jordan``, and pivots are sought only
     in the first ncols columns (all of them by default); later columns are
     carried along, so eliminating [G | X] leaves E X beside R = E G.
     Returns (rank, pivots, pivot_product): per matrix the rank, the pivot
@@ -258,14 +211,6 @@ class Generator:
     id: int
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """A linear similarity of B: B(u g, v g) = multiplier * B(u, v)."""
-
-    matrix: tuple  # 2n x 2n, rows = images of basis vectors
-    multiplier: int  # field code
-
-
 class SymplecticSpace:
     """Dimension-2n symplectic space over F_q in the hyperbolic basis."""
 
@@ -281,7 +226,6 @@ class SymplecticSpace:
             gram[n + i][i] = spec.neg(1)
         self.gram = tuple(tuple(r) for r in gram)
         self._generators = None
-        self._gen_index = None
         self._arrays = None
         self._pairs = None
 
@@ -332,17 +276,6 @@ class SymplecticSpace:
             pivots = (codes != 0).argmax(axis=2)
             self._arrays = (codes, pivots, _times_j(self.spec.tables, codes, self.n))
         return self._arrays
-
-    def generator_by_basis(self, basis):
-        if self._gen_index is None:
-            self._gen_index = {g.sub.basis: g.id for g in self.generators()}
-        return self._generators[self._gen_index[basis]]
-
-    def generator_image(self, g: Generator, iso: Isometry):
-        """Image of a generator under an isometry, located in the enumeration."""
-        rows = [mat_vec(self.spec, iso.matrix, v) for v in g.sub.basis]
-        basis, _ = rref(self.spec, rows)
-        return self.generator_by_basis(basis)
 
     def pair_matrices(self):
         """(D, S): symmetric int8 matrices of distances and pair signs.
@@ -417,22 +350,6 @@ class SymplecticSpace:
     def distance_matrix(self):
         """Symmetric int8 matrix of dual-polar-graph distances."""
         return self.pair_matrices()[0]
-
-
-def _kernel_basis(spec, constraint_rows, ncols):
-    """Basis (RREF) of {v : A v = 0} for A given as rows over F_q."""
-    rows, pivots, _ = eliminate(spec, constraint_rows)
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = spec.neg(rows[r][free])
-        basis.append(tuple(v))
-    return rref(spec, basis)[0]
 
 
 def _times_j(t: FieldTables, codes, n):
@@ -513,12 +430,9 @@ def intersect(space: SymplecticSpace, X: Subspace, Y: Subspace) -> Subspace:
     if not stacked:
         return Subspace((), ())
     k1 = len(X.basis)
-    transposed = [[row[j] for row in stacked] for j in range(len(stacked[0]))]
-    combos = _kernel_basis(spec, transposed, len(stacked))
-    vectors = [mat_vec(spec, X.basis, combo[:k1]) for combo in combos] if k1 else []
-    vectors = [v for v in vectors if any(v)]
-    basis, pivots = rref(spec, vectors)
-    return Subspace(basis, pivots)
+    combos = mat_kernel(list(zip(*stacked)), spec)
+    vectors = mat_mul([c[:k1] for c in combos], X.basis, spec) if k1 and combos else []
+    return Subspace.from_rows(spec, vectors)
 
 
 def distance_profile(space: SymplecticSpace, x: int) -> dict:
@@ -528,77 +442,6 @@ def distance_profile(space: SymplecticSpace, x: int) -> dict:
     t = space.spec.tables
     rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[x][None], codes))
     return {k: int((rank == k).sum()) for k in range(space.n + 1)}
-
-
-def _transvection_matrix(space: SymplecticSpace, v, lam):
-    """Matrix of x -> x + lam * B(x, v) v, a symplectic transvection."""
-    spec, dim = space.spec, space.dim
-    rows = []
-    for i in range(dim):
-        e = tuple(1 if j == i else 0 for j in range(dim))
-        c = spec.mul(lam, space.bform(e, v))
-        rows.append(vec_add(spec, e, vec_scale(spec, c, v)))
-    return tuple(rows)
-
-
-def _mat_mul_field(spec, A, B):
-    rows = []
-    for ra in A:
-        rows.append(mat_vec(spec, B, ra))
-    return tuple(rows)
-
-
-def verify_similarity(space: SymplecticSpace, matrix, multiplier) -> bool:
-    """Check B(u g, v g) = multiplier * B(u, v) on all basis pairs."""
-    spec, dim = space.spec, space.dim
-    for i in range(dim):
-        gi = matrix[i]
-        for j in range(dim):
-            want = spec.mul(multiplier, space.gram[i][j])
-            if space.bform(gi, matrix[j]) != want:
-                return False
-    return True
-
-
-def sp_sample_elements(space: SymplecticSpace, count: int, seed: int):
-    """Seeded random products of symplectic transvections (multiplier 1)."""
-    rng = random.Random(seed)
-    spec, dim = space.spec, space.dim
-    out = []
-    for _ in range(count):
-        M = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-        for _ in range(rng.randint(3, 8)):
-            v = tuple(rng.randrange(spec.q) for _ in range(dim))
-            if not any(v):
-                continue
-            lam = rng.randrange(1, spec.q)
-            M = _mat_mul_field(spec, M, _transvection_matrix(space, v, lam))
-        if not verify_similarity(space, M, 1):
-            raise AssertionError("transvection product failed gram preservation")
-        out.append(Isometry(M, 1))
-    return out
-
-
-def nonsquare_similarity(space: SymplecticSpace) -> Isometry:
-    """The explicit similarity with nonsquare multiplier eta.
-
-    Maps e_1 -> e_1, e_i -> eta e_i (i >= 2), f_1 -> eta f_1, f_i -> f_i,
-    so B(u g, v g) = eta B(u, v).
-    """
-    spec, n, dim = space.spec, space.n, space.dim
-    eta = spec.smallest_nonsquare()
-    rows = []
-    for i in range(dim):
-        scale = 1
-        if 1 <= i < n:          # e_2 .. e_n
-            scale = eta
-        elif i == n:            # f_1
-            scale = eta
-        rows.append(tuple(spec.mul(scale, 1) if j == i else 0 for j in range(dim)))
-    iso = Isometry(tuple(rows), eta)
-    if not verify_similarity(space, iso.matrix, eta):
-        raise AssertionError("similarity construction failed verification")
-    return iso
 
 
 def export_generators(space: SymplecticSpace):

@@ -210,11 +210,11 @@ class TestScheme:
 PACKAGE_EXPORTS = {
     "exact_algebra": ["GaussianContext", "Polynomial", "QuadExt", "gauss",
                       "e_poly"],
-    "finite_field": ["FieldSpec", "FieldElement", "construct_field"],
+    "finite_field": ["FieldSpec", "construct_field"],
     "symplectic": ["SymplecticSpace", "Subspace", "Generator",
                    "enumerate_generators"],
     "maslov": ["CoherenceTable", "coherent_split_count", "sigma_pair",
-               "sigma_triple", "verify_invariance", "verify_two_graph"],
+               "sigma_triple", "verify_two_graph"],
     "cover": ["CoverGraph"],
     "scheme_core": ["SchemeInstance", "verify_scheme", "spectral_data",
                     "krein", "q_poly_orderings", "q_bipartite_check"],

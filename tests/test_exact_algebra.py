@@ -3,7 +3,9 @@
 import json
 import math
 import operator
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from polarcover.exact_algebra import (
     QuadExt,
     e_poly,
     gauss,
+    gauss_jordan,
     is_tridiagonal,
     mat_charpoly,
     mat_identity,
@@ -504,6 +507,63 @@ class TestMatrixOps:
         coeffs = mat_charpoly(A)
         assert coeffs == [QuadExt(-5, 0, 5), zero, QuadExt(1, 0, 5)]
 
+
+
+def _finite_field(q):
+    from polarcover.finite_field import construct_field
+
+    return construct_field(*{5: (5, 1), 9: (3, 2), 13: (13, 1)}[q])
+
+
+class TestMatrixOpsOverFq:
+    """The same routines with a FieldSpec as the field, on F_q codes."""
+
+    @staticmethod
+    def dot(spec, row, v):
+        acc = 0
+        for a, x in zip(row, v):
+            acc = spec.add(acc, spec.mul(a, x))
+        return acc
+
+    @pytest.mark.parametrize("q", [5, 9])
+    def test_kernel(self, q):
+        # Basis of the null space against a brute-force count of it.
+        spec = _finite_field(q)
+        rng = random.Random(q)
+        for _ in range(100):
+            r, c = rng.randint(1, 3), rng.randint(1, 4)
+            A = [[rng.choice((0, 1, rng.randrange(q))) for _ in range(c)] for _ in range(r)]
+            basis = mat_kernel(A, spec)
+            rank = len(gauss_jordan(list(A), c, spec)[0])
+            assert len(basis) == c - rank
+            for v in basis:
+                assert len(v) == c
+                assert all(self.dot(spec, row, v) == 0 for row in A)
+            null = sum(all(self.dot(spec, row, v) == 0 for row in A)
+                       for v in product(range(q), repeat=c))
+            assert q ** (c - rank) == null
+
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    def test_det_matches_leibniz(self, q):
+        # The signed pivot product is the determinant; chi(-1) = 1 would
+        # hide a lost swap sign from every pair sign.
+        spec = _finite_field(q)
+        rng = random.Random(q)
+        singular = swapped = 0
+        for _ in range(300):
+            M = [[rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(3)] for _ in range(3)]
+            leibniz = 0
+            for perm in permutations(range(3)):
+                term = 1
+                for i, j in enumerate(perm):
+                    term = spec.mul(term, M[i][j])
+                inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+                leibniz = spec.add(leibniz, spec.neg(term) if inversions % 2 else term)
+            pivots, det = gauss_jordan(list(M), 3, spec)
+            assert (det if len(pivots) == 3 else 0) == leibniz
+            singular += len(pivots) < 3
+            swapped += len(pivots) == 3 and not M[0][0]
+        assert singular and swapped
 
 class TestIsTridiagonal:
     def test_one_by_one(self):

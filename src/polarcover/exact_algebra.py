@@ -2,14 +2,17 @@
 
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
 extension Q(r) as :class:`QuadExt`, univariate polynomials over Q(r), Gaussian
-coefficients evaluated at an arbitrary nonzero rational q, the generating
+coefficients evaluated at any rational q but 0 and +-1, the generating
 polynomials ``prod (1 + q^i t)``, exact matrix routines (Gauss-Jordan,
 multiply, inverse, kernel, characteristic polynomial), and the scheme
 parameters read off a pair of eigenmatrices.
 
 Gauss-Jordan, kernel and product are the package's one copy of each: they
 take the field's arithmetic as an argument, so the same code runs over
-F_q codes (with a ``finite_field.FieldSpec``) and over Q and Q(r).  This
+F_q codes (with a ``finite_field.FieldSpec``) and over Q and Q(r).  The
+characteristic polynomial of an int matrix stays in ints.  ``pq_tensor``
+sums its entries on integer pairs (x, y), meaning x + y r, with one common
+denominator per eigenmatrix, and builds one QuadExt per entry.  This
 module imports neither numpy nor ``finite_field``.
 """
 
@@ -334,14 +337,15 @@ def rpow(q, m):
 
 @dataclass(frozen=True)
 class GaussianContext:
-    """Evaluation point for Gaussian coefficients: any rational q not in {0, 1}."""
+    """Evaluation point for Gaussian coefficients: any rational q not in
+    {0, 1, -1}, since q^k - 1 = 0 for some k >= 1 at each of 1 and -1."""
 
     q: Fraction
 
     def __post_init__(self):
         q = Fraction(self.q)
-        if q == 0 or q == 1:
-            raise ValueError("q must differ from 0 and 1 (q^k - 1 denominators)")
+        if q in (0, 1, -1):
+            raise ValueError("q must differ from 0, 1 and -1 (q^k - 1 denominators)")
         object.__setattr__(self, "q", q)
 
 
@@ -593,9 +597,15 @@ def mat_kernel(A, field=PYTHON_OPS):
 
 
 def mat_charpoly(A):
-    """Coefficients of det(x I - A), low degree first (Faddeev-LeVerrier)."""
+    """Coefficients of det(x I - A), low degree first (Faddeev-LeVerrier).
+
+    An int matrix stays in ints: its M_k and c_k = -tr(A M_k)/k are
+    integers, so each trace divides by k exactly, and a nonzero remainder
+    raises.  Other entries give Fraction or QuadExt coefficients.
+    """
     m = len(A)
-    zero, one = _zero_one_like(A[0][0])
+    integral = all(type(x) is int for row in A for x in row)
+    zero, one = (0, 1) if integral else _zero_one_like(A[0][0])
     coeffs = [zero] * (m + 1)
     coeffs[m] = one
     M = mat_identity(m, one, zero)
@@ -605,7 +615,15 @@ def mat_charpoly(A):
         trace = M[0][0]
         for i in range(1, m):
             trace = trace + M[i][i]
-        c = -(trace / k) if isinstance(trace, QuadExt) else -trace / k
+        if integral:
+            c, rest = divmod(-trace, k)
+            if rest:
+                raise AssertionError(f"trace {trace} of an int matrix is not "
+                                     f"divisible by {k}")
+        elif isinstance(trace, QuadExt):
+            c = -(trace / k)
+        else:
+            c = -trace / k
         coeffs[m - k] = c
         for i in range(m):
             M[i][i] = M[i][i] + c
@@ -616,19 +634,61 @@ def mat_charpoly(A):
 # Scheme parameters from eigenmatrices
 
 
+def _over_lcm(M):
+    """The QuadExt matrix M as (x, y) int pairs over D, the lcm of its
+    denominators, so that M[i][j] = (x + y r)/D; returns (pairs, D)."""
+    D = math.lcm(*(z.den for row in M for z in row))
+    return [[(z.x * (D // z.den), z.y * (D // z.den)) for z in row]
+            for row in M], D
+
+
 def pq_tensor(P, Q, N):
     """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each entry computed
     at most once: the intersection numbers p_ij^k from (P, Q), the Krein
-    parameters q_ij^k from (Q, P) (Brouwer, Cohen and Neumaier, §2)."""
+    parameters q_ij^k from (Q, P) (Brouwer, Cohen and Neumaier, §2).
+
+    P and Q are square QuadExt matrices over one base q; N is an int, a
+    Fraction or a QuadExt, and N = 0 raises ZeroDivisionError.  The sums
+    run on integer pairs (x, y), meaning x + y r: P over d_P, the lcm of
+    its denominators, and Q over d_Q.  The d + 1 products P[l][i] P[l][j]
+    are kept once per {i, j}; an entry sums them against row k of Q, times
+    the conjugate of N's numerator, and becomes one QuadExt by one
+    reduction over d_P^2 d_Q norm(N).
+    """
+    q = P[0][0].q
+    N = N if isinstance(N, QuadExt) else QuadExt(N, 0, q)
+    if N.q != q or any(z.q != q for M in (P, Q) for row in M for z in row):
+        raise ValueError("pq_tensor over mixed bases")
+    pairs, d_p = _over_lcm(P)
+    rows, d_q = _over_lcm(Q)
+    nx, ny, nd = N.x, N.y, N.den
+    # 1/N = nd (nx - ny r)/norm; a negative norm's sign moves to the top.
+    norm = nx * nx - q * ny * ny
+    if not norm:
+        raise ZeroDivisionError("pq_tensor with N = 0")
+    sign = 1 if norm > 0 else -1
+    cx, cy = sign * nd * nx, -sign * nd * ny
+    den = d_p * d_p * d_q * sign * norm
+    products = {}
     table = {}
 
     def entry(i, j, k):
-        if (i, j, k) not in table:
-            acc = P[0][i] * P[0][j] * Q[k][0]
-            for ell in range(1, len(P)):
-                acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
-            table[i, j, k] = acc / N
-        return table[i, j, k]
+        if i > j:
+            i, j = j, i
+        value = table.get((i, j, k))
+        if value is None:
+            pp = products.get((i, j))
+            if pp is None:
+                pp = products[i, j] = [(a * c + q * b * e, a * e + b * c)
+                                       for (a, b), (c, e)
+                                       in ((row[i], row[j]) for row in pairs)]
+            x = y = 0
+            for (a, b), (u, v) in zip(pp, rows[k]):
+                x += a * u + q * b * v
+                y += a * v + b * u
+            value = table[i, j, k] = _reduced(x * cx + q * y * cy,
+                                               x * cy + y * cx, den, q)
+        return value
     return entry
 
 

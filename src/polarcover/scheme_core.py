@@ -331,11 +331,11 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     N, d, q = t.N, t.d, t.field_q
     if q is None:
         raise ValueError("field base q is required to express eigenvalues")
-    L1 = intersection_matrix(t, 1)
+    # (L_1)[k][j] = p_1j^k, as ints; its transpose is t.p[1] itself.
+    L1 = [list(col) for col in zip(*t.p[1])]
     eigs = sorted(_exact_eigenvalues(L1, q), reverse=True)
 
-    L1q = [[QuadExt(x, 0, q) for x in row] for row in L1]
-    L1T = [[L1q[j][i] for j in range(d + 1)] for i in range(d + 1)]
+    L1T = [[QuadExt(x, 0, q) for x in row] for row in t.p[1]]
     P = []
     for theta in eigs:
         B = [[L1T[i][j] - (theta if i == j else 0) for j in range(d + 1)]

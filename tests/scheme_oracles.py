@@ -3,7 +3,8 @@
 ``verify_idempotents`` tests ``spectral_data``'s P and Q on the relation
 matrices themselves, with exact int64 matrix products.
 ``verify_drg_parameters`` checks that a dual polar graph is
-distance-regular with no diamond, by counting.
+distance-regular with no diamond, by counting.  ``pq_tensor_per_term`` is
+``exact_algebra.pq_tensor`` summed term by term in QuadExt arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,17 @@ def int64_product(A, B):
     if bound >= 2**63:
         raise OverflowError("matrix product may exceed the int64 range")
     return A.astype(np.int64) @ B.astype(np.int64)
+
+
+def pq_tensor_per_term(P, Q, N):
+    """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each term a QuadExt
+    product and each partial sum a QuadExt addition."""
+    def entry(i, j, k):
+        acc = P[0][i] * P[0][j] * Q[k][0]
+        for ell in range(1, len(P)):
+            acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
+        return acc / N
+    return entry
 
 
 @dataclass

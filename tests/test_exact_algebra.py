@@ -24,8 +24,12 @@ from polarcover.exact_algebra import (
     mat_inverse,
     mat_kernel,
     mat_mul,
+    pq_tensor,
     rpow,
 )
+from polarcover.feasibility import candidate_parameters, parse_r
+from polarcover.scheme_core import spectral_data, verify_scheme
+from scheme_oracles import pq_tensor_per_term
 
 GRID_Q = [2, 3, 5, 7, 9, 13, Fraction(1, 2), -2]
 GRID_NK = range(-6, 11)
@@ -90,10 +94,12 @@ class TestGauss:
                 assert type(got) is Fraction and got == expected, (n, k)
 
     def test_rejects_degenerate_q(self):
-        with pytest.raises(ValueError):
-            GaussianContext(0)
-        with pytest.raises(ValueError):
-            GaussianContext(1)
+        # At q = -1, q^m - 1 = 0 for every even m: gauss(4, 2) would divide by 0.
+        for q in (0, 1, -1, Fraction(-1), Fraction(2, 2)):
+            with pytest.raises(ValueError):
+                GaussianContext(q)
+            with pytest.raises(ValueError):
+                gauss(4, 2, q)
 
     @pytest.mark.parametrize("q", GRID_Q)
     def test_pascal_recurrences(self, q):
@@ -507,6 +513,93 @@ class TestMatrixOps:
         coeffs = mat_charpoly(A)
         assert coeffs == [QuadExt(-5, 0, 5), zero, QuadExt(1, 0, 5)]
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_charpoly_of_int_matrices(self, size):
+        # Ints in, ints out: equal to the Fraction path and, at several x,
+        # to det(xI - A) by the Leibniz formula.
+        rng = random.Random(size)
+        singular = 0
+        for _ in range(12):
+            A = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(size)]
+                 for _ in range(size)]
+            coeffs = mat_charpoly(A)
+            assert all(type(c) is int for c in coeffs)
+            assert coeffs == mat_charpoly([[Fraction(a) for a in row] for row in A])
+            for x in (-3, 0, 2, 7):
+                det = 0
+                for perm in permutations(range(size)):
+                    term = 1
+                    for i, j in enumerate(perm):
+                        term *= (x if i == j else 0) - A[i][j]
+                    inversions = sum(perm[i] > perm[j] for i in range(size)
+                                     for j in range(i + 1, size))
+                    det += -term if inversions % 2 else term
+                assert sum(c * x**e for e, c in enumerate(coeffs)) == det
+            singular += coeffs[0] == 0
+        assert singular
+
+
+def _candidate_pq(text):
+    ps = candidate_parameters(parse_r(text))
+    return ps.P, ps.Q, ps.N
+
+
+def _perturbed_pq():
+    # The "3+P" case of the pinned feasibility reports: P[1][1] raised by 1.
+    P, Q, N = _candidate_pq("3")
+    P[1][1] += 1
+    return P, Q, N
+
+
+def _irrational_N_pq(x):
+    # N = x + r at q = 5, of norm x^2 - 5: N is rational at every candidate r.
+    P, Q, _ = _candidate_pq("sqrt:5")
+    return P, Q, x + QuadExt.root(5)
+
+
+PQ_CASES = {
+    **{f"r={t}": (lambda t=t: _candidate_pq(t))
+       for t in ("3", "5", "2", "4", "-3", "sqrt:5", "sqrt:13")},
+    "3+P": _perturbed_pq,
+    "N=1+r": lambda: _irrational_N_pq(1),
+    "N=3+r": lambda: _irrational_N_pq(3),
+}
+
+
+class TestPqTensor:
+    """The integer-pair kernel against the per-term QuadExt oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(P, Q, N):
+        d = len(P) - 1
+        for A, B in ((P, Q), (Q, P)):
+            entry, want = pq_tensor(A, B, N), pq_tensor_per_term(A, B, N)
+            for i, j, k in product(range(d + 1), repeat=3):
+                got = entry(i, j, k)
+                assert got == want(i, j, k), (i, j, k)
+                assert entry(j, i, k) is got     # computed once per {i, j}
+
+    @pytest.mark.parametrize("case", list(PQ_CASES))
+    def test_matches_per_term_oracle(self, case):
+        self.assert_matches_oracle(*PQ_CASES[case]())
+
+    @pytest.mark.parametrize("bundle", ["q5n1", "q9n1", "q13n1", "q5n2"])
+    def test_matches_per_term_oracle_on_spectral_data(self, bundle, request):
+        sd = spectral_data(verify_scheme(request.getfixturevalue(bundle)["instance"]))
+        self.assert_matches_oracle(sd.P, sd.Q, sd.N)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), QuadExt(0, 0, 5)])
+    def test_zero_N_raises(self, zero):
+        P, Q, _ = _candidate_pq("sqrt:5")
+        with pytest.raises(ZeroDivisionError):
+            pq_tensor(P, Q, zero)(0, 0, 0)
+
+    def test_mixed_bases_rejected(self):
+        P, Q, N = _candidate_pq("sqrt:5")
+        with pytest.raises(ValueError):
+            pq_tensor(P, Q, QuadExt(N.x, N.y, 13))
+        with pytest.raises(ValueError):
+            pq_tensor(P, _candidate_pq("sqrt:13")[1], N)
 
 
 def _finite_field(q):

@@ -100,8 +100,11 @@ def _emit(args, payload, csv_rows=None):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -207,8 +210,6 @@ def cmd_feasibility(args):
         _emit(args, rows, csv_rows=rows)
         return EXIT_OK if all(row["verdict"] == "pass" for row in rows) \
             else EXIT_MATH_FAIL
-    if args.r is None:
-        raise ValueError("feasibility requires --r or --sweep")
     if args.format == "csv":
         raise ValueError("--format csv applies only to --sweep")
     ps = candidate_parameters(parse_r(args.r))
@@ -379,9 +380,10 @@ def build_parser():
     p = sub.add_parser("feasibility", help="candidate parameter checks")
     common(p, needs_qn=False)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--r", default=None, help='integer or "sqrt:<q>"')
-    p.add_argument("--sweep", default=None,
-                   help="comma-separated list of r values")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--r", default=None, help='integer or "sqrt:<q>"')
+    which.add_argument("--sweep", default=None,
+                       help="comma-separated list of r values")
     p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")

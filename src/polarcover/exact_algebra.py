@@ -11,9 +11,9 @@ Gauss-Jordan, kernel and product are the package's one copy of each: they
 take the field's arithmetic as an argument, so the same code runs over
 F_q codes (with a ``finite_field.FieldSpec``) and over Q and Q(r).  The
 characteristic polynomial of an int matrix stays in ints.  ``pq_tensor``
-sums its entries on integer pairs (x, y), meaning x + y r, with one common
-denominator per eigenmatrix, and builds one QuadExt per entry.  This
-module imports neither numpy nor ``finite_field``.
+returns the whole tensor as nested lists, summed on integer pairs (x, y),
+meaning x + y r, with one common denominator per eigenmatrix and one
+QuadExt per entry.  This module imports neither numpy nor ``finite_field``.
 """
 
 from __future__ import annotations
@@ -643,17 +643,18 @@ def _over_lcm(M):
 
 
 def pq_tensor(P, Q, N):
-    """(i, j, k) -> (1/N) sum_l P[l][i] P[l][j] Q[k][l], each entry computed
-    at most once: the intersection numbers p_ij^k from (P, Q), the Krein
+    """The tensor T[i][j][k] = (1/N) sum_l P[l][i] P[l][j] Q[k][l] as nested
+    lists: the intersection numbers p_ij^k from (P, Q), the Krein
     parameters q_ij^k from (Q, P) (Brouwer, Cohen and Neumaier, §2).
 
     P and Q are square QuadExt matrices over one base q; N is an int, a
     Fraction or a QuadExt, and N = 0 raises ZeroDivisionError.  The sums
     run on integer pairs (x, y), meaning x + y r: P over d_P, the lcm of
-    its denominators, and Q over d_Q.  The d + 1 products P[l][i] P[l][j]
-    are kept once per {i, j}; an entry sums them against row k of Q, times
-    the conjugate of N's numerator, and becomes one QuadExt by one
-    reduction over d_P^2 d_Q norm(N).
+    its denominators, and Q over d_Q.  Each {i, j} plane is built once
+    from the d + 1 products P[l][i] P[l][j] and shared, so T[j][i] is
+    T[i][j]; an entry sums them against row k of Q, times the conjugate of
+    N's numerator, and becomes one QuadExt by one reduction over
+    d_P^2 d_Q norm(N).
     """
     q = P[0][0].q
     N = N if isinstance(N, QuadExt) else QuadExt(N, 0, q)
@@ -669,27 +670,21 @@ def pq_tensor(P, Q, N):
     sign = 1 if norm > 0 else -1
     cx, cy = sign * nd * nx, -sign * nd * ny
     den = d_p * d_p * d_q * sign * norm
-    products = {}
-    table = {}
-
-    def entry(i, j, k):
-        if i > j:
-            i, j = j, i
-        value = table.get((i, j, k))
-        if value is None:
-            pp = products.get((i, j))
-            if pp is None:
-                pp = products[i, j] = [(a * c + q * b * e, a * e + b * c)
-                                       for (a, b), (c, e)
-                                       in ((row[i], row[j]) for row in pairs)]
-            x = y = 0
-            for (a, b), (u, v) in zip(pp, rows[k]):
-                x += a * u + q * b * v
-                y += a * v + b * u
-            value = table[i, j, k] = _reduced(x * cx + q * y * cy,
-                                               x * cy + y * cx, den, q)
-        return value
-    return entry
+    d1 = len(P)
+    T = [[None] * d1 for _ in range(d1)]
+    for i in range(d1):
+        for j in range(i, d1):
+            pp = [(a * c + q * b * e, a * e + b * c)
+                  for (a, b), (c, e) in ((row[i], row[j]) for row in pairs)]
+            plane = T[i][j] = T[j][i] = []
+            for row in rows:
+                x = y = 0
+                for (a, b), (u, v) in zip(pp, row):
+                    x += a * u + q * b * v
+                    y += a * v + b * u
+                plane.append(_reduced(x * cx + q * y * cy, x * cy + y * cx,
+                                      den, q))
+    return T
 
 
 def is_tridiagonal(M):

@@ -264,13 +264,13 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     rep.add("multiplicities_positive_integral", not bad, ", ".join(bad))
 
     def p_witness(i, j, m):
-        v = p(i, j, m)
+        v = p[i][j][m]
         return "" if _is_nonneg_integer(v) else f"p[{i}][{j}]^{m} = {v}"
     witness = _first_witness(d, p_witness)
     rep.add("p_tensor_nonneg_integral", not witness, witness)
 
     def krein_witness(i, j, ell):
-        v = krein(i, j, ell)
+        v = krein[i][j][ell]
         return f"q[{i}][{j}]^{ell} = {v}" if v.sign() < 0 else ""
     witness = _first_witness(d, krein_witness)
     rep.add("krein_nonneg", not witness, witness)
@@ -282,7 +282,7 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
 
     if ps.L is not None:
         def L_witness(i, k, j):
-            return f"L_{i}[{k}][{j}]" if ps.L[i][k][j] != p(i, j, k) else ""
+            return f"L_{i}[{k}][{j}]" if ps.L[i][k][j] != p[i][j][k] else ""
         witness = _first_witness(d, L_witness)
         rep.add("L_consistency", not witness, witness)
 
@@ -295,13 +295,13 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
 def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
     """Dual intersection matrices recomputed from (P, Q) vs the templates.
 
-    krein, if given, is the Krein lookup of a check_feasibility call.
+    krein, if given, is the Krein tensor of a check_feasibility call.
     """
     rep = FeasibilityReport()
     krein = krein or pq_tensor(ps.Q, ps.P, ps.N)
 
     def lstar_witness(i, k, j):
-        v = krein(i, j, k)
+        v = krein[i][j][k]
         return (f"L*_{i}[{k}][{j}]: template {ps.Lstar[i][k][j]}, computed {v}"
                 if ps.Lstar[i][k][j] != v else "")
     witness = _first_witness(ps.d, lstar_witness)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import QNotOneModFour
 from .exact_algebra import gauss_jordan
+from .scheme_core import _exact_int_product
 from .symplectic import Generator, SymplecticSpace, intersect, mat_vec, rank_of
 
 __all__ = ["CoherenceTable", "sigma_pair", "sigma_triple", "verify_two_graph",
@@ -160,8 +161,8 @@ def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
     triples, because each pair sign occurs twice in the product of a
     4-set's four triple signs; so these entry conditions are the whole check.
     A failing S reports its first bad pair and no count.  Coherent minus
-    incoherent triples is then trace(S^3)/6; S^2 has entries of size at most
-    m, so its float64 product is exact.
+    incoherent triples is then trace(S^3)/6, with S^2 from the exact
+    integer product ``scheme_core._exact_int_product``.
     """
     from math import comb
 
@@ -174,8 +175,7 @@ def verify_two_graph(table: CoherenceTable) -> TwoGraphReport:
     if bad.any():
         x, y = map(int, np.argwhere(bad)[0])
         return TwoGraphReport(False, 0, total, (x, y))
-    F = S.astype(np.float64)
-    trace = int(((F @ F).astype(np.int64) * S).sum())      # S = S^T
+    trace = int((_exact_int_product(S, S).astype(np.int64) * S).sum())  # S = S^T
     return TwoGraphReport(True, (total + trace // 6) // 2, total)
 
 

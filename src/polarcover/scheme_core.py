@@ -387,12 +387,7 @@ def krein(sd: SpectralData) -> KreinTensor:
     """Krein parameters q_ij^k = (1/N) sum_l Q_li Q_lj P_kl."""
     d, N, q = sd.d, sd.N, sd.q
     m = sd.multiplicities
-    entry = pq_tensor(sd.Q, sd.P, N)
-    qk = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            for kk in range(d + 1):
-                qk[i][j][kk] = qk[j][i][kk] = entry(i, j, kk)
+    qk = pq_tensor(sd.Q, sd.P, N)
     for i in range(d + 1):
         for kk in range(d + 1):
             acc = QuadExt(0, 0, q)

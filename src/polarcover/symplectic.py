@@ -220,11 +220,6 @@ class SymplecticSpace:
         self.spec = spec
         self.n = n
         self.dim = 2 * n
-        gram = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(n):
-            gram[i][n + i] = 1
-            gram[n + i][i] = spec.neg(1)
-        self.gram = tuple(tuple(r) for r in gram)
         self._generators = None
         self._arrays = None
         self._pairs = None

@@ -54,11 +54,15 @@ def _transvection_matrix(space: SymplecticSpace, v, lam):
 
 def verify_similarity(space: SymplecticSpace, matrix, multiplier) -> bool:
     """Check B(u g, v g) = multiplier * B(u, v) on all basis pairs."""
-    spec, dim = space.spec, space.dim
+    spec, n, dim = space.spec, space.n, space.dim
+    gram = [[0] * dim for _ in range(dim)]     # hyperbolic basis
+    for i in range(n):
+        gram[i][n + i] = 1
+        gram[n + i][i] = spec.neg(1)
     for i in range(dim):
         gi = matrix[i]
         for j in range(dim):
-            want = spec.mul(multiplier, space.gram[i][j])
+            want = spec.mul(multiplier, gram[i][j])
             if space.bform(gi, matrix[j]) != want:
                 return False
     return True

@@ -117,6 +117,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "feasibility")
         assert code == EXIT_INVALID
 
+    def test_feasibility_r_and_sweep_exclusive(self, capsys):
+        code, out, err = run(capsys, "feasibility", "--r", "3", "--sweep", "3")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("argv,target", [
+        (("scheme", "--q", "5", "--n", "1"), "missing/x.json"),
+        (("feasibility", "--r", "3"), "."),
+    ], ids=["missing_dir", "directory"])
+    def test_unwritable_out_is_invalid_input(self, capsys, tmp_path, argv, target):
+        # An --out path that cannot be opened is an input error: one
+        # "error:" line, no traceback, and not the math-failure code.
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
     def test_csv_rejected_without_sweep(self, capsys):
         # Only the rows of --sweep have a CSV form; the single-r payload is
         # nested JSON, so asking for CSV there is an input error.

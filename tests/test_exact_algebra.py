@@ -573,11 +573,10 @@ class TestPqTensor:
     def assert_matches_oracle(P, Q, N):
         d = len(P) - 1
         for A, B in ((P, Q), (Q, P)):
-            entry, want = pq_tensor(A, B, N), pq_tensor_per_term(A, B, N)
+            T, want = pq_tensor(A, B, N), pq_tensor_per_term(A, B, N)
             for i, j, k in product(range(d + 1), repeat=3):
-                got = entry(i, j, k)
-                assert got == want(i, j, k), (i, j, k)
-                assert entry(j, i, k) is got     # computed once per {i, j}
+                assert T[i][j][k] == want(i, j, k), (i, j, k)
+                assert T[j][i] is T[i][j]        # one plane per {i, j}
 
     @pytest.mark.parametrize("case", list(PQ_CASES))
     def test_matches_per_term_oracle(self, case):
@@ -592,7 +591,7 @@ class TestPqTensor:
     def test_zero_N_raises(self, zero):
         P, Q, _ = _candidate_pq("sqrt:5")
         with pytest.raises(ZeroDivisionError):
-            pq_tensor(P, Q, zero)(0, 0, 0)
+            pq_tensor(P, Q, zero)
 
     def test_mixed_bases_rejected(self):
         P, Q, N = _candidate_pq("sqrt:5")

@@ -13,15 +13,14 @@ import importlib
 # access (PEP 562), so the formula-only paths never import numpy.
 _EXPORTS = {
     **dict.fromkeys(
-        ["GaussianContext", "Polynomial", "QuadExt", "gauss", "e_poly"],
+        ["GaussianContext", "Polynomial", "QuadExt", "gauss"],
         "exact_algebra"),
     **dict.fromkeys(["FieldSpec", "construct_field"], "finite_field"),
     **dict.fromkeys(
-        ["SymplecticSpace", "Subspace", "Generator", "enumerate_generators"],
+        ["SymplecticSpace", "enumerate_generators"],
         "symplectic"),
     **dict.fromkeys(
-        ["CoherenceTable", "coherent_split_count", "sigma_pair",
-         "sigma_triple", "verify_two_graph"],
+        ["CoherenceTable", "coherent_split_count", "verify_two_graph"],
         "maslov"),
     "CoverGraph": "cover",
     **dict.fromkeys(

@@ -100,13 +100,29 @@ def _emit(args, payload, csv_rows=None):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}")
+        with _open_out(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _open_out(path, mode):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}")
+
+
+def _check_out(path):
+    """Raise before any computation if path cannot be opened for writing.
+
+    Opening in append mode leaves an existing file as it is; a file the
+    probe creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def cmd_enumerate(args):
@@ -241,18 +257,16 @@ def _suite_exact_algebra():
 
 
 def _suite_maslov():
+    import numpy as np
+
     from .maslov import CoherenceTable, coherent_split_count, verify_two_graph
-    from .symplectic import distance
 
     space = _build_space(5, 1, 10**6)
     table = CoherenceTable(space)
     rep = verify_two_graph(table)
     assert rep.ok and rep.coherent_triples == 10
-    gens = space.generators()
-    for X in gens:
-        for Y in gens:
-            if X.id < Y.id and distance(space, X, Y) == 1:
-                assert coherent_split_count(table, X, Y) == (2, 2)
+    for x, y in np.argwhere(np.triu(space.distance_matrix() == 1)):
+        assert coherent_split_count(table, x, y) == (2, 2)
 
 
 def _suite_cover():
@@ -320,15 +334,8 @@ _SUITES = {
 
 
 def cmd_selftest(args):
-    if args.suite:
-        if args.suite not in _SUITES:
-            raise ValueError(f"unknown suite {args.suite!r}; "
-                             f"choose from {sorted(_SUITES)}")
-        names = [args.suite]
-    else:
-        names = list(_SUITES)
     failed = []
-    for name in names:
+    for name in [args.suite] if args.suite else _SUITES:
         start = time.perf_counter()
         try:
             _SUITES[name]()
@@ -387,8 +394,8 @@ def build_parser():
     p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")
-    common(p, needs_qn=False)
-    p.add_argument("--suite", default=None, help="run a single named suite")
+    p.add_argument("--suite", choices=list(_SUITES), default=None,
+                   help="run a single named suite")
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -400,6 +407,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,10 +2,9 @@
 
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
 extension Q(r) as :class:`QuadExt`, univariate polynomials over Q(r), Gaussian
-coefficients evaluated at any rational q but 0 and +-1, the generating
-polynomials ``prod (1 + q^i t)``, exact matrix routines (Gauss-Jordan,
-multiply, inverse, kernel, characteristic polynomial), and the scheme
-parameters read off a pair of eigenmatrices.
+coefficients evaluated at any rational q but 0 and +-1, exact matrix
+routines (Gauss-Jordan, multiply, inverse, kernel, characteristic
+polynomial), and the scheme parameters read off a pair of eigenmatrices.
 
 Gauss-Jordan, kernel and product are the package's one copy of each: they
 take the field's arithmetic as an argument, so the same code runs over
@@ -29,7 +28,6 @@ __all__ = [
     "GaussianContext",
     "Polynomial",
     "gauss",
-    "e_poly",
     "rpow",
     "gauss_jordan",
     "mat_mul",
@@ -332,7 +330,7 @@ def rpow(q, m):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian coefficients and generating polynomials
+# Gaussian coefficients
 
 
 @dataclass(frozen=True)
@@ -412,40 +410,6 @@ class Polynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = QuadExt(0, 0, self.q)
-        out = [
-            (self.coeffs[i] if i < len(self.coeffs) else z)
-            + (other.coeffs[i] if i < len(other.coeffs) else z)
-            for i in range(n)
-        ]
-        return Polynomial(out, self.q)
-
-    def __sub__(self, other):
-        return self + other * QuadExt(-1, 0, self.q)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return Polynomial([c * other for c in self.coeffs], self.q)
-        z = QuadExt(0, 0, self.q)
-        out = [z] * (len(self.coeffs) + len(other.coeffs))
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Polynomial(out, self.q)
-
-    __rmul__ = __mul__
-
-    def scale_arg(self, c):
-        """p(c*t) as a new polynomial."""
-        out = []
-        power = QuadExt(1, 0, self.q)
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power = power * c
-        return Polynomial(out, self.q)
-
     def coeff(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -453,30 +417,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]}, q={self.q})"
-
-
-def e_poly(m: int, ctx) -> Polynomial:
-    """The generating polynomial prod_{i<m} (1 + q^i t), of degree m.
-
-    Its t^l coefficient equals q^C(l,2) * [m choose l]_q.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if isinstance(ctx, GaussianContext):
-        q = ctx.q
-    else:
-        q = GaussianContext(Fraction(ctx)).q
-    if q.denominator != 1 or q <= 0:
-        # Polynomial coefficients live in QuadExt, whose base must be a
-        # positive integer; rational/negative q identity checks go through
-        # gauss() directly.
-        raise ValueError("e_poly requires a positive integer q")
-    qi = int(q)
-    poly = Polynomial([QuadExt(1, 0, qi)], qi)
-    for i in range(m):
-        factor = Polynomial([QuadExt(1, 0, qi), QuadExt(q**i, 0, qi)], qi)
-        poly = poly * factor
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_algebra import QuadExt, is_tridiagonal, mat_mul, pq_tensor
+from .exact_algebra import QuadExt, mat_mul, pq_tensor
 
 __all__ = [
     "ParameterSet",
@@ -21,7 +21,6 @@ __all__ = [
     "candidate_parameters",
     "check_feasibility",
     "verify_Lstar",
-    "lstar1_is_tridiagonal",
     "sweep",
     "parse_r",
 ]
@@ -307,10 +306,6 @@ def verify_Lstar(ps: ParameterSet, krein=None) -> FeasibilityReport:
     witness = _first_witness(ps.d, lstar_witness)
     rep.add("Lstar_match", not witness, witness)
     return rep
-
-
-def lstar1_is_tridiagonal(ps: ParameterSet) -> bool:
-    return is_tridiagonal(ps.Lstar[1])
 
 
 def sweep(r_values):

@@ -1,66 +1,34 @@
 """The symplectic space (V, B) over F_q and its dual polar graph.
 
-Vectors are tuples of field-element codes of length 2n, ordered as the
-hyperbolic basis e_1..e_n, f_1..f_n with B(e_i, f_j) = delta_ij.  Subspaces
-are canonicalized to reduced row echelon form on construction, so equality
-and hashing are structural.
-
-Bulk work runs on numpy arrays of codes instead: the generators packed as
-one (m, n, 2n) array, and one batched Gauss-Jordan (``eliminate_batch``)
+Vectors are rows of field-element codes of length 2n, ordered as the
+hyperbolic basis e_1..e_n, f_1..f_n with B(e_i, f_j) = delta_ij.  All work
+runs on numpy arrays of codes: the generators packed as one (m, n, 2n)
+array of RREF bases, and one batched Gauss-Jordan (``eliminate_batch``)
 over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
 pass over all generator pairs: it gives the distance matrix D and the sign
 matrix S of ``maslov`` together, and its docstring derives the sign formula
 and why big-cell pairs can read (D, S) from one table.
-The per-object functions (``rref``, ``distance``, ``intersect``) stay as the
-reference the batched paths are tested against; they run on the exact
-routines of ``exact_algebra`` (``gauss_jordan``, ``mat_kernel``,
-``mat_mul``) with the ``FieldSpec`` as the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import ResourceCapExceeded
-from .exact_algebra import gauss_jordan, mat_kernel, mat_mul
 from .finite_field import FieldSpec, FieldTables
 
 __all__ = [
     "SymplecticSpace",
-    "Subspace",
-    "Generator",
     "enumerate_generators",
     "eliminate_batch",
     "gram_batch",
     "pair_chunks",
-    "distance",
-    "intersect",
     "distance_profile",
 ]
 
 DEFAULT_GENERATOR_CAP = 10**6
-
-
-# -- vector/matrix helpers over F_q (codes) ---------------------------------
-
-
-def rref(spec: FieldSpec, rows):
-    """Reduced row echelon form; returns (rows, pivot_columns) as tuples."""
-    rows = list(rows)
-    pivots, _ = gauss_jordan(rows, len(rows[0]) if rows else 0, spec)
-    return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
-
-
-def rank_of(spec, rows):
-    return len(gauss_jordan(list(rows), len(rows[0]), spec)[0])
-
-
-def mat_vec(spec, rows, coeffs):
-    """Linear combination sum coeffs[i] * rows[i]."""
-    return tuple(mat_mul([coeffs], rows, spec)[0])
 
 
 def eliminate_batch(t: FieldTables, M, ncols=None):
@@ -170,47 +138,6 @@ def _pair_kernel(t: FieldTables, X, XJ, Y, Y_pivots):
     return rank, sign
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Row space of a canonical RREF basis matrix over F_q."""
-
-    basis: tuple  # tuple of row tuples (codes), in RREF
-    pivots: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @staticmethod
-    def from_rows(spec, rows):
-        basis, pivots = rref(spec, rows)
-        return Subspace(basis, pivots)
-
-    def residue(self, spec, v):
-        """v minus sum v[p_i] * basis[i]; zero exactly when v lies in the subspace.
-
-        In RREF each pivot column is zero outside its own row, so the
-        coordinates of a member v are its entries at the pivot columns.
-        """
-        w = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                w = [spec.sub(x, spec.mul(c, y)) for x, y in zip(w, row)]
-        return w
-
-    def contains_vector(self, spec, v):
-        return not any(self.residue(spec, v))
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A maximal totally isotropic subspace, with its enumeration index."""
-
-    sub: Subspace
-    id: int
-
-
 class SymplecticSpace:
     """Dimension-2n symplectic space over F_q in the hyperbolic basis."""
 
@@ -220,26 +147,8 @@ class SymplecticSpace:
         self.spec = spec
         self.n = n
         self.dim = 2 * n
-        self._generators = None
         self._arrays = None
         self._pairs = None
-
-    # B in the hyperbolic basis: sum u_i v_{n+i} - u_{n+i} v_i.
-    def bform(self, u, v):
-        spec, n = self.spec, self.n
-        acc = 0
-        for i in range(n):
-            a = spec.mul(u[i], v[n + i])
-            b = spec.mul(u[n + i], v[i])
-            acc = spec.add(acc, spec.sub(a, b))
-        return acc
-
-    def is_isotropic(self, rows):
-        return all(
-            self.bform(rows[i], rows[j]) == 0
-            for i in range(len(rows))
-            for j in range(i + 1, len(rows))
-        )
 
     def predicted_generator_count(self):
         q = self.spec.q
@@ -247,16 +156,6 @@ class SymplecticSpace:
         for i in range(1, self.n + 1):
             count *= q**i + 1
         return count
-
-    def generators(self):
-        """The generators as ``Generator`` objects, in enumeration order,
-        built on first use from ``generator_arrays``."""
-        if self._generators is None:
-            codes, pivots, _ = self.generator_arrays()
-            bases = zip(codes.tolist(), pivots.tolist())
-            self._generators = [Generator(Subspace(tuple(map(tuple, basis)), tuple(piv)), i)
-                                for i, (basis, piv) in enumerate(bases)]
-        return self._generators
 
     def generator_arrays(self, cap=DEFAULT_GENERATOR_CAP):
         """(codes, pivots, codes_j) of all generators, in enumeration order.
@@ -407,27 +306,6 @@ def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
     if gram_batch(t, _times_j(t, codes, n), codes).any():
         raise AssertionError("non-isotropic subspace in enumeration")
     return codes
-
-
-def distance(space: SymplecticSpace, X: Generator, Y: Generator) -> int:
-    """Dual polar graph distance: codimension of X meet Y in X."""
-    if X.id == Y.id:
-        return 0
-    stacked = list(X.sub.basis) + list(Y.sub.basis)
-    return rank_of(space.spec, stacked) - space.n
-
-
-def intersect(space: SymplecticSpace, X: Subspace, Y: Subspace) -> Subspace:
-    """Intersection of two subspaces, as a canonical RREF subspace."""
-    spec = space.spec
-    # Left-kernel of the stacked basis: combos (c, d) with c X = d Y.
-    stacked = list(X.basis) + list(Y.basis)
-    if not stacked:
-        return Subspace((), ())
-    k1 = len(X.basis)
-    combos = mat_kernel(list(zip(*stacked)), spec)
-    vectors = mat_mul([c[:k1] for c in combos], X.basis, spec) if k1 and combos else []
-    return Subspace.from_rows(spec, vectors)
 
 
 def distance_profile(space: SymplecticSpace, x: int) -> dict:

@@ -153,14 +153,14 @@ def antipodal_by_paths(cover, u: SignedVertex, v: SignedVertex) -> bool:
 
 
 def lift_geodesic(cover, path, start_sign):
-    """Unique lift of a base-graph geodesic starting at given sign."""
-    D, _ = pair_data(cover)
-    ids = [g.id for g in path]
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if int(D[ids[i], ids[j]]) != j - i:
+    """Unique lift of a base-graph geodesic, a list of generator indices,
+    starting at given sign."""
+    D, S = pair_data(cover)
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            if int(D[path[i], path[j]]) != j - i:
                 raise ValueError("input path is not a geodesic")
-    out = [SignedVertex(ids[0], start_sign)]
+    out = [SignedVertex(path[0], start_sign)]
     for a, b in zip(path, path[1:]):
-        out.append(SignedVertex(b.id, out[-1].sign * cover.table.sigma(a, b)))
+        out.append(SignedVertex(b, out[-1].sign * int(S[a, b])))
     return out

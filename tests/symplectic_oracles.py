@@ -1,20 +1,125 @@
-"""Similarities of the symplectic form and the sign law they obey.
+"""Per-object references on generators, and the similarities of the form.
+
+A generator is an enumeration index x or its RREF basis ``bases(space)[x]``,
+a tuple of code rows.  ``pair_oracle`` computes the distance and the sign of
+one pair straight from the definition in ``maslov``'s docstring, with the
+exact ``gauss_jordan`` over F_q; it shares no code with the batched pass
+``SymplecticSpace.pair_matrices`` that it is the reference for.
 
 An isometry g of B (multiplier 1) permutes the generators and keeps every
 triple sign; a similarity with nonsquare multiplier flips the sign of the
-triples with odd perimeter.  The functions here build such maps as 2n x 2n
+triples with odd perimeter.  The functions below build such maps as 2n x 2n
 matrices of F_q codes, one generator image at a time, and check that law on
-sampled triples.  No command runs them: they are reference checks of the
-sign matrix that ``SymplecticSpace.pair_matrices`` computes.
+sampled triples.  No command runs any of this.
 """
 
 import random
 import weakref
 from dataclasses import dataclass, field
 
-from polarcover.exact_algebra import mat_mul
-from polarcover.maslov import CoherenceTable, sigma_triple
-from polarcover.symplectic import Generator, SymplecticSpace, rref
+from polarcover.exact_algebra import gauss_jordan, mat_mul
+from polarcover.symplectic import SymplecticSpace
+
+
+def bform(space: SymplecticSpace, u, v):
+    """B(u, v) = sum u_i v_(n+i) - u_(n+i) v_i, in the hyperbolic basis."""
+    n, add, sub, mul = space.n, space.spec.add, space.spec.sub, space.spec.mul
+    acc = 0
+    for i in range(n):
+        acc = add(acc, sub(mul(u[i], v[n + i]), mul(u[n + i], v[i])))
+    return acc
+
+
+def rref(spec, rows):
+    """The nonzero rows of the reduced row echelon form, as a tuple of tuples."""
+    rows = [list(row) for row in rows]
+    pivots, _ = gauss_jordan(rows, len(rows[0]), spec)
+    return tuple(map(tuple, rows[:len(pivots)]))
+
+
+def _det(spec, rows):
+    rows = list(rows)
+    pivots, det = gauss_jordan(rows, len(rows), spec)
+    assert len(pivots) == len(rows), "singular coordinate matrix"
+    return det
+
+
+# Per space, the RREF bases in enumeration order and their indices.
+_bases = weakref.WeakKeyDictionary()
+
+
+def _indexed(space: SymplecticSpace):
+    if space not in _bases:
+        found = [tuple(map(tuple, basis)) for basis in space.generator_arrays()[0].tolist()]
+        _bases[space] = found, {basis: x for x, basis in enumerate(found)}
+    return _bases[space]
+
+
+def bases(space: SymplecticSpace):
+    """The RREF bases of the generators, in enumeration order."""
+    return _indexed(space)[0]
+
+
+def generator_index(space: SymplecticSpace, rows) -> int:
+    """Enumeration index of the generator spanned by rows."""
+    return _indexed(space)[1][rref(space.spec, rows)]
+
+
+def _complete(spec, basis, tail, rng):
+    """Heads completing a tail, given by its coordinate rows on basis, to a
+    basis of the generator: the head vectors, and delta, the determinant of
+    the coordinate rows of heads + tail.  The heads' coordinate rows are the
+    unit rows outside tail's pivot columns, or random rows with rng given."""
+    n = len(basis)
+    if rng is None:
+        if not tail:
+            return list(basis), 1       # the coordinate rows form I
+        pivots, _ = gauss_jordan([list(row) for row in tail], n, spec)
+        free = [i for i in range(n) if i not in pivots]
+        heads = [[int(i == j) for j in range(n)] for i in free]
+        vectors = [basis[i] for i in free]
+    else:
+        heads = []
+        while len(heads) + len(tail) < n:
+            row = [rng.randrange(spec.q) for _ in range(n)]
+            if len(gauss_jordan(heads + [row] + tail, n, spec)[0]) > len(heads) + len(tail):
+                heads.append(row)
+        vectors = mat_mul(heads, basis, spec) if heads else []
+    return vectors, _det(spec, heads + tail)
+
+
+def pair_oracle(space: SymplecticSpace, X, Y, rng=None):
+    """(d(X, Y), sigma(X, Y)) of two distinct generators given by their RREF
+    bases, one pair at a time.
+
+    A member of X has its entries at X's pivot columns as its coordinates,
+    so each row of Y reduced against X leaves its residue in V / X.  The
+    residues, each carried with the Y-coordinates of its row, are
+    eliminated: the rank is d, and the null rows hold the Y-coordinates of a
+    basis of X meet Y, the tail, whose X-coordinates are its entries at X's
+    pivots.  Each side completes the tail to a basis (``_complete``), and
+    sigma = chi(delta_X * delta_Y * det[B(x_i, y_j)]) over the heads.  At
+    q = 3 mod 4 the sign is computed but has no meaning.
+    """
+    if X == Y:
+        raise ValueError("pair_oracle requires distinct generators")
+    spec, n = space.spec, space.n
+    sub, mul = spec.sub, spec.mul
+    pivots = [row.index(1) for row in X]
+    rows = []
+    for j, y in enumerate(Y):
+        residue = list(y)
+        for x, p in zip(X, pivots):
+            if y[p]:
+                residue = [sub(a, mul(y[p], b)) for a, b in zip(residue, x)]
+        rows.append(residue + [int(i == j) for i in range(n)])
+    d = len(gauss_jordan(rows, 2 * n, spec)[0])
+    tail_y = [row[2 * n:] for row in rows[d:]]
+    tail_x = mat_mul(tail_y, [[y[p] for p in pivots] for y in Y], spec) if tail_y else []
+    heads_x, delta_x = _complete(spec, X, tail_x, rng)
+    heads_y, delta_y = _complete(spec, Y, tail_y, rng)
+    gram = [[bform(space, u, v) for v in heads_y] for u in heads_x]
+    return d, spec.chi_code(mul(mul(delta_x, delta_y), _det(spec, gram)))
 
 
 @dataclass(frozen=True)
@@ -25,20 +130,9 @@ class Isometry:
     multiplier: int  # field code
 
 
-# Per space, the enumeration index of each generator's RREF basis.
-_gen_index = weakref.WeakKeyDictionary()
-
-
-def generator_by_basis(space: SymplecticSpace, basis) -> Generator:
-    if space not in _gen_index:
-        _gen_index[space] = {g.sub.basis: g.id for g in space.generators()}
-    return space.generators()[_gen_index[space][basis]]
-
-
-def generator_image(space: SymplecticSpace, g: Generator, iso: Isometry) -> Generator:
-    """Image of a generator under an isometry, located in the enumeration."""
-    basis, _ = rref(space.spec, mat_mul(g.sub.basis, iso.matrix, space.spec))
-    return generator_by_basis(space, basis)
+def generator_image(space: SymplecticSpace, x: int, iso: Isometry) -> int:
+    """Index of the image of generator x under an isometry."""
+    return generator_index(space, mat_mul(bases(space)[x], iso.matrix, space.spec))
 
 
 def _transvection_matrix(space: SymplecticSpace, v, lam):
@@ -47,7 +141,7 @@ def _transvection_matrix(space: SymplecticSpace, v, lam):
     rows = []
     for i in range(dim):
         e = tuple(1 if j == i else 0 for j in range(dim))
-        c = spec.mul(lam, space.bform(e, v))
+        c = spec.mul(lam, bform(space, e, v))
         rows.append(tuple(spec.add(a, spec.mul(c, b)) for a, b in zip(e, v)))
     return tuple(rows)
 
@@ -63,7 +157,7 @@ def verify_similarity(space: SymplecticSpace, matrix, multiplier) -> bool:
         gi = matrix[i]
         for j in range(dim):
             want = spec.mul(multiplier, gram[i][j])
-            if space.bform(gi, matrix[j]) != want:
+            if bform(space, gi, matrix[j]) != want:
                 return False
     return True
 
@@ -109,6 +203,11 @@ def nonsquare_similarity(space: SymplecticSpace) -> Isometry:
     return iso
 
 
+def triple_sign(S, x, y, z):
+    """sigma(x, y) sigma(y, z) sigma(z, x), read off the sign matrix."""
+    return int(S[x, y]) * int(S[y, z]) * int(S[z, x])
+
+
 @dataclass
 class InvarianceReport:
     ok: bool
@@ -116,7 +215,7 @@ class InvarianceReport:
     failures: list = field(default_factory=list)
 
 
-def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> InvarianceReport:
+def verify_invariance(table, elements, trials=500, seed=0) -> InvarianceReport:
     """Transformation law sigma(Xg,Yg,Zg) = chi(mu)^(perimeter) sigma(X,Y,Z).
 
     For isometries (mu = 1) this is strict invariance; for a similarity with
@@ -125,24 +224,20 @@ def verify_invariance(table: CoherenceTable, elements, trials=500, seed=0) -> In
     """
     space = table.space
     spec = space.spec
-    gens = space.generators()
+    m = len(bases(space))
     D = space.distance_matrix()
+    S = table.sigma_matrix()
     rng = random.Random(seed)
     failures = []
     checked = 0
     for iso in elements:
         chi_mu = spec.chi_code(iso.multiplier)
         for _ in range(max(1, trials // max(1, len(elements)))):
-            X, Y, Z = rng.sample(gens, 3)
-            perim = int(D[X.id, Y.id]) + int(D[Y.id, Z.id]) + int(D[Z.id, X.id])
-            lhs = sigma_triple(
-                table,
-                generator_image(space, X, iso),
-                generator_image(space, Y, iso),
-                generator_image(space, Z, iso),
-            )
-            rhs = (chi_mu**perim) * sigma_triple(table, X, Y, Z)
+            x, y, z = rng.sample(range(m), 3)
+            perim = int(D[x, y]) + int(D[y, z]) + int(D[z, x])
+            lhs = triple_sign(S, *(generator_image(space, g, iso) for g in (x, y, z)))
+            rhs = (chi_mu**perim) * triple_sign(S, x, y, z)
             checked += 1
             if lhs != rhs:
-                failures.append((iso, X.id, Y.id, Z.id, lhs, rhs))
+                failures.append((iso, x, y, z, lhs, rhs))
     return InvarianceReport(not failures, checked, failures)

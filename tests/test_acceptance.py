@@ -23,28 +23,15 @@ from polarcover.closed_form import (
     verify_thm71,
 )
 from polarcover.cover import CoverGraph
-from polarcover.exact_algebra import (
-    GaussianContext,
-    Polynomial,
-    QuadExt,
-    e_poly,
-    gauss,
-    mat_charpoly,
-)
+from polarcover.exact_algebra import GaussianContext, QuadExt, gauss, is_tridiagonal, mat_charpoly
 from polarcover.feasibility import (
     candidate_parameters,
     check_feasibility,
-    lstar1_is_tridiagonal,
     parse_r,
     verify_Lstar,
 )
 from polarcover.finite_field import construct_field
-from polarcover.maslov import (
-    CoherenceTable,
-    sigma_pair,
-    sigma_triple,
-    verify_two_graph,
-)
+from polarcover.maslov import CoherenceTable, verify_two_graph
 from polarcover.scheme_core import (
     SchemeInstance,
     class_distances,
@@ -55,12 +42,16 @@ from polarcover.scheme_core import (
     spectral_data,
     verify_scheme,
 )
-from polarcover.symplectic import Subspace, SymplecticSpace
+from polarcover.symplectic import SymplecticSpace
+from poly_oracles import assert_e_poly_identities, poly_mul
 from symplectic_oracles import (
-    generator_by_basis,
+    bases,
     generator_image,
+    generator_index,
     nonsquare_similarity,
+    pair_oracle,
     sp_sample_elements,
+    triple_sign,
     verify_invariance,
 )
 
@@ -81,10 +72,6 @@ def full_verification(cover):
     return tensor, sd, kt, orderings
 
 
-def gen_by_rows(space, rows):
-    return generator_by_basis(space, Subspace.from_rows(space.spec, rows).basis)
-
-
 def test_criterion_1_icosahedron_identity():
     start = time.perf_counter()
     space, table, cover = build(5, 1, 1)
@@ -97,14 +84,9 @@ def test_criterion_1_icosahedron_identity():
     # exact spectrum {5^1, sqrt5^3, (-1)^5, (-sqrt5)^3} via the factored
     # characteristic polynomial (x-5)(x+1)^5 (x^2-5)^3
     coeffs = mat_charpoly([[Fraction(int(x)) for x in row] for row in A])
-    want = Polynomial([QuadExt(1, 0, 5)], 5)
-    x_minus = lambda c: Polynomial([-c, QuadExt(1, 0, 5)], 5)
     r = QuadExt.root(5)
-    for root, mult in ((QuadExt(5, 0, 5), 1), (QuadExt(-1, 0, 5), 5),
-                      (r, 3), (-r, 3)):
-        for _ in range(mult):
-            want = want * x_minus(root)
-    assert [QuadExt(c, 0, 5) for c in coeffs] == list(want.coeffs)
+    roots = [5] + [-1] * 5 + [r] * 3 + [-r] * 3
+    assert coeffs == poly_mul(*([-root, 1] for root in roots))
 
     # closed-form interleaved P equals the spectral P exactly
     tensor, sd, kt, orderings = full_verification(cover)
@@ -245,22 +227,22 @@ def test_criterion_5_invariance_suite():
     # the nonsquare similarity maps the reference coherent triple to a
     # non-coherent one (and the eta-perturbed triple is non-coherent)
     eta = space.spec.smallest_nonsquare()
-    X = gen_by_rows(space, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    Y = gen_by_rows(space, [(0, 0, 1, 0), (0, 1, 0, 0)])
-    Z = gen_by_rows(space, [(1, 0, 1, 0), (0, 1, 0, 0)])
-    Zp = gen_by_rows(space, [(1, 0, eta, 0), (0, 1, 0, 0)])
-    assert sigma_triple(table, X, Y, Z) == 1
-    assert sigma_triple(table, X, Y, Zp) == -1
+    S = table.sigma_matrix()
+    x = generator_index(space, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    y = generator_index(space, [(0, 0, 1, 0), (0, 1, 0, 0)])
+    z = generator_index(space, [(1, 0, 1, 0), (0, 1, 0, 0)])
+    zp = generator_index(space, [(1, 0, eta, 0), (0, 1, 0, 0)])
+    assert triple_sign(S, x, y, z) == 1
+    assert triple_sign(S, x, y, zp) == -1
     iso = nonsquare_similarity(space)
-    imgs = [generator_image(space, G, iso) for G in (X, Y, Z)]
-    assert sigma_triple(table, *imgs) == -1
+    assert triple_sign(S, *(generator_image(space, g, iso) for g in (x, y, z))) == -1
 
-    # 10^3 randomized basis-extension recomputations of sigma_pair
+    # 10^3 randomized basis-extension recomputations of the pair sign
     rng = random.Random(13)
-    gens = space.generators()
+    found = bases(space)
     for _ in range(1000):
-        U, V = rng.sample(gens, 2)
-        assert sigma_pair(space, U, V, rng=rng) == table.sigma(U, V)
+        u, v = rng.sample(range(len(found)), 2)
+        assert pair_oracle(space, found[u], found[v], rng=rng)[1] == S[u, v]
     print("\nCRITERION 5 PASS: invariance suite (500 isometries, reference "
           "similarity, 10^3 gauge choices)")
 
@@ -297,15 +279,8 @@ def test_criterion_6_formula_identities():
 
     # generating-polynomial functional identities, m <= 8
     for q in (5, 9, 13, 25):
-        ctx = GaussianContext(q)
-        one = QuadExt(1, 0, q)
-        r = QuadExt.root(q)
-        lin = lambda c: Polynomial([one, c], q)
         for mdeg in range(9):
-            p = e_poly(mdeg, ctx)
-            assert p.scale_arg(-q) * lin(-one) == lin(QuadExt(-(q**mdeg), 0, q)) * p.scale_arg(-1)
-            assert p.scale_arg(q * q) * lin(QuadExt(q, 0, q)) == lin(QuadExt(q ** (mdeg + 1), 0, q)) * p.scale_arg(q)
-            assert p.scale_arg(r**3) * lin(r) == lin(r * q**mdeg) * p.scale_arg(r)
+            assert_e_poly_identities(q, mdeg)
 
     # quotient-eigenmatrix residuals identically zero, no graphs involved
     for q in (5, 9, 13, 25, 29):
@@ -327,7 +302,7 @@ def test_criterion_7_feasibility_tables():
     assert [v.a for v in ps3.P[0]] == [1, 60, 30, 405, 324]
     assert [v.a for v in ps3.Q[0]] == [1, 40, 410, 328, 41]
     assert verify_Lstar(ps3).ok
-    assert lstar1_is_tridiagonal(ps3)
+    assert is_tridiagonal(ps3.Lstar[1])
 
     for v in (5, 7, 9, 11):
         rep = check_feasibility(candidate_parameters(parse_r(str(v))))

@@ -103,7 +103,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("scheme", "--q", "5", "--n", "1", "--format", "csv"),
         ("selftest", "--cap-generators", "5"),
-    ], ids=["format_on_scheme", "cap_generators_on_selftest"])
+        ("selftest", "--out", "x"),
+        ("selftest", "--seed", "1"),
+    ], ids=["format_on_scheme", "cap_generators_on_selftest", "out_on_selftest",
+            "seed_on_selftest"])
     def test_option_of_another_subcommand_rejected(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_INVALID
@@ -134,6 +137,28 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_unwritable_out_fails_before_computing(self, capsys, monkeypatch, tmp_path):
+        import polarcover.symplectic as symplectic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(symplectic, "enumerate_generators", refuse)
+        code, out, err = run(capsys, "scheme", "--q", "5", "--n", "1",
+                             "--out", str(tmp_path / "missing" / "x.json"))
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+    def test_failed_run_leaves_out_as_it_was(self, capsys, tmp_path):
+        # The path check neither truncates an existing file nor leaves a new
+        # one behind when a later step fails (here the memory cap, exit 3).
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("old\n")
+        for path in (kept, fresh):
+            code, _, _ = run(capsys, "scheme", "--q", "5", "--n", "9", "--out", str(path))
+            assert code == EXIT_CAP
+        assert kept.read_text() == "old\n" and not fresh.exists()
 
     def test_csv_rejected_without_sweep(self, capsys):
         # Only the rows of --sweep have a CSV form; the single-r payload is
@@ -223,16 +248,12 @@ class TestScheme:
         assert proc.stderr.split() == [str(EXIT_OK), "False"], proc.stderr
 
 
-# The names the package exported, each with the module that defines it,
-# when its exports became lazy.
+# The names the package exports, each with the module that defines it.
 PACKAGE_EXPORTS = {
-    "exact_algebra": ["GaussianContext", "Polynomial", "QuadExt", "gauss",
-                      "e_poly"],
+    "exact_algebra": ["GaussianContext", "Polynomial", "QuadExt", "gauss"],
     "finite_field": ["FieldSpec", "construct_field"],
-    "symplectic": ["SymplecticSpace", "Subspace", "Generator",
-                   "enumerate_generators"],
-    "maslov": ["CoherenceTable", "coherent_split_count", "sigma_pair",
-               "sigma_triple", "verify_two_graph"],
+    "symplectic": ["SymplecticSpace", "enumerate_generators"],
+    "maslov": ["CoherenceTable", "coherent_split_count", "verify_two_graph"],
     "cover": ["CoverGraph"],
     "scheme_core": ["SchemeInstance", "verify_scheme", "spectral_data",
                     "krein", "q_poly_orderings", "q_bipartite_check"],

@@ -16,11 +16,14 @@ from cover_oracles import (
     fiber_block_adjacency,
     lift_geodesic,
     neighbors,
+    pair_data,
     relation_index,
     relation_index_matrix,
 )
-from polarcover.exact_algebra import GaussianContext, Polynomial, gauss, mat_charpoly
+from polarcover.exact_algebra import GaussianContext, gauss, mat_charpoly
 from polarcover.scheme_core import class_distances, verify_scheme
+from poly_oracles import poly_mul
+from symplectic_oracles import triple_sign
 
 
 class TestSignedVertex:
@@ -44,7 +47,7 @@ class TestCoveringProperty:
         cover = request.getfixturevalue(bundle)["cover"]
         space = cover.space
         q, n = space.spec.q, space.n
-        assert cover.num_vertices == 2 * len(space.generators())
+        assert cover.num_vertices == 2 * len(space.generator_arrays()[0])
         deg = q * int(gauss(n, 1, GaussianContext(q)))
         for vid in range(10):
             assert len(neighbors(cover, SignedVertex.from_vid(vid))) == deg
@@ -112,13 +115,7 @@ class TestSpectrum:
         # 5^1, sqrt(5)^3, (-sqrt(5))^3, (-1)^5.
         A = adjacency(q5n1["cover"])
         coeffs = mat_charpoly([[Fraction(int(x)) for x in row] for row in A])
-        x = Polynomial([0, 1], 5)
-        const = lambda c: Polynomial([c], 5)
-        want = x - const(5)
-        for factor, mult in ((x + const(1), 5), (x * x - const(5), 3)):
-            for _ in range(mult):
-                want = want * factor
-        assert Polynomial(coeffs, 5) == want
+        assert coeffs == poly_mul([-5, 1], *[[1, 1]] * 5, *[[-5, 0, 1]] * 3)
 
     def test_icosahedron_is_icosahedron(self, q5n1):
         A = adjacency(q5n1["cover"])
@@ -132,12 +129,10 @@ class TestSpectrum:
 class TestRelations:
     def test_relation_index_examples(self, q5n2):
         cover = q5n2["cover"]
-        space = cover.space
-        gens = space.generators()
-        D = space.distance_matrix()
+        D, S = pair_data(cover)
         x = 0
         y = int(np.flatnonzero(D[x] == 1)[0])
-        s = cover.table.sigma(gens[x], gens[y])
+        s = int(S[x, y])
         u = SignedVertex(x, 1)
         assert relation_index(cover, u, u) == 0
         assert relation_index(cover, u, u.antipode()) == 5
@@ -166,57 +161,47 @@ class TestRelations:
 class TestLifts:
     def test_lift_geodesic_sign_law(self, q5n2):
         cover = q5n2["cover"]
-        space = cover.space
-        gens = space.generators()
-        D = space.distance_matrix()
+        D, S = pair_data(cover)
         x = 0
         # build a geodesic x - y - z with d(x, z) = 2
         y = int(np.flatnonzero(D[x] == 1)[0])
         z = int(np.flatnonzero((D[x] == 2) & (D[y] == 1))[0])
-        path = [gens[x], gens[y], gens[z]]
-        lift = lift_geodesic(cover, path, 1)
+        lift = lift_geodesic(cover, [x, y, z], 1)
         assert [v.gen for v in lift] == [x, y, z]
-        assert lift[1].sign == cover.table.sigma(gens[x], gens[y])
-        assert lift[2].sign == (lift[1].sign
-                                * cover.table.sigma(gens[y], gens[z]))
+        assert lift[1].sign == S[x, y]
+        assert lift[2].sign == lift[1].sign * S[y, z]
         # consecutive lifted vertices really are cover edges
         for a, b in zip(lift, lift[1:]):
             assert adjacent(cover, a, b)
         # and the end sign matches sigma of the endpoints (distance 2 pair,
         # geodesics preserve coherence)
-        assert lift[2].sign == cover.table.sigma(gens[x], gens[z])
+        assert lift[2].sign == S[x, z]
 
     def test_lift_rejects_non_geodesic(self, q5n2):
         cover = q5n2["cover"]
-        space = cover.space
-        gens = space.generators()
-        D = space.distance_matrix()
+        D = cover.space.distance_matrix()
         y = int(np.flatnonzero(D[0] == 1)[0])
         with pytest.raises(ValueError):
-            lift_geodesic(cover, [gens[0], gens[y], gens[0]], 1)
+            lift_geodesic(cover, [0, y, 0], 1)
 
     def test_coherent_triangle_lifts_to_two_triangles(self, q5n1):
         # A coherent base triangle lifts to two disjoint triangles; a
         # non-coherent one lifts to a single 6-cycle.
         cover = q5n1["cover"]
-        space = cover.space
-        table = cover.table
-        gens = space.generators()
-        D = space.distance_matrix()
-        from polarcover.maslov import sigma_triple
-
+        D, S = pair_data(cover)
+        m = len(D)
         found = {1: 0, -1: 0}
-        for x in range(len(gens)):
-            for y in range(x + 1, len(gens)):
+        for x in range(m):
+            for y in range(x + 1, m):
                 if D[x, y] != 1:
                     continue
-                for z in range(y + 1, len(gens)):
+                for z in range(y + 1, m):
                     if D[x, z] != 1 or D[y, z] != 1:
                         continue
-                    s = sigma_triple(table, gens[x], gens[y], gens[z])
+                    s = triple_sign(S, x, y, z)
                     u = SignedVertex(x, 1)
-                    v = SignedVertex(y, table.sigma(gens[x], gens[y]))
-                    w = SignedVertex(z, table.sigma(gens[x], gens[z]))
+                    v = SignedVertex(y, int(S[x, y]))
+                    w = SignedVertex(z, int(S[x, z]))
                     assert adjacent(cover, u, v) and adjacent(cover, u, w)
                     # closing edge exists iff the triangle is coherent
                     assert adjacent(cover, v, w) == (s == 1)

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 from polarcover.closed_form import eigenmatrices_closed
 from polarcover.exact_algebra import (
     GaussianContext,
-    Polynomial,
     QuadExt,
-    e_poly,
+    _isqrt_if_square,
     gauss,
     gauss_jordan,
     is_tridiagonal,
@@ -29,6 +28,7 @@ from polarcover.exact_algebra import (
 )
 from polarcover.feasibility import candidate_parameters, parse_r
 from polarcover.scheme_core import spectral_data, verify_scheme
+from poly_oracles import assert_e_poly_identities, e_poly, poly_mul
 from scheme_oracles import pq_tensor_per_term
 
 GRID_Q = [2, 3, 5, 7, 9, 13, Fraction(1, 2), -2]
@@ -58,11 +58,10 @@ class TestGauss:
         # [4 choose 2]_5 = number of 2-subspaces of F_5^4, counted as the
         # 2 x 4 matrices in reduced row echelon form: one per pivot pair
         # c1 < c2 and value of its free entries (row 0 right of c1 except
-        # at c2, row 1 right of c2).  rref must fix each of them.
+        # at c2, row 1 right of c2).  Gauss-Jordan must fix each of them.
         from itertools import combinations, product
 
         from polarcover.finite_field import construct_field
-        from polarcover.symplectic import rref
 
         spec = construct_field(5, 1)
         seen = set()
@@ -75,9 +74,9 @@ class TestGauss:
                 M[0][c1] = M[1][c2] = 1
                 for (i, j), v in zip(free, values):
                     M[i][j] = v
-                rows, pivots = rref(spec, M)
-                assert rows == tuple(map(tuple, M)) and pivots == (c1, c2)
-                seen.add(rows)
+                rows = list(M)
+                assert gauss_jordan(rows, 4, spec)[0] == [c1, c2] and rows == M
+                seen.add(tuple(map(tuple, rows)))
                 count += 1
         assert len(seen) == count == 806
 
@@ -144,39 +143,20 @@ class TestGauss:
 
 class TestEPoly:
     def test_small_cases(self):
-        ctx = GaussianContext(5)
-        assert e_poly(0, ctx).coeffs == (QuadExt(1, 0, 5),)
-        p2 = e_poly(2, ctx)
-        assert [p2.coeff(i).a for i in range(3)] == [1, 6, 5]
-        p1 = e_poly(1, GaussianContext(9))
-        assert [p1.coeff(i).a for i in range(2)] == [1, 1]
+        assert e_poly(0, 5) == [1]
+        assert e_poly(2, 5) == [1, 6, 5]
+        assert e_poly(1, 9) == [1, 1]
 
     @pytest.mark.parametrize("q", [5, 9, 13, 25])
     def test_coefficients_match_gauss(self, q):
-        ctx = GaussianContext(q)
+        # The q-binomial theorem: the product expanded factor by factor.
         for m in range(9):
-            p = e_poly(m, ctx)
-            assert p.degree == m
-            for ell in range(m + 1):
-                want = Fraction(q) ** binom2(ell) * gauss(m, ell, ctx)
-                assert p.coeff(ell) == QuadExt(want, 0, q)
+            assert poly_mul(*([1, q**i] for i in range(m))) == e_poly(m, q)
 
     @pytest.mark.parametrize("q", [5, 9, 13, 25])
     def test_functional_identities(self, q):
-        # E_m(-qt)(1-t) = (1-q^m t)E_m(-t)
-        # E_m(q^2 t)(1+qt) = (1+q^(m+1) t)E_m(qt)
-        # E_m(r^3 t)(1+rt) = (1+r q^m t)E_m(rt)
-        one = QuadExt(1, 0, q)
-        r = QuadExt.root(q)
         for m in range(9):
-            p = e_poly(m, GaussianContext(q))
-
-            def lin(c):
-                return Polynomial([one, c], q)
-
-            assert p.scale_arg(-q) * lin(-one) == lin(QuadExt(-(q**m), 0, q)) * p.scale_arg(-1)
-            assert p.scale_arg(q * q) * lin(QuadExt(q, 0, q)) == lin(QuadExt(q ** (m + 1), 0, q)) * p.scale_arg(q)
-            assert p.scale_arg(r**3) * lin(r) == lin(r * q**m) * p.scale_arg(r)
+            assert_e_poly_identities(q, m)
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -355,6 +335,13 @@ class TestQuadExt:
         assert QuadExt.root(9) == QuadExt(3, 0, 9)
         assert QuadExt(2, 3, 5).conjugate() == QuadExt(2, -3, 5)
         assert QuadExt(7, 0, 5).conjugate() == QuadExt(7, 0, 5)
+
+    def test_exact_roots_of_large_squares(self):
+        # Integer square roots: a float sqrt misses (10^17 + 3)^2 and
+        # overflows on 10^400.
+        assert QuadExt.root((10**17 + 3) ** 2) == 10**17 + 3
+        assert _isqrt_if_square(10**400) == 10**200
+        assert _isqrt_if_square(10**400 + 1) is None
 
     def test_mixed_bases_rejected(self):
         with pytest.raises(ValueError):

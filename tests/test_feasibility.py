@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from polarcover.exact_algebra import QuadExt
+from polarcover.exact_algebra import QuadExt, is_tridiagonal
 from polarcover.feasibility import (
     candidate_parameters,
     check_feasibility,
-    lstar1_is_tridiagonal,
     parse_r,
     sweep,
     verify_Lstar,
@@ -193,7 +192,7 @@ class TestLstar:
 
     def test_tridiagonal(self):
         for text in ("3", "5", "sqrt:5"):
-            assert lstar1_is_tridiagonal(candidate_parameters(parse_r(text)))
+            assert is_tridiagonal(candidate_parameters(parse_r(text)).Lstar[1])
 
     def test_detects_corruption(self):
         ps = candidate_parameters(int_r(3))

@@ -8,122 +8,107 @@ import pytest
 
 from polarcover.errors import QNotOneModFour
 from polarcover.finite_field import construct_field
-from polarcover.maslov import (
-    CoherenceTable,
-    coherent_split_count,
-    sigma_pair,
-    sigma_triple,
-    verify_two_graph,
-)
-from polarcover.symplectic import Subspace, SymplecticSpace, distance
+from polarcover.maslov import CoherenceTable, coherent_split_count, verify_two_graph
+from polarcover.symplectic import SymplecticSpace
 from symplectic_oracles import (
-    generator_by_basis,
+    bases,
     generator_image,
+    generator_index,
     nonsquare_similarity,
+    pair_oracle,
     sp_sample_elements,
+    triple_sign,
     verify_invariance,
 )
 
 
-def gen_by_rows(space, rows):
-    sub = Subspace.from_rows(space.spec, rows)
-    return generator_by_basis(space, sub.basis)
+def sign(space, X, Y, rng=None):
+    return pair_oracle(space, X, Y, rng)[1]
 
 
 class TestSigmaPair:
     def test_hyperbolic_line_examples(self, q5n1):
         space = q5n1["space"]
-        X = gen_by_rows(space, [(1, 0)])           # <e1>
-        Y = gen_by_rows(space, [(0, 1)])           # <f1>
-        Z = gen_by_rows(space, [(1, 2)])           # <e1 + 2 f1>
-        assert sigma_pair(space, X, Y) == 1
-        assert sigma_pair(space, X, Z) == -1       # chi(2) = -1 in F_5
+        X, Y, Z = [(1, 0)], [(0, 1)], [(1, 2)]      # <e1>, <f1>, <e1 + 2 f1>
+        assert sign(space, X, Y) == 1
+        assert sign(space, X, Z) == -1              # chi(2) = -1 in F_5
+        S = CoherenceTable(space).sigma_matrix()
+        x, y, z = (generator_index(space, G) for G in (X, Y, Z))
+        assert (S[x, y], S[x, z]) == (1, -1)
 
     def test_rejects_equal_arguments(self, q5n1):
         space = q5n1["space"]
-        X = space.generators()[0]
+        X = bases(space)[0]
         with pytest.raises(ValueError):
-            sigma_pair(space, X, X)
+            pair_oracle(space, X, X)
 
     def test_rejects_q_3_mod_4(self):
         space = SymplecticSpace(construct_field(7, 1), 1)
-        X, Y = space.generators()[:2]
-        with pytest.raises(QNotOneModFour):
-            sigma_pair(space, X, Y)
         with pytest.raises(QNotOneModFour):
             CoherenceTable(space)
 
     @pytest.mark.parametrize("bundle", ["q5n1", "q5n2", "q9n1", "q13n1"])
     def test_symmetry(self, bundle, request):
         space = request.getfixturevalue(bundle)["space"]
-        gens = space.generators()
+        found = bases(space)
         rng = random.Random(11)
-        pairs = min(1000, len(gens) * (len(gens) - 1) // 2)
+        pairs = min(1000, len(found) * (len(found) - 1) // 2)
         for _ in range(pairs):
-            X, Y = rng.sample(gens, 2)
-            assert sigma_pair(space, X, Y) == sigma_pair(space, Y, X)
+            X, Y = rng.sample(found, 2)
+            assert pair_oracle(space, X, Y) == pair_oracle(space, Y, X)
 
     @pytest.mark.parametrize("bundle", ["q5n2", "q9n1"])
     def test_gauge_invariance(self, bundle, request):
         # Randomized basis extensions never change the value.
         space = request.getfixturevalue(bundle)["space"]
-        gens = space.generators()
+        found = bases(space)
         rng = random.Random(5)
         for _ in range(500):
-            X, Y = rng.sample(gens, 2)
-            baseline = sigma_pair(space, X, Y)
-            assert sigma_pair(space, X, Y, rng=rng) == baseline
+            X, Y = rng.sample(found, 2)
+            baseline = sign(space, X, Y)
+            assert sign(space, X, Y, rng=rng) == baseline
 
     def test_table_memoization_consistent(self, q5n1):
         space = q5n1["space"]
-        table = CoherenceTable(space)
-        gens = space.generators()
-        for X in gens:
-            for Y in gens:
-                if X.id < Y.id:
-                    assert table.sigma(X, Y) == sigma_pair(space, X, Y)
-                    assert table.sigma(Y, X) == table.sigma(X, Y)
+        S = CoherenceTable(space).sigma_matrix()
+        found = bases(space)
+        assert (S == S.T).all()
+        for x, y in zip(*np.triu_indices(len(found), 1)):
+            assert S[x, y] == sign(space, found[x], found[y])
 
 
 class TestSigmaTriple:
     def test_geodesic_triple_coherent(self, q5n2):
         space = q5n2["space"]
-        table = CoherenceTable(space)
-        X = gen_by_rows(space, [(1, 0, 0, 0), (0, 1, 0, 0)])   # <e1, e2>
-        Y = gen_by_rows(space, [(0, 0, 1, 0), (0, 1, 0, 0)])   # <f1, e2>
-        Z = gen_by_rows(space, [(0, 0, 1, 0), (0, 0, 0, 1)])   # <f1, f2>
-        assert (distance(space, X, Y), distance(space, Y, Z),
-                distance(space, X, Z)) == (1, 1, 2)
-        assert sigma_triple(table, X, Y, Z) == 1
+        D = space.distance_matrix()
+        S = CoherenceTable(space).sigma_matrix()
+        x = generator_index(space, [(1, 0, 0, 0), (0, 1, 0, 0)])   # <e1, e2>
+        y = generator_index(space, [(0, 0, 1, 0), (0, 1, 0, 0)])   # <f1, e2>
+        z = generator_index(space, [(0, 0, 1, 0), (0, 0, 0, 1)])   # <f1, f2>
+        assert (D[x, y], D[y, z], D[x, z]) == (1, 1, 2)
+        assert triple_sign(S, x, y, z) == 1
 
     def test_triangle_character_values(self, q5n1):
         space = q5n1["space"]
-        table = CoherenceTable(space)
-        X = gen_by_rows(space, [(1, 0)])
-        Y = gen_by_rows(space, [(0, 1)])
+        S = CoherenceTable(space).sigma_matrix()
+        x = generator_index(space, [(1, 0)])
+        y = generator_index(space, [(0, 1)])
         for alpha, want in ((2, -1), (4, 1), (1, 1), (3, -1)):
-            Z = gen_by_rows(space, [(1, alpha)])
-            assert sigma_triple(table, X, Y, Z) == want
+            z = generator_index(space, [(1, alpha)])
+            assert triple_sign(S, x, y, z) == want
 
     def test_every_geodesic_triple_coherent_exhaustive(self, q5n2):
         space = q5n2["space"]
         table = CoherenceTable(space)
         D = space.distance_matrix().astype(np.int64)
         S = table.sigma_matrix().astype(np.int64)
-        m = len(space.generators())
+        m = len(S)
         distinct = ~np.eye(m, dtype=bool)
         for y in range(m):
             geo = (D[:, y][:, None] + D[y, :][None, :]) == D
             geo &= distinct[:, y][:, None] & distinct[y, :][None, :] & distinct
             tri = S[:, y][:, None] * S[y, :][None, :] * S
             assert (tri[geo] == 1).all()
-
-    def test_rejects_repeats(self, q5n1):
-        space = q5n1["space"]
-        table = CoherenceTable(space)
-        X, Y = space.generators()[:2]
-        with pytest.raises(ValueError):
-            sigma_triple(table, X, Y, X)
 
 
 class TestTwoGraph:
@@ -166,18 +151,17 @@ class TestHalfSplits:
     def test_function_examples(self, q5n2, q9n1):
         space = q5n2["space"]
         table = CoherenceTable(space)
-        gens = space.generators()
         D = space.distance_matrix()
         x = 0
         y1 = int(np.flatnonzero(D[x] == 1)[0])
         y2 = int(np.flatnonzero(D[x] == 2)[0])
-        assert coherent_split_count(table, gens[x], gens[y1]) == (2, 2)
-        assert coherent_split_count(table, gens[x], gens[y2]) == (12, 12)
+        assert coherent_split_count(table, x, y1) == (2, 2)
+        assert coherent_split_count(table, x, y2) == (12, 12)
+        with pytest.raises(ValueError):
+            coherent_split_count(table, x, x)
 
-        space9 = q9n1["space"]
-        table9 = CoherenceTable(space9)
-        gens9 = space9.generators()
-        assert coherent_split_count(table9, gens9[0], gens9[1]) == (4, 4)
+        table9 = CoherenceTable(q9n1["space"])
+        assert coherent_split_count(table9, 0, 1) == (4, 4)
 
     @pytest.mark.parametrize("bundle", ["q5n1", "q5n2"])
     def test_exhaustive_over_all_pairs(self, bundle, request):
@@ -186,7 +170,7 @@ class TestHalfSplits:
         q = space.spec.q
         D = space.distance_matrix().astype(np.int64)
         S = table.sigma_matrix().astype(np.int64)
-        m = len(space.generators())
+        m = len(S)
         for x in range(m):
             for y in range(m):
                 k = int(D[x, y])
@@ -214,21 +198,17 @@ class TestInvariance:
         assert report.ok, report.failures[:1]
         # And a concrete odd-perimeter triangle must flip:
         rng = random.Random(2)
-        gens = space.generators()
+        found = bases(space)
+        S = table.sigma_matrix()
         flipped = 0
         while flipped < 5:
-            X, Y, Z = rng.sample(gens, 3)
-            perim = (distance(space, X, Y) + distance(space, Y, Z)
-                     + distance(space, Z, X))
+            X, Y, Z = rng.sample(found, 3)
+            perim = sum(pair_oracle(space, U, V)[0] for U, V in ((X, Y), (Y, Z), (Z, X)))
             if perim % 2 == 0:
                 continue
-            before = sigma_triple(table, X, Y, Z)
-            after = sigma_triple(
-                table,
-                generator_image(space, X, iso),
-                generator_image(space, Y, iso),
-                generator_image(space, Z, iso),
-            )
+            xyz = [generator_index(space, G) for G in (X, Y, Z)]
+            before = triple_sign(S, *xyz)
+            after = triple_sign(S, *(generator_image(space, g, iso) for g in xyz))
             assert after == -before
             flipped += 1
 
@@ -237,14 +217,13 @@ class TestInvariance:
         # {<e1,e2>, <f1,e2>, <e1+f1,e2>} to a non-coherent one; equivalently
         # the eta-perturbed triple is non-coherent.
         space = q5n2["space"]
-        table = CoherenceTable(space)
+        S = CoherenceTable(space).sigma_matrix()
         eta = space.spec.smallest_nonsquare()
-        X = gen_by_rows(space, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        Y = gen_by_rows(space, [(0, 0, 1, 0), (0, 1, 0, 0)])
-        Z = gen_by_rows(space, [(1, 0, 1, 0), (0, 1, 0, 0)])
-        Zp = gen_by_rows(space, [(1, 0, eta, 0), (0, 1, 0, 0)])
-        assert sigma_triple(table, X, Y, Z) == 1
-        assert sigma_triple(table, X, Y, Zp) == -1
+        x = generator_index(space, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        y = generator_index(space, [(0, 0, 1, 0), (0, 1, 0, 0)])
+        z = generator_index(space, [(1, 0, 1, 0), (0, 1, 0, 0)])
+        zp = generator_index(space, [(1, 0, eta, 0), (0, 1, 0, 0)])
+        assert triple_sign(S, x, y, z) == 1
+        assert triple_sign(S, x, y, zp) == -1
         iso = nonsquare_similarity(space)
-        imgs = [generator_image(space, G, iso) for G in (X, Y, Z)]
-        assert sigma_triple(table, *imgs) == -1
+        assert triple_sign(S, *(generator_image(space, g, iso) for g in (x, y, z))) == -1

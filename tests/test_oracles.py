@@ -2,11 +2,10 @@
 
 The chart enumeration is compared with the recursive isotropic extension it
 replaced, kept here as the oracle; ``eliminate_batch`` with ``gauss_jordan``;
-and the distance and sign matrices with the per-pair ``distance`` and
-``sigma_pair``.  The fiber-quotient scheme check of a cover is compared with
-the one-sheet check on the relation index that ``relation_index`` gives pair
-by pair, and with the p-tensor that int64 products of that index's 0/1
-relation matrices give.
+and the distance and sign matrices with the per-pair ``pair_oracle``.  The
+fiber-quotient scheme check of a cover is compared with the one-sheet check
+on the relation index that ``relation_index`` gives pair by pair, and with
+the p-tensor that int64 products of that index's 0/1 relation matrices give.
 """
 
 import random
@@ -27,19 +26,12 @@ from polarcover.errors import (
     NotSymmetric,
     SchemeAxiomError,
 )
-from polarcover.exact_algebra import gauss_jordan, mat_kernel
+from polarcover.exact_algebra import gauss_jordan, mat_kernel, mat_mul
 from polarcover.finite_field import construct_field
-from polarcover.maslov import CoherenceTable, sigma_pair
+from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import SchemeInstance, verify_scheme
-from polarcover.symplectic import (
-    Subspace,
-    SymplecticSpace,
-    distance,
-    eliminate_batch,
-    gram_batch,
-    mat_vec,
-    rank_of,
-)
+from polarcover.symplectic import SymplecticSpace, eliminate_batch, gram_batch
+from symplectic_oracles import bases, bform, pair_oracle, rref
 
 FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}
 
@@ -48,55 +40,54 @@ def make_space(q, n):
     return SymplecticSpace(construct_field(*FIELDS[q]), n)
 
 
-def perp_basis(space, sub):
+def perp_basis(space, basis):
     """Basis of the orthogonal complement of a subspace."""
     unit = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
-    constraints = [[space.bform(b, e) for e in unit] for b in sub.basis]
+    constraints = [[bform(space, b, e) for e in unit] for b in basis]
     return mat_kernel(constraints, space.spec)
 
 
 def legacy_enumeration(space):
     """Generators by recursive isotropic extension, deduplicated per dimension,
-    in lexicographic RREF order."""
+    as RREF bases in lexicographic order."""
     spec, dim = space.spec, space.dim
-    level = {Subspace((), ())}
+    level = {()}
     for _ in range(space.n):
         nxt = set()
-        for sub in level:
-            if sub.dim == 0:
+        for basis in level:
+            if not basis:
                 candidates = (v for v in product(range(spec.q), repeat=dim) if any(v))
             else:
-                perp = perp_basis(space, sub)
-                candidates = (mat_vec(spec, perp, coeffs)
+                perp = perp_basis(space, basis)
+                candidates = (mat_mul([coeffs], perp, spec)[0]
                               for coeffs in product(range(spec.q), repeat=len(perp)))
-                candidates = (v for v in candidates
-                              if any(v) and not sub.contains_vector(spec, v))
             for v in candidates:
-                nxt.add(Subspace.from_rows(spec, list(sub.basis) + [v]))
+                extended = rref(spec, basis + (v,))
+                if len(extended) > len(basis):
+                    nxt.add(extended)
         level = nxt
-    return sorted(level, key=lambda s: s.basis)
+    return sorted(level)
 
 
 class TestEnumeration:
     @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2), (13, 1)])
     def test_matches_legacy(self, q, n):
         space = make_space(q, n)
-        assert [g.sub for g in space.generators()] == legacy_enumeration(space)
+        assert bases(space) == legacy_enumeration(space)
 
     @pytest.mark.parametrize("q,n", [(13, 2), (5, 3)])
     def test_structure(self, q, n):
         space = make_space(q, n)
-        gens = space.generators()
-        assert len(gens) == prod(q**i + 1 for i in range(1, n + 1))
+        found = bases(space)
+        assert len(found) == prod(q**i + 1 for i in range(1, n + 1))
         codes, pivots, _ = space.generator_arrays()
         # RREF: increasing pivots, each pivot column a unit column.
         assert (np.diff(pivots, axis=1) > 0).all()
         pivot_columns = np.take_along_axis(codes, np.repeat(pivots[:, None, :], n, axis=1), axis=2)
         assert (pivot_columns == np.eye(n, dtype=codes.dtype)).all()
-        assert all(space.is_isotropic(g.sub.basis) for g in gens)
-        bases = [g.sub.basis for g in gens]
-        assert all(a < b for a, b in zip(bases, bases[1:]))
-        assert [g.sub.pivots for g in gens] == [tuple(p) for p in pivots.tolist()]
+        assert all(bform(space, u, v) == 0 for basis in found for u in basis for v in basis)
+        assert all(a < b for a, b in zip(found, found[1:]))
+        assert [[row.index(1) for row in basis] for basis in found] == pivots.tolist()
 
 
 class TestEliminateBatch:
@@ -133,23 +124,20 @@ class TestEliminateBatch:
             M = np.concatenate([np.array([G]), np.eye(n, dtype=np.intp)[None]], axis=2)
             rank, _, _ = eliminate_batch(spec.tables, M, n)
             R, E = M[0, :, :n].tolist(), M[0, :, n:].tolist()
-            assert [list(mat_vec(spec, G, e)) for e in E] == R
-            assert rank[0] == rank_of(spec, G)
+            assert mat_mul(E, G, spec) == R
+            assert rank[0] == len(gauss_jordan(list(G), n, spec)[0])
 
 
 def _check_rows(space, rows, columns):
-    """D and S of the one pair pass against distance and sigma_pair on the
-    given pairs."""
-    gens = space.generators()
+    """D and S of the one pair pass against pair_oracle on the given pairs."""
+    found = bases(space)
     S = CoherenceTable(space).sigma_matrix()
     D = space.distance_matrix()
     assert (np.diagonal(D) == 0).all() and (np.diagonal(S) == 0).all()
-    for x in rows:
-        X = gens[x]
-        for y in columns(x):
-            Y = gens[y]
-            assert D[x, y] == distance(space, X, Y), (x, y)
-            assert S[x, y] == sigma_pair(space, X, Y), (x, y)
+    D, S = D.tolist(), S.tolist()
+    wrong = [(x, y) for x in rows for y in columns(x)
+             if pair_oracle(space, found[x], found[y]) != (D[x][y], S[x][y])]
+    assert not wrong, wrong[:5]
 
 
 def symmetric_matrices(q, n):
@@ -185,13 +173,36 @@ class TestPairMatrices:
     @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2), (13, 1)])
     def test_every_pair(self, q, n):
         space = make_space(q, n)
-        m = len(space.generators())
+        m = len(bases(space))
         _check_rows(space, range(m), lambda x: range(x + 1, m))
 
     def test_q13n2_every_seventh_row(self):
         space = make_space(13, 2)
-        m = len(space.generators())
+        m = len(bases(space))
         _check_rows(space, range(0, m, 7), lambda x: (y for y in range(m) if y != x))
+
+    def test_oracle_runs_without_the_pair_pass(self, monkeypatch):
+        # With every batched kernel raising, wherever it is bound, pair_oracle
+        # still gives D and S on every pair: it shares no code with them.
+        space = make_space(5, 2)
+        found = bases(space)
+        D, S = (M.tolist() for M in space.pair_matrices())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batched kernel ran")
+
+        names = ["eliminate_batch", "gram_batch", "_pair_kernel", "_chart_bases"]
+        originals = {id(getattr(symplectic, name)) for name in names}
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] in ("polarcover", "symplectic_oracles"):
+                for attr in names:
+                    if id(getattr(module, attr, None)) in originals:
+                        monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(SymplecticSpace, "pair_matrices", refuse)
+        with pytest.raises(AssertionError, match="batched kernel"):
+            make_space(5, 2).distance_matrix()
+        for x, y in zip(*np.triu_indices(len(found), 1)):
+            assert pair_oracle(space, found[x], found[y]) == (D[x][y], S[x][y])
 
     @pytest.mark.parametrize("q,n", [(5, 2), (9, 1)])
     def test_big_cell_pairs_read_the_table(self, q, n):
@@ -199,7 +210,7 @@ class TestPairMatrices:
         # [sub(B, A) | I], which is also the input of ([I | 0], [I | C]) with
         # C = sub(B, A); so the table entry of C is d(X, Y) and sigma(X, Y).
         space = make_space(q, n)
-        t, gens = space.spec.tables, space.generators()
+        t, found = space.spec.tables, bases(space)
         codes, pivots, codes_j = space.generator_arrays()
         cell = np.flatnonzero((pivots == np.arange(n)).all(axis=1))
         assert len(cell) == q ** (n * (n + 1) // 2)
@@ -216,13 +227,12 @@ class TestPairMatrices:
         position = {c.tobytes(): i for i, c in enumerate(table_C)}
         for x, y, c in zip(a, b, C):
             i = position[c.tobytes()]
-            assert rank[i] == distance(space, gens[x], gens[y]), (x, y)
-            assert sign[i] == sigma_pair(space, gens[x], gens[y]), (x, y)
+            assert (rank[i], sign[i]) == pair_oracle(space, found[x], found[y]), (x, y)
 
     @pytest.mark.parametrize("distance_first", [True, False])
     def test_one_pass_in_either_order(self, distance_first, monkeypatch):
         space = make_space(5, 2)
-        m = len(space.generators())
+        m = len(space.generator_arrays()[0])
         lanes = count_gram_lanes(monkeypatch)
         calls = [space.distance_matrix, CoherenceTable(space).sigma_matrix]
         for call in calls if distance_first else calls[::-1]:
@@ -252,7 +262,7 @@ class TestPairMatrices:
         D = space.distance_matrix()
         _, pivots, _ = space.generator_arrays()
         outside = ~(pivots == np.arange(n)).all(axis=1)
-        singular = sum(rank_of(space.spec, C) < n for C in symmetric_matrices(5, n))
+        singular = sum(len(gauss_jordan(C, n, space.spec)[0]) < n for C in symmetric_matrices(5, n))
         below = np.triu(D < n, 1) & (outside[:, None] | outside[None, :])
         assert tail_lanes == singular + int(below.sum())
         assert tail_lanes == (1 + 0 if n == 1 else 25 + 840)
@@ -260,10 +270,11 @@ class TestPairMatrices:
     @pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (3, 2)])
     def test_distance_for_q_3_mod_4(self, q, n):
         space = make_space(q, n)
-        gens = space.generators()
-        D = space.distance_matrix()
-        want = np.array([[distance(space, X, Y) for Y in gens] for X in gens])
-        assert (D == want).all()
+        found = bases(space)
+        want = np.zeros((len(found),) * 2, dtype=np.int8)
+        for x, y in zip(*np.triu_indices(len(found), 1)):
+            want[x, y] = want[y, x] = pair_oracle(space, found[x], found[y])[0]
+        assert (space.distance_matrix() == want).all()
 
 
 def edited_cover(q, n, edit):

@@ -12,9 +12,7 @@ import importlib
 # Each exported name and the module that defines it.  Modules load on first
 # access (PEP 562), so the formula-only paths never import numpy.
 _EXPORTS = {
-    **dict.fromkeys(
-        ["GaussianContext", "Polynomial", "QuadExt", "gauss"],
-        "exact_algebra"),
+    **dict.fromkeys(["QuadExt", "gauss"], "exact_algebra"),
     **dict.fromkeys(["FieldSpec", "construct_field"], "finite_field"),
     **dict.fromkeys(
         ["SymplecticSpace", "enumerate_generators"],

@@ -1,14 +1,15 @@
 """Exact scalars and linear algebra over Q(r), r^2 = q.
 
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
-extension Q(r) as :class:`QuadExt`, univariate polynomials over Q(r), Gaussian
-coefficients evaluated at any rational q but 0 and +-1, exact matrix
-routines (Gauss-Jordan, multiply, inverse, kernel, characteristic
-polynomial), and the scheme parameters read off a pair of eigenmatrices.
+extension Q(r) as :class:`QuadExt`, Gaussian coefficients evaluated at any
+rational q but 0 and +-1, exact matrix routines (Gauss-Jordan, multiply,
+inverse, kernel, characteristic polynomial), and the scheme parameters read
+off a pair of eigenmatrices.  A polynomial is a list of its coefficients,
+low degree first.
 
 Gauss-Jordan, kernel and product are the package's one copy of each: they
-take the field's arithmetic as an argument, so the same code runs over
-F_q codes (with a ``finite_field.FieldSpec``) and over Q and Q(r).  The
+take the field's arithmetic as an argument, so the same code runs over Q
+and Q(r) and, given scalar F_q arithmetic on codes, over F_q.  The
 characteristic polynomial of an int matrix stays in ints.  ``pq_tensor``
 returns the whole tensor as nested lists, summed on integer pairs (x, y),
 meaning x + y r, with one common denominator per eigenmatrix and one
@@ -19,16 +20,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 __all__ = [
     "QuadExt",
-    "GaussianContext",
-    "Polynomial",
     "gauss",
-    "rpow",
     "gauss_jordan",
     "mat_mul",
     "mat_identity",
@@ -324,43 +321,24 @@ def _reduced(x, y, den, q):
     return _make(x, y, den, q)
 
 
-def rpow(q, m):
-    """r^m as a QuadExt, for any integer m (negative allowed)."""
-    return QuadExt.root(q) ** m
-
-
 # ---------------------------------------------------------------------------
 # Gaussian coefficients
 
 
-@dataclass(frozen=True)
-class GaussianContext:
-    """Evaluation point for Gaussian coefficients: any rational q not in
-    {0, 1, -1}, since q^k - 1 = 0 for some k >= 1 at each of 1 and -1."""
-
-    q: Fraction
-
-    def __post_init__(self):
-        q = Fraction(self.q)
-        if q in (0, 1, -1):
-            raise ValueError("q must differ from 0, 1 and -1 (q^k - 1 denominators)")
-        object.__setattr__(self, "q", q)
-
-
-def gauss(n: int, k: int, ctx) -> Fraction:
-    """Gaussian coefficient [n choose k]_q for all integers n, k.
+def gauss(n: int, k: int, q) -> Fraction:
+    """Gaussian coefficient [n choose k]_q for all integers n, k, at q an int
+    or a Fraction other than 0 and +-1 (q^m - 1 = 0 for some m >= 1 at 1
+    and -1).
 
     Returns 0 for k < 0 and 1 for k = 0; otherwise the product
     prod_{i<k} (q^(n-i) - 1)/(q^(k-i) - 1), which extends the subspace-count
     interpretation to all integer n (negative n gives Laurent values in q).
     """
-    if isinstance(ctx, GaussianContext):
-        q = ctx.q
-    else:
-        q = GaussianContext(Fraction(ctx)).q
+    a, b = q.as_integer_ratio()
+    if b == 1 and a in (0, 1, -1):
+        raise ValueError("q must differ from 0, 1 and -1 (q^k - 1 denominators)")
     if k < 0:
         return Fraction(0)
-    a, b = q.numerator, q.denominator
 
     def minus_one(m):
         # q^m - 1 = (a^m - b^m) / b^m, with a and b swapped for m < 0
@@ -377,57 +355,15 @@ def gauss(n: int, k: int, ctx) -> Fraction:
     return Fraction(top, bottom)
 
 
-class Polynomial:
-    """Univariate polynomial with QuadExt coefficients, index = degree.
-
-    The zero polynomial has an empty coefficient list; trailing zeros are
-    trimmed so equality is structural.
-    """
-
-    __slots__ = ("coeffs", "q")
-
-    def __init__(self, coeffs, q):
-        coeffs = [c if isinstance(c, QuadExt) else QuadExt(c, 0, q) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-        self.q = q
-
-    @property
-    def degree(self):
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = QuadExt(0, 0, self.q)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return QuadExt(0, 0, self.q)
-
-    def __repr__(self):
-        return f"Polynomial({[str(c) for c in self.coeffs]}, q={self.q})"
-
-
 # ---------------------------------------------------------------------------
 # Exact matrices over F_q, Q and Q(r)
 #
 # Matrices are lists of rows.  Elimination, kernel and product take the
-# field's arithmetic as an object with add, sub, mul, neg and inv: a
-# ``finite_field.FieldSpec`` for matrices of F_q codes, and by default
-# ``PYTHON_OPS``, Python's operators, for Fraction and QuadExt entries.  The
-# ints 0 and 1 stand for zero and one in each of them (the codes 0 and 1 of
-# F_q), and truth is nonzero.  These routines are deliberately dense and
+# field's arithmetic as an object with scalar add, sub, mul, neg and inv: by
+# default ``PYTHON_OPS``, Python's operators, for Fraction and QuadExt
+# entries, or one on int codes for matrices over F_q.  The ints 0 and 1
+# stand for zero and one in each of them (the codes 0 and 1 of F_q), and
+# truth is nonzero.  These routines are deliberately dense and
 # deterministic: pivots are chosen as the first row with a nonzero entry.
 
 # Fraction(1) / x, since 1 / x is a float for an int entry.

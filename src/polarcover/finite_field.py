@@ -8,23 +8,15 @@ reduced mod f.  F_p[x]/(f) is a field exactly when f is irreducible, so the
 modulus is the first monic f of degree e, scanned in the base-p counting
 order of (c0, .., c_{e-1}), whose mul table has no zero divisor: the
 lexicographically smallest irreducible, low degree first (x when e = 1).
-neg, inv and chi are read off the two tables.  :class:`FieldTables` holds
-them as numpy arrays, for lookups on whole arrays of codes;
-:class:`FieldSpec` also keeps them as Python lists, so scalar hot-loop
-arithmetic is list indexing on ints.
+neg, inv and chi are read off the two tables.  :class:`FieldSpec` holds
+them as numpy arrays, for lookups on whole arrays of codes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PolarcoverError
-
-__all__ = ["FieldSpec", "FieldTables", "construct_field"]
-
-
-class ZeroCharacterArgument(PolarcoverError):
-    """chi(0) is undefined; a zero argument indicates an upstream bug."""
+__all__ = ["FieldSpec", "construct_field"]
 
 
 def _is_odd_prime(p):
@@ -63,88 +55,8 @@ def _build_tables(p, e):
 
 
 class FieldSpec:
-    """F_q = F_p[x]/(modulus), q = p^e, with precomputed arithmetic tables."""
-
-    def __init__(self, p, e):
-        if not _is_odd_prime(p):
-            raise ValueError(f"p = {p} must be an odd prime")
-        if e < 1:
-            raise ValueError("e must be >= 1")
-        if p**e >= 2**15:
-            raise ValueError(f"q = {p**e} must be below 2^15 (int16 codes)")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        self.modulus, add, mul = _build_tables(p, e)
-        self.tables = t = FieldTables(add, mul)
-        self._add = add.tolist()
-        self._mul = mul.tolist()
-        self._neg = t.neg_t.tolist()
-        self._inv = t.inv_t.tolist()
-        self._chi = t.chi_t.tolist()
-
-    # -- code-level arithmetic (hot path) ---------------------------------
-
-    def add(self, x, y):
-        return self._add[x][y]
-
-    def sub(self, x, y):
-        return self._add[x][self._neg[y]]
-
-    def mul(self, x, y):
-        return self._mul[x][y]
-
-    def neg(self, x):
-        return self._neg[x]
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("division by zero in F_q")
-        return self._inv[x]
-
-    def pow(self, x, m):
-        if m < 0:
-            x, m = self.inv(x), -m
-        result = 1
-        while m:
-            if m & 1:
-                result = self._mul[result][x]
-            x = self._mul[x][x]
-            m >>= 1
-        return result
-
-    def chi_code(self, x):
-        if x == 0:
-            raise ZeroCharacterArgument("chi(0) is undefined")
-        return self._chi[x]
-
-    def coeffs(self, code):
-        return tuple(code // self.p**i % self.p for i in range(self.e))
-
-    def code(self, coeffs):
-        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
-
-    def element_str(self, code):
-        """Text form: plain int for prime fields, "c0,c1,.." for extensions."""
-        if self.e == 1:
-            return str(code)
-        return ",".join(str(c) for c in self.coeffs(code))
-
-    def smallest_nonsquare(self):
-        return next(x for x in range(1, self.q) if self._chi[x] == -1)
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
-
-    def __hash__(self):
-        return hash((self.p, self.e))
-
-
-class FieldTables:
-    """F_q's tables as numpy arrays, applied elementwise to code arrays.
+    """F_q = F_p[x]/(modulus), q = p^e, as numpy tables applied elementwise
+    to arrays of codes.
 
     Built from the (q, q) add and mul tables alone: neg(x) is where row x
     of add hits 0, inv(x) where row x of mul hits 1, and chi is +1 on the
@@ -156,9 +68,17 @@ class FieldTables:
     means.
     """
 
-    def __init__(self, add, mul):
-        q = len(add)
-        self.q = q
+    def __init__(self, p, e):
+        if not _is_odd_prime(p):
+            raise ValueError(f"p = {p} must be an odd prime")
+        if e < 1:
+            raise ValueError("e must be >= 1")
+        if p**e >= 2**15:
+            raise ValueError(f"q = {p**e} must be below 2^15 (int16 codes)")
+        self.p = p
+        self.e = e
+        self.q = q = p**e
+        self.modulus, add, mul = _build_tables(p, e)
         self.neg_t = np.nonzero(add == 0)[1].astype(np.int16)
         self.inv_t = np.zeros(q, dtype=np.int16)
         self.inv_t[1:] = np.nonzero(mul[1:] == 1)[1]
@@ -186,6 +106,24 @@ class FieldTables:
 
     def chi(self, a):
         return self.chi_t[a]
+
+    def coeffs(self, code):
+        return tuple(code // self.p**i % self.p for i in range(self.e))
+
+    def element_str(self, code):
+        """Text form: plain int for prime fields, "c0,c1,.." for extensions."""
+        if self.e == 1:
+            return str(code)
+        return ",".join(str(c) for c in self.coeffs(code))
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p}, e={self.e}, modulus={self.modulus})"
+
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
+
+    def __hash__(self):
+        return hash((self.p, self.e))
 
 
 def construct_field(p, e):

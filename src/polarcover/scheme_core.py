@@ -26,7 +26,6 @@ from .errors import (
     RepeatedEigenvalue,
 )
 from .exact_algebra import (
-    Polynomial,
     QuadExt,
     is_tridiagonal,
     mat_charpoly,
@@ -304,20 +303,27 @@ def _exact_eigenvalues(L, q):
     The hints round to the right (a, b) while the eigenvalues stay far below
     2^52, as they do for every L_1 here (|theta| <= k_1 < N).
     """
-    charpoly = Polynomial(mat_charpoly(L), q)
+    charpoly = mat_charpoly(L)
+    derivative = [i * c for i, c in enumerate(charpoly)][1:]
+
+    def value(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
     s, t = _square_split(q)
     sqrt_t = QuadExt.root(q) / s
     hints = np.linalg.eigvals(np.array(L, dtype=np.float64)).real.tolist()
     candidates = {(round(x + y) + round((x - y) / math.sqrt(t)) * sqrt_t) / 2
                   for x in hints for y in hints}
-    roots = [theta for theta in candidates if not charpoly(theta)]
-    derivative = Polynomial([i * c for i, c in enumerate(charpoly.coeffs)][1:], q)
+    roots = [theta for theta in candidates if not value(charpoly, theta)]
     for theta in roots:
-        if not derivative(theta):
+        if not value(derivative, theta):
             raise RepeatedEigenvalue(f"eigenvalue {theta} is a repeated root")
-    if len(roots) != charpoly.degree:
+    if len(roots) != len(L):
         raise EigenvalueOutsideField(
-            f"{charpoly.degree - len(roots)} eigenvalues lie outside Q(sqrt {q})")
+            f"{len(L) - len(roots)} eigenvalues lie outside Q(sqrt {q})")
     return roots
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ResourceCapExceeded
-from .finite_field import FieldSpec, FieldTables
+from .finite_field import FieldSpec
 
 __all__ = [
     "SymplecticSpace",
@@ -31,7 +31,7 @@ __all__ = [
 DEFAULT_GENERATOR_CAP = 10**6
 
 
-def eliminate_batch(t: FieldTables, M, ncols=None):
+def eliminate_batch(t: FieldSpec, M, ncols=None):
     """Gauss-Jordan on every matrix of a stack M (B, r, c) of codes, in place.
 
     First-nonzero pivoting as in ``exact_algebra.gauss_jordan``, and pivots are sought only
@@ -76,7 +76,7 @@ def eliminate_batch(t: FieldTables, M, ncols=None):
     return rank, pivots, pivot_product
 
 
-def gram_batch(t: FieldTables, XJ, Y):
+def gram_batch(t: FieldSpec, XJ, Y):
     """G[p, i, j] = B(x_i, y_j) for stacks XJ = X J and Y of shape (P, n, 2n)."""
     terms = t.mul(XJ[:, :, None, :], Y[:, None, :, :])
     G = terms[..., 0]
@@ -113,7 +113,7 @@ def pair_chunks(m, rows=None):
         start = stop
 
 
-def _pair_kernel(t: FieldTables, X, XJ, Y, Y_pivots):
+def _pair_kernel(t: FieldSpec, X, XJ, Y, Y_pivots):
     """(rank, sign) of each pair of the stacks X, Y of RREF bases (P, n, 2n),
     given XJ = X J and the (P, n) pivot columns of Y: the distance D and the
     sign S of ``SymplecticSpace.pair_matrices``, whose docstring derives them.
@@ -168,7 +168,7 @@ class SymplecticSpace:
         if self._arrays is None:
             codes = enumerate_generators(self, cap=cap)
             pivots = (codes != 0).argmax(axis=2)
-            self._arrays = (codes, pivots, _times_j(self.spec.tables, codes, self.n))
+            self._arrays = (codes, pivots, _times_j(self.spec, codes, self.n))
         return self._arrays
 
     def pair_matrices(self):
@@ -208,7 +208,7 @@ class SymplecticSpace:
         elimination.
         """
         if self._pairs is None:
-            t, n = self.spec.tables, self.n
+            t, n = self.spec, self.n
             codes, pivots, codes_j = self.generator_arrays()
             m = len(codes)
             D = np.zeros((m, m), dtype=np.int8)
@@ -246,7 +246,7 @@ class SymplecticSpace:
         return self.pair_matrices()[0]
 
 
-def _times_j(t: FieldTables, codes, n):
+def _times_j(t: FieldSpec, codes, n):
     """Rows u J = (-u_f, u_e) of a code stack (..., 2n)."""
     return np.concatenate([t.neg(codes[..., n:]), codes[..., :n]], axis=-1)
 
@@ -264,7 +264,7 @@ def _chart_bases(space: SymplecticSpace):
     the upper triangle of A_i, in ``np.triu_indices`` order, holds the
     base-q digits of i, most significant first.
     """
-    t, n = space.spec.tables, space.n
+    t, n = space.spec, space.n
     iu, ju = np.triu_indices(n)
     entries = np.indices((space.spec.q,) * len(iu)).reshape(len(iu), -1).T
     A = np.zeros((len(entries), n, n), dtype=np.int16)
@@ -288,7 +288,7 @@ def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
     predicted = space.predicted_generator_count()
     if predicted > cap:
         raise ResourceCapExceeded(predicted, cap)
-    t, n = space.spec.tables, space.n
+    t, n = space.spec, space.n
     found = []
     for V in _chart_bases(space):
         eliminate_batch(t, V)
@@ -312,7 +312,7 @@ def distance_profile(space: SymplecticSpace, x: int) -> dict:
     """Number of generators at each distance from generator x, from the
     ranks of the m Gram matrices of x's row alone."""
     codes, _, codes_j = space.generator_arrays()
-    t = space.spec.tables
+    t = space.spec
     rank, _, _ = eliminate_batch(t, gram_batch(t, codes_j[x][None], codes))
     return {k: int((rank == k).sum()) for k in range(space.n + 1)}
 

@@ -2,7 +2,7 @@
 
 from functools import reduce
 
-from polarcover.exact_algebra import GaussianContext, QuadExt, gauss
+from polarcover.exact_algebra import QuadExt, gauss
 
 
 def poly_mul(*factors):
@@ -24,8 +24,7 @@ def scale_arg(p, c):
 def e_poly(m, q):
     """prod_{i<m} (1 + q^i t) by the q-binomial theorem: its t^l coefficient
     is q^C(l,2) [m choose l]_q, read off ``gauss``."""
-    ctx = GaussianContext(q)
-    return [q ** (l * (l - 1) // 2) * gauss(m, l, ctx) for l in range(m + 1)]
+    return [q ** (l * (l - 1) // 2) * gauss(m, l, q) for l in range(m + 1)]
 
 
 def assert_e_poly_identities(q, m):

@@ -3,8 +3,9 @@
 A generator is an enumeration index x or its RREF basis ``bases(space)[x]``,
 a tuple of code rows.  ``pair_oracle`` computes the distance and the sign of
 one pair straight from the definition in ``maslov``'s docstring, with the
-exact ``gauss_jordan`` over F_q; it shares no code with the batched pass
-``SymplecticSpace.pair_matrices`` that it is the reference for.
+exact ``gauss_jordan`` over the scalar F_q of ``field_oracles``; it shares
+no code with the batched pass ``SymplecticSpace.pair_matrices`` that it is
+the reference for.
 
 An isometry g of B (multiplier 1) permutes the generators and keeps every
 triple sign; a similarity with nonsquare multiplier flips the sign of the
@@ -17,29 +18,31 @@ import random
 import weakref
 from dataclasses import dataclass, field
 
+from field_oracles import reference
 from polarcover.exact_algebra import gauss_jordan, mat_mul
 from polarcover.symplectic import SymplecticSpace
 
 
 def bform(space: SymplecticSpace, u, v):
     """B(u, v) = sum u_i v_(n+i) - u_(n+i) v_i, in the hyperbolic basis."""
-    n, add, sub, mul = space.n, space.spec.add, space.spec.sub, space.spec.mul
+    f, n = reference(space.spec), space.n
+    add, sub, mul = f.add_t, f.sub_t, f.mul_t
     acc = 0
     for i in range(n):
-        acc = add(acc, sub(mul(u[i], v[n + i]), mul(u[n + i], v[i])))
+        acc = add[acc][sub[mul[u[i]][v[n + i]]][mul[u[n + i]][v[i]]]]
     return acc
 
 
 def rref(spec, rows):
     """The nonzero rows of the reduced row echelon form, as a tuple of tuples."""
     rows = [list(row) for row in rows]
-    pivots, _ = gauss_jordan(rows, len(rows[0]), spec)
+    pivots, _ = gauss_jordan(rows, len(rows[0]), reference(spec))
     return tuple(map(tuple, rows[:len(pivots)]))
 
 
-def _det(spec, rows):
+def _det(f, rows):
     rows = list(rows)
-    pivots, det = gauss_jordan(rows, len(rows), spec)
+    pivots, det = gauss_jordan(rows, len(rows), f)
     assert len(pivots) == len(rows), "singular coordinate matrix"
     return det
 
@@ -65,7 +68,7 @@ def generator_index(space: SymplecticSpace, rows) -> int:
     return _indexed(space)[1][rref(space.spec, rows)]
 
 
-def _complete(spec, basis, tail, rng):
+def _complete(f, basis, tail, rng):
     """Heads completing a tail, given by its coordinate rows on basis, to a
     basis of the generator: the head vectors, and delta, the determinant of
     the coordinate rows of heads + tail.  The heads' coordinate rows are the
@@ -74,18 +77,18 @@ def _complete(spec, basis, tail, rng):
     if rng is None:
         if not tail:
             return list(basis), 1       # the coordinate rows form I
-        pivots, _ = gauss_jordan([list(row) for row in tail], n, spec)
+        pivots, _ = gauss_jordan([list(row) for row in tail], n, f)
         free = [i for i in range(n) if i not in pivots]
         heads = [[int(i == j) for j in range(n)] for i in free]
         vectors = [basis[i] for i in free]
     else:
         heads = []
         while len(heads) + len(tail) < n:
-            row = [rng.randrange(spec.q) for _ in range(n)]
-            if len(gauss_jordan(heads + [row] + tail, n, spec)[0]) > len(heads) + len(tail):
+            row = [rng.randrange(f.q) for _ in range(n)]
+            if len(gauss_jordan(heads + [row] + tail, n, f)[0]) > len(heads) + len(tail):
                 heads.append(row)
-        vectors = mat_mul(heads, basis, spec) if heads else []
-    return vectors, _det(spec, heads + tail)
+        vectors = mat_mul(heads, basis, f) if heads else []
+    return vectors, _det(f, heads + tail)
 
 
 def pair_oracle(space: SymplecticSpace, X, Y, rng=None):
@@ -93,8 +96,9 @@ def pair_oracle(space: SymplecticSpace, X, Y, rng=None):
     bases, one pair at a time.
 
     A member of X has its entries at X's pivot columns as its coordinates,
-    so each row of Y reduced against X leaves its residue in V / X.  The
-    residues, each carried with the Y-coordinates of its row, are
+    so each row of Y reduced against X leaves its residue in V / X: zero at
+    X's pivot columns, its coordinates at the n others.  The residues, each
+    carried with the Y-coordinates of its row, are
     eliminated: the rank is d, and the null rows hold the Y-coordinates of a
     basis of X meet Y, the tail, whose X-coordinates are its entries at X's
     pivots.  Each side completes the tail to a basis (``_complete``), and
@@ -103,23 +107,35 @@ def pair_oracle(space: SymplecticSpace, X, Y, rng=None):
     """
     if X == Y:
         raise ValueError("pair_oracle requires distinct generators")
-    spec, n = space.spec, space.n
-    sub, mul = spec.sub, spec.mul
+    f, n = reference(space.spec), space.n
+    add, sub, mul, neg = f.add_t, f.sub_t, f.mul_t, f.neg_t
     pivots = [row.index(1) for row in X]
+    free = [c for c in range(2 * n) if c not in pivots]
     rows = []
     for j, y in enumerate(Y):
-        residue = list(y)
+        residue = [y[c] for c in free]
         for x, p in zip(X, pivots):
             if y[p]:
-                residue = [sub(a, mul(y[p], b)) for a, b in zip(residue, x)]
+                times = mul[y[p]]
+                residue = [sub[a][times[x[c]]] for a, c in zip(residue, free)]
         rows.append(residue + [int(i == j) for i in range(n)])
-    d = len(gauss_jordan(rows, 2 * n, spec)[0])
-    tail_y = [row[2 * n:] for row in rows[d:]]
-    tail_x = mat_mul(tail_y, [[y[p] for p in pivots] for y in Y], spec) if tail_y else []
-    heads_x, delta_x = _complete(spec, X, tail_x, rng)
-    heads_y, delta_y = _complete(spec, Y, tail_y, rng)
-    gram = [[bform(space, u, v) for v in heads_y] for u in heads_x]
-    return d, spec.chi_code(mul(mul(delta_x, delta_y), _det(spec, gram)))
+    d = len(gauss_jordan(rows, n, f)[0])
+    tail_y = [row[n:] for row in rows[d:]]
+    tail_x = mat_mul(tail_y, [[y[p] for p in pivots] for y in Y], f) if tail_y else []
+    heads_x, delta_x = _complete(f, X, tail_x, rng)
+    heads_y, delta_y = _complete(f, Y, tail_y, rng)
+    # B(u, v) is the dot product of u J = (-u_f, u_e) with v.
+    gram = []
+    for u in heads_x:
+        uj = [neg[c] for c in u[n:]] + list(u[:n])
+        row = []
+        for v in heads_y:
+            acc = 0
+            for a, b in zip(uj, v):
+                acc = add[acc][mul[a][b]]
+            row.append(acc)
+        gram.append(row)
+    return d, f.chi(mul[mul[delta_x][delta_y]][_det(f, gram)])
 
 
 @dataclass(frozen=True)
@@ -132,31 +148,31 @@ class Isometry:
 
 def generator_image(space: SymplecticSpace, x: int, iso: Isometry) -> int:
     """Index of the image of generator x under an isometry."""
-    return generator_index(space, mat_mul(bases(space)[x], iso.matrix, space.spec))
+    return generator_index(space, mat_mul(bases(space)[x], iso.matrix, reference(space.spec)))
 
 
 def _transvection_matrix(space: SymplecticSpace, v, lam):
     """Matrix of x -> x + lam * B(x, v) v, a symplectic transvection."""
-    spec, dim = space.spec, space.dim
+    f, dim = reference(space.spec), space.dim
     rows = []
     for i in range(dim):
         e = tuple(1 if j == i else 0 for j in range(dim))
-        c = spec.mul(lam, bform(space, e, v))
-        rows.append(tuple(spec.add(a, spec.mul(c, b)) for a, b in zip(e, v)))
+        c = f.mul(lam, bform(space, e, v))
+        rows.append(tuple(f.add(a, f.mul(c, b)) for a, b in zip(e, v)))
     return tuple(rows)
 
 
 def verify_similarity(space: SymplecticSpace, matrix, multiplier) -> bool:
     """Check B(u g, v g) = multiplier * B(u, v) on all basis pairs."""
-    spec, n, dim = space.spec, space.n, space.dim
+    f, n, dim = reference(space.spec), space.n, space.dim
     gram = [[0] * dim for _ in range(dim)]     # hyperbolic basis
     for i in range(n):
         gram[i][n + i] = 1
-        gram[n + i][i] = spec.neg(1)
+        gram[n + i][i] = f.neg(1)
     for i in range(dim):
         gi = matrix[i]
         for j in range(dim):
-            want = spec.mul(multiplier, gram[i][j])
+            want = f.mul(multiplier, gram[i][j])
             if bform(space, gi, matrix[j]) != want:
                 return False
     return True
@@ -165,16 +181,16 @@ def verify_similarity(space: SymplecticSpace, matrix, multiplier) -> bool:
 def sp_sample_elements(space: SymplecticSpace, count: int, seed: int):
     """Seeded random products of symplectic transvections (multiplier 1)."""
     rng = random.Random(seed)
-    spec, dim = space.spec, space.dim
+    f, dim = reference(space.spec), space.dim
     out = []
     for _ in range(count):
         M = tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
         for _ in range(rng.randint(3, 8)):
-            v = tuple(rng.randrange(spec.q) for _ in range(dim))
+            v = tuple(rng.randrange(f.q) for _ in range(dim))
             if not any(v):
                 continue
-            lam = rng.randrange(1, spec.q)
-            M = tuple(map(tuple, mat_mul(M, _transvection_matrix(space, v, lam), spec)))
+            lam = rng.randrange(1, f.q)
+            M = tuple(map(tuple, mat_mul(M, _transvection_matrix(space, v, lam), f)))
         if not verify_similarity(space, M, 1):
             raise AssertionError("transvection product failed gram preservation")
         out.append(Isometry(M, 1))
@@ -187,8 +203,8 @@ def nonsquare_similarity(space: SymplecticSpace) -> Isometry:
     Maps e_1 -> e_1, e_i -> eta e_i (i >= 2), f_1 -> eta f_1, f_i -> f_i,
     so B(u g, v g) = eta B(u, v).
     """
-    spec, n, dim = space.spec, space.n, space.dim
-    eta = spec.smallest_nonsquare()
+    f, n, dim = reference(space.spec), space.n, space.dim
+    eta = f.smallest_nonsquare()
     rows = []
     for i in range(dim):
         scale = 1
@@ -196,7 +212,7 @@ def nonsquare_similarity(space: SymplecticSpace) -> Isometry:
             scale = eta
         elif i == n:            # f_1
             scale = eta
-        rows.append(tuple(spec.mul(scale, 1) if j == i else 0 for j in range(dim)))
+        rows.append(tuple(f.mul(scale, 1) if j == i else 0 for j in range(dim)))
     iso = Isometry(tuple(rows), eta)
     if not verify_similarity(space, iso.matrix, eta):
         raise AssertionError("similarity construction failed verification")
@@ -223,7 +239,7 @@ def verify_invariance(table, elements, trials=500, seed=0) -> InvarianceReport:
     d(X,Y) + d(Y,Z) + d(Z,X) is odd.
     """
     space = table.space
-    spec = space.spec
+    chi = reference(space.spec).chi
     m = len(bases(space))
     D = space.distance_matrix()
     S = table.sigma_matrix()
@@ -231,7 +247,7 @@ def verify_invariance(table, elements, trials=500, seed=0) -> InvarianceReport:
     failures = []
     checked = 0
     for iso in elements:
-        chi_mu = spec.chi_code(iso.multiplier)
+        chi_mu = chi(iso.multiplier)
         for _ in range(max(1, trials // max(1, len(elements)))):
             x, y, z = rng.sample(range(m), 3)
             perim = int(D[x, y]) + int(D[y, z]) + int(D[z, x])

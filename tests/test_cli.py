@@ -250,7 +250,7 @@ class TestScheme:
 
 # The names the package exports, each with the module that defines it.
 PACKAGE_EXPORTS = {
-    "exact_algebra": ["GaussianContext", "Polynomial", "QuadExt", "gauss"],
+    "exact_algebra": ["QuadExt", "gauss"],
     "finite_field": ["FieldSpec", "construct_field"],
     "symplectic": ["SymplecticSpace", "enumerate_generators"],
     "maslov": ["CoherenceTable", "coherent_split_count", "verify_two_graph"],

@@ -7,7 +7,7 @@ import pytest
 
 import polarcover.closed_form as closed_form
 from polarcover.errors import QNotOneModFour
-from polarcover.exact_algebra import GaussianContext, Polynomial, QuadExt, gauss, rpow
+from polarcover.exact_algebra import QuadExt, gauss
 from polarcover.closed_form import (
     crosscheck_P,
     drg_abc,
@@ -35,7 +35,9 @@ def thm71_oracle(L1, sigma, s_polys, q):
             for j in range(m):
                 if L1[k][j]:
                     lhs = lhs + L1[k][j] * sigma[j] ** ell
-            rhs = s_polys[ell](sigma[k])
+            rhs = QuadExt(0, 0, q)
+            for c in reversed(s_polys[ell]):
+                rhs = rhs * sigma[k] + c
             checked += 1
             if lhs != rhs:
                 return False, checked, (k, ell, lhs, rhs)
@@ -44,11 +46,10 @@ def thm71_oracle(L1, sigma, s_polys, q):
 
 def eigenrow_oracle(n, q, i, j, with_shift):
     """One quotient eigenmatrix entry with r ** e and gauss per term."""
-    ctx = GaussianContext(q)
     r = QuadExt.root(q)
     acc = QuadExt(0, 0, q)
     for ell in range(j + 1):
-        g = gauss(i, ell, ctx) * gauss(n - i, j - ell, ctx)
+        g = gauss(i, ell, q) * gauss(n - i, j - ell, q)
         if not g:
             continue
         e = (j - ell) ** 2 + ell**2
@@ -114,10 +115,11 @@ class TestQSequence:
         sigma = q_sequence(n, q)
         assert len(sigma) == 2 * n + 2
         assert sigma[0] == QuadExt(1, 0, q)
+        r = QuadExt.root(q)
         for j in range(n + 1):
-            assert sigma[j] == rpow(q, -j)
+            assert sigma[j] == r ** -j
         for j in range(n + 1, 2 * n + 2):
-            assert sigma[j] == -rpow(q, -(2 * n + 1 - j))
+            assert sigma[j] == -r ** -(2 * n + 1 - j)
         assert len(set(sigma)) == 2 * n + 2
 
     def test_antisymmetric_pairing(self):
@@ -139,22 +141,22 @@ class TestSFamily:
     def test_degrees(self):
         polys = s_family(3, 5)
         for ell, p in enumerate(polys):
-            assert p.degree <= ell
+            assert len(p) == ell + 1
 
     def test_degree_drop_at_even_n(self):
         # For even n, 0 is an A_1 eigenvalue and the x^(n+1) coefficient of
         # s_{n+1} vanishes; for odd n it does not.
         polys2 = s_family(2, 5)
-        assert polys2[3].coeff(3) == QuadExt(0, 0, 5)
+        assert polys2[3][3] == QuadExt(0, 0, 5)
         polys1 = s_family(1, 5)
-        assert polys1[2].coeff(2) != QuadExt(0, 0, 5)
+        assert polys1[2][2] != QuadExt(0, 0, 5)
         polys3 = s_family(3, 5)
-        assert polys3[4].coeff(4) != QuadExt(0, 0, 5)
+        assert polys3[4][4] != QuadExt(0, 0, 5)
 
     def test_leading_coeffs_are_eigenvalues(self, q5n2_scheme):
         # x^l coefficients of the family = spectrum of A_1.
         polys = s_family(2, 5)
-        leads = {polys[ell].coeff(ell) for ell in range(6)}
+        leads = {polys[ell][ell] for ell in range(6)}
         assert leads == set(q5n2_scheme["sd"].eigenvalues)
 
     def test_conjugate_sequence_also_verifies(self):
@@ -163,10 +165,7 @@ class TestSFamily:
         n, q = 2, 5
         L = l1_closed(n, q)
         sigma = [s.conjugate() for s in q_sequence(n, q)]
-        polys = s_family(n, q)
-        from polarcover.exact_algebra import Polynomial
-
-        conj = [Polynomial([c.conjugate() for c in p.coeffs], q) for p in polys]
+        conj = [[c.conjugate() for c in p] for p in s_family(n, q)]
         report = verify_thm71(L, sigma, conj, q)
         assert report.ok, report.failure
 
@@ -181,8 +180,7 @@ class TestThm71Oracle:
     @pytest.mark.parametrize("n,q", ORACLE_GRID)
     def test_conjugate_sequence(self, n, q):
         sigma = [s.conjugate() for s in q_sequence(n, q)]
-        polys = [Polynomial([c.conjugate() for c in p.coeffs], q)
-                 for p in s_family(n, q)]
+        polys = [[c.conjugate() for c in p] for p in s_family(n, q)]
         assert assert_same_report(l1_closed(n, q), sigma, polys, q).ok
 
     @pytest.mark.parametrize("n,q", ORACLE_GRID)
@@ -207,10 +205,9 @@ class TestThm71Oracle:
         for ell in (rng.randrange(m), n + 1, m - 1):
             for i in (rng.randrange(ell + 1), ell, max(ell - 2, 0), m):
                 polys = s_family(n, q)
-                coeffs = list(polys[ell].coeffs)
+                coeffs = polys[ell]
                 coeffs += [QuadExt(0, 0, q)] * (i + 1 - len(coeffs))
                 coeffs[i] = coeffs[i] + 1
-                polys[ell] = Polynomial(coeffs, q)
                 rep = assert_same_report(L, sigma, polys, q)
                 assert not rep.ok and rep.failure[1] == ell
 
@@ -270,9 +267,8 @@ class TestEigenmatricesOracle:
 
     @pytest.mark.parametrize("q", [5, 9, 13, 81, 101])
     def test_gauss_table_matches_gauss(self, q):
-        ctx = GaussianContext(q)
         assert closed_form._gauss_table(13, q) == \
-            [[gauss(a, b, ctx) for b in range(13)] for a in range(13)]
+            [[gauss(a, b, q) for b in range(13)] for a in range(13)]
 
     @staticmethod
     def assert_first_dense_mismatch(n, q, bump, monkeypatch):

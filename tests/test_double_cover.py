@@ -20,7 +20,7 @@ from cover_oracles import (
     relation_index,
     relation_index_matrix,
 )
-from polarcover.exact_algebra import GaussianContext, gauss, mat_charpoly
+from polarcover.exact_algebra import gauss, mat_charpoly
 from polarcover.scheme_core import class_distances, verify_scheme
 from poly_oracles import poly_mul
 from symplectic_oracles import triple_sign
@@ -48,7 +48,7 @@ class TestCoveringProperty:
         space = cover.space
         q, n = space.spec.q, space.n
         assert cover.num_vertices == 2 * len(space.generator_arrays()[0])
-        deg = q * int(gauss(n, 1, GaussianContext(q)))
+        deg = q * int(gauss(n, 1, q))
         for vid in range(10):
             assert len(neighbors(cover, SignedVertex.from_vid(vid))) == deg
 

@@ -1,10 +1,17 @@
-"""F_q arithmetic, irreducible modulus selection, quadratic character."""
+"""F_q arithmetic, irreducible modulus selection, quadratic character.
+
+The array operations of ``FieldSpec`` are what the program runs; the scalar
+reference of ``field_oracles`` is checked here as well, since the oracles
+compute with it.
+"""
 
 from itertools import product
 
+import numpy as np
 import pytest
 
-from polarcover.finite_field import ZeroCharacterArgument, construct_field
+from field_oracles import reference
+from polarcover.finite_field import construct_field
 
 
 def _odd_prime_powers(bound):
@@ -42,6 +49,15 @@ def _schoolbook(a, b, modulus, p):
     return _poly_rem(prod, modulus, p)
 
 
+def _table_by_definition(f, combine):
+    """The rows of a binary table of f from its definition: combine gives
+    the coefficient vector of a op b from those of a and b, before the
+    reduction mod p."""
+    code = reference(f).code
+    coeffs = [f.coeffs(x) for x in range(f.q)]
+    return [[code(combine(ca, cb)) for cb in coeffs] for ca in coeffs]
+
+
 class TestConstruction:
     def test_prime_field(self):
         f = construct_field(5, 1)
@@ -76,7 +92,7 @@ class TestArithmetic:
     def test_field_axioms_exhaustive_on_samples(self, p, e):
         import random
 
-        f = construct_field(p, e)
+        f = reference(construct_field(p, e))
         rng = random.Random(7)
         for _ in range(200):
             a, b, c = (rng.randrange(f.q) for _ in range(3))
@@ -93,12 +109,12 @@ class TestArithmetic:
         assert f.mul(3, 3) == 2
 
     def test_division_by_zero(self):
-        f = construct_field(5, 1)
+        f = reference(construct_field(5, 1))
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
 
     def test_pow_negative_exponent(self):
-        f = construct_field(13, 1)
+        f = reference(construct_field(13, 1))
         for a in range(1, 13):
             assert f.mul(f.pow(a, -1), a) == 1
             assert f.pow(a, -2) == f.inv(f.mul(a, a))
@@ -106,44 +122,41 @@ class TestArithmetic:
     def test_coeffs_roundtrip(self):
         f = construct_field(3, 2)
         for code in range(9):
-            assert f.code(f.coeffs(code)) == code
+            assert reference(f).code(f.coeffs(code)) == code
 
 
 class TestCharacter:
     @pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (3, 3)])
     def test_chi_matches_squares(self, p, e):
         f = construct_field(p, e)
-        squares = {f.mul(x, x) for x in range(1, f.q)}
-        for a in range(1, f.q):
-            assert f.chi_code(a) == (1 if a in squares else -1)
+        nonzero = np.arange(1, f.q)
+        squares = set(f.mul(nonzero, nonzero).tolist())
+        assert f.chi(nonzero).tolist() == [1 if a in squares else -1 for a in range(1, f.q)]
 
     def test_chi_multiplicative(self):
         f = construct_field(13, 1)
-        for a in range(1, 13):
-            for b in range(1, 13):
-                assert f.chi_code(f.mul(a, b)) == f.chi_code(a) * f.chi_code(b)
+        a, b = np.indices((12, 12)) + 1
+        assert (f.chi(f.mul(a, b)) == f.chi(a) * f.chi(b)).all()
 
     def test_chi_minus_one_depends_on_q_mod_4(self):
         # chi(-1) = +1 iff q = 1 mod 4.
         for p, e in ((5, 1), (3, 2), (13, 1), (5, 2)):
             f = construct_field(p, e)
-            assert f.chi_code(f.neg(1)) == (1 if f.q % 4 == 1 else -1)
+            assert f.chi(f.neg(1)) == (1 if f.q % 4 == 1 else -1)
         f7 = construct_field(7, 1)
-        assert f7.chi_code(f7.neg(1)) == -1
+        assert f7.chi(f7.neg(1)) == -1
 
     def test_chi_zero_is_an_error(self):
-        f = construct_field(5, 1)
-        with pytest.raises(ZeroCharacterArgument):
-            f.chi_code(0)
-        with pytest.raises(ZeroCharacterArgument):
-            construct_field(3, 2).chi_code(0)
+        for p, e in ((5, 1), (3, 2)):
+            with pytest.raises(ValueError, match="chi"):
+                reference(construct_field(p, e)).chi(0)
 
     def test_smallest_nonsquare(self):
-        assert construct_field(5, 1).smallest_nonsquare() == 2
-        f9 = construct_field(3, 2)
+        assert reference(construct_field(5, 1)).smallest_nonsquare() == 2
+        f9 = reference(construct_field(3, 2))
         eta = f9.smallest_nonsquare()
-        assert f9.chi_code(eta) == -1
-        assert all(f9.chi_code(x) == 1 for x in range(1, eta))
+        assert f9.chi(eta) == -1
+        assert all(f9.chi(x) == 1 for x in range(1, eta))
 
 
 class TestElementApi:
@@ -157,34 +170,36 @@ class TestElementApi:
 @pytest.mark.parametrize("p,e", ODD_PRIME_POWERS,
                          ids=[f"q{p**e}" for p, e in ODD_PRIME_POWERS])
 class TestTableOracles:
-    """Every table entry against its definition, for every odd q < 200."""
+    """Every entry of the array operations against its definition, for
+    every odd q < 200."""
 
     def test_add_and_mul_are_polynomial_sum_and_product(self, p, e):
+        # sub too: its table, add[:, neg], feeds eliminate_batch and the
+        # big-cell index.
         f = construct_field(p, e)
-        q = f.q
-        coeffs = [f.coeffs(x) for x in range(q)]
-        for a in range(q):
-            if e == 1:
-                sums = [(a + b) % p for b in range(q)]
-                prods = [a * b % p for b in range(q)]
-            else:
-                ca = coeffs[a]
-                sums = [f.code([x + y for x, y in zip(ca, cb)]) for cb in coeffs]
-                prods = [f.code(_schoolbook(ca, cb, f.modulus, p)) for cb in coeffs]
-            assert [f.add(a, b) for b in range(q)] == sums, a
-            assert [f.mul(a, b) for b in range(q)] == prods, a
+        codes = np.arange(f.q)
+        sums = _table_by_definition(f, lambda a, b: [x + y for x, y in zip(a, b)])
+        diffs = _table_by_definition(f, lambda a, b: [x - y for x, y in zip(a, b)])
+        prods = _table_by_definition(f, lambda a, b: _schoolbook(a, b, f.modulus, p))
+        for a in range(f.q):
+            assert f.add(a, codes).tolist() == sums[a], a
+            assert f.sub(a, codes).tolist() == diffs[a], a
+            assert f.mul(a, codes).tolist() == prods[a], a
 
     def test_neg_inv_chi(self, p, e):
         f = construct_field(p, e)
-        minus_one = f.neg(1)
-        assert f.neg(0) == 0
-        for x in range(1, f.q):
-            assert f.add(x, f.neg(x)) == 0
-            assert f.mul(x, f.inv(x)) == 1
-            # Euler's criterion
-            euler = f.pow(x, (f.q - 1) // 2)
-            assert euler in (1, minus_one)
-            assert f.chi_code(x) == (1 if euler == 1 else -1)
+        scalar = reference(f)
+        nonzero = np.arange(1, f.q)
+        assert (f.add(nonzero, f.neg(nonzero)) == 0).all()
+        assert (f.mul(nonzero, f.inv(nonzero)) == 1).all()
+        # Euler's criterion
+        minus_one = int(f.neg(1))
+        euler = [scalar.pow(x, (f.q - 1) // 2) for x in range(1, f.q)]
+        assert set(euler) <= {1, minus_one}
+        assert f.chi(nonzero).tolist() == [1 if x == 1 else -1 for x in euler]
+        # Zero lanes: neg, inv and chi of 0 are 0.
+        zeros = np.zeros(3, dtype=np.int16)
+        assert not f.neg(zeros).any() and not f.inv(zeros).any() and not f.chi(zeros).any()
 
     def test_modulus_is_smallest_irreducible(self, p, e):
         # Monic candidates of degree e in base-p counting order of the low
@@ -198,6 +213,6 @@ class TestTableOracles:
         def reducible(poly):
             return any(not any(_poly_rem(poly, g, p)) for g in factors)
 
-        for code in range(f.code(f.modulus[:e])):
+        for code in range(reference(f).code(f.modulus[:e])):
             assert reducible(list(f.coeffs(code)) + [1]), code
         assert not reducible(list(f.modulus))

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from field_oracles import reference
 from polarcover.errors import QNotOneModFour
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable, coherent_split_count, verify_two_graph
@@ -218,7 +219,7 @@ class TestInvariance:
         # the eta-perturbed triple is non-coherent.
         space = q5n2["space"]
         S = CoherenceTable(space).sigma_matrix()
-        eta = space.spec.smallest_nonsquare()
+        eta = reference(space.spec).smallest_nonsquare()
         x = generator_index(space, [(1, 0, 0, 0), (0, 1, 0, 0)])
         y = generator_index(space, [(0, 0, 1, 0), (0, 1, 0, 0)])
         z = generator_index(space, [(1, 0, 1, 0), (0, 1, 0, 0)])

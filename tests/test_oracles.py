@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cover_oracles import relation_index_matrix
+from field_oracles import reference
 from polarcover import symplectic
 from polarcover.cover import CoverGraph
 from polarcover.errors import (
@@ -44,25 +45,36 @@ def perp_basis(space, basis):
     """Basis of the orthogonal complement of a subspace."""
     unit = [tuple(int(k == j) for k in range(space.dim)) for j in range(space.dim)]
     constraints = [[bform(space, b, e) for e in unit] for b in basis]
-    return mat_kernel(constraints, space.spec)
+    return mat_kernel(constraints, reference(space.spec))
+
+
+def lines(f, vectors):
+    """One spanning vector per line of the span of vectors, which are
+    independent: the combinations whose first nonzero coefficient is 1.
+    Scalar multiples span the same subspaces, so they add no candidate."""
+    add, mul = f.add_t, f.mul_t
+    k = len(vectors)
+    for lead in range(k):
+        for tail in product(range(f.q), repeat=k - 1 - lead):
+            v = list(vectors[lead])
+            for c, w in zip(tail, vectors[lead + 1:]):
+                if c:
+                    times = mul[c]
+                    v = [add[a][times[b]] for a, b in zip(v, w)]
+            yield v
 
 
 def legacy_enumeration(space):
     """Generators by recursive isotropic extension, deduplicated per dimension,
     as RREF bases in lexicographic order."""
-    spec, dim = space.spec, space.dim
+    f, dim = reference(space.spec), space.dim
+    unit = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
     level = {()}
     for _ in range(space.n):
         nxt = set()
         for basis in level:
-            if not basis:
-                candidates = (v for v in product(range(spec.q), repeat=dim) if any(v))
-            else:
-                perp = perp_basis(space, basis)
-                candidates = (mat_mul([coeffs], perp, spec)[0]
-                              for coeffs in product(range(spec.q), repeat=len(perp)))
-            for v in candidates:
-                extended = rref(spec, basis + (v,))
+            for v in lines(f, perp_basis(space, basis) if basis else unit):
+                extended = rref(space.spec, basis + (v,))
                 if len(extended) > len(basis):
                     nxt.add(extended)
         level = nxt
@@ -95,37 +107,39 @@ class TestEliminateBatch:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 5), (4, 3)])
     def test_matches_eliminate(self, q, shape):
         spec = construct_field(*FIELDS[q])
+        f = reference(spec)
         rng = random.Random(q * 100 + shape[0] * 10 + shape[1])
         r, c = shape
         # Small-support entries make rank-deficient and zero rows common.
         mats = [[[rng.choice((0, 0, 1, rng.randrange(q))) for _ in range(c)]
                  for _ in range(r)] for _ in range(300)]
         M = np.array(mats, dtype=np.intp)
-        rank, pivots, pivot_product = eliminate_batch(spec.tables, M)
+        rank, pivots, pivot_product = eliminate_batch(spec, M)
         for x, rows in enumerate(mats):
             ref_rows = list(rows)
-            ref_pivots, det = gauss_jordan(ref_rows, c, spec)
+            ref_pivots, det = gauss_jordan(ref_rows, c, f)
             k = len(ref_pivots)
             assert rank[x] == k
             assert pivots[x].tolist() == ref_pivots + [-1] * (r - k)
             assert M[x, :k].tolist() == ref_rows[:k]
             assert not M[x, k:].any()
             if k == r == c:     # otherwise the pivots depend on the row order
-                assert pivot_product[x] in (det, spec.neg(det))
+                assert pivot_product[x] in (det, f.neg(det))
 
     @pytest.mark.parametrize("q", [5, 9])
     def test_carried_columns_hold_the_transform(self, q):
         # Eliminating [G | I] on G's columns leaves [R | E] with E G = R.
         spec = construct_field(*FIELDS[q])
+        f = reference(spec)
         rng = random.Random(q)
         n = 3
         for _ in range(200):
             G = [[rng.choice((0, rng.randrange(q))) for _ in range(n)] for _ in range(n)]
             M = np.concatenate([np.array([G]), np.eye(n, dtype=np.intp)[None]], axis=2)
-            rank, _, _ = eliminate_batch(spec.tables, M, n)
+            rank, _, _ = eliminate_batch(spec, M, n)
             R, E = M[0, :, :n].tolist(), M[0, :, n:].tolist()
-            assert mat_mul(E, G, spec) == R
-            assert rank[0] == len(gauss_jordan(list(G), n, spec)[0])
+            assert mat_mul(E, G, f) == R
+            assert rank[0] == len(gauss_jordan(list(G), n, f)[0])
 
 
 def _check_rows(space, rows, columns):
@@ -210,7 +224,7 @@ class TestPairMatrices:
         # [sub(B, A) | I], which is also the input of ([I | 0], [I | C]) with
         # C = sub(B, A); so the table entry of C is d(X, Y) and sigma(X, Y).
         space = make_space(q, n)
-        t, found = space.spec.tables, bases(space)
+        t, found = space.spec, bases(space)
         codes, pivots, codes_j = space.generator_arrays()
         cell = np.flatnonzero((pivots == np.arange(n)).all(axis=1))
         assert len(cell) == q ** (n * (n + 1) // 2)
@@ -262,7 +276,8 @@ class TestPairMatrices:
         D = space.distance_matrix()
         _, pivots, _ = space.generator_arrays()
         outside = ~(pivots == np.arange(n)).all(axis=1)
-        singular = sum(len(gauss_jordan(C, n, space.spec)[0]) < n for C in symmetric_matrices(5, n))
+        f = reference(space.spec)
+        singular = sum(len(gauss_jordan(C, n, f)[0]) < n for C in symmetric_matrices(5, n))
         below = np.triu(D < n, 1) & (outside[:, None] | outside[None, :])
         assert tail_lanes == singular + int(below.sum())
         assert tail_lanes == (1 + 0 if n == 1 else 25 + 840)

@@ -15,8 +15,10 @@ pair at a time.
 ``CoherenceTable.sigma_matrix`` reads all pairs off the space's one pair
 pass, ``SymplecticSpace.pair_matrices``, which gives the distance matrix D
 from the same eliminations; its docstring derives the batched formula, and
-shows why a big-cell pair [I | A], [I | B] has the sign of
-([I | 0], [I | B - A]), so that those pairs read one table.
+shows why a pair of a big-cell generator [I | A] and any Y has the sign of
+([I | A - B'], Y*), with Y* the canonical representative of Y under the
+translations by symmetric B', so that every pair with a big-cell member
+reads one table.
 """
 
 from __future__ import annotations

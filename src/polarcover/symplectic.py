@@ -7,7 +7,8 @@ array of RREF bases, and one batched Gauss-Jordan (``eliminate_batch``)
 over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
 pass over all generator pairs: it gives the distance matrix D and the sign
 matrix S of ``maslov`` together, and its docstring derives the sign formula
-and why big-cell pairs can read (D, S) from one table.
+and why every pair with a member in the big cell can read (D, S) from one
+table, indexed by the translation class of the other member.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def gram_batch(t: FieldSpec, XJ, Y):
 # Pairs per chunk of the batched pair kernels: their working arrays stay at
 # a few MB, and larger chunks measured no faster.
 PAIR_CHUNK = 1 << 13
+# Entries of D per row block of the big-cell gather in ``pair_matrices``:
+# the block's temporaries stay at a few hundred KB, and larger blocks
+# measured no faster.
+GATHER_BLOCK = 1 << 13
 
 
 def pair_chunks(m, rows=None):
@@ -174,12 +179,11 @@ class SymplecticSpace:
     def pair_matrices(self):
         """(D, S): symmetric int8 matrices of distances and pair signs.
 
-        Computed once, in one pass over all pairs a < b in chunks.  With X,
-        Y the RREF bases, G = X J Y^T (G_ij = B(x_i, y_j)) and X_Y the
-        columns of X at the pivot columns of Y, one elimination of
-        [G | X_Y] on G's columns gives E G = R in RREF with
-        k = rank(G) = d(X, Y) pivot rows at columns pc, since the left
-        kernel of G gives X meet Y.  D[a, b] is that k, and
+        Computed once.  With X, Y the RREF bases, G = X J Y^T
+        (G_ij = B(x_i, y_j)) and X_Y the columns of X at the pivot columns
+        of Y, one elimination of [G | X_Y] on G's columns gives E G = R in
+        RREF with k = rank(G) = d(X, Y) pivot rows at columns pc, since the
+        left kernel of G gives X meet Y.  D[a, b] is that k, and
 
             S[a, b] = chi(product of the pivots of G) * chi(det M_Y),
 
@@ -196,48 +200,85 @@ class SymplecticSpace:
         (M_Y is nonsingular for every q).  At k = n every row of M_Y is a
         unit row e_pc, so only the pairs with k < n eliminate M_Y.
 
-        Big-cell pairs read a table.  The big cell is the generators whose
-        RREF basis is [I | A], A symmetric.  For X = [I | A], Y = [I | B]
-        the Gram matrix is XJ Y^T = [-A | I] [I | B]^T = sub(B, A), entry
-        by entry in codes, and X_Y is I, so the elimination input is
-        [sub(B, A) | I]: the input of ([I | 0], [I | C]) with C = sub(B, A).
-        The same input gives the same rank, pivots and tail, so D and S of
-        every big-cell pair are read from one run of the same elimination
-        over the q^(n(n+1)/2) symmetric C, indexed by C's upper triangle.
-        Only the pairs with a member outside the big cell run the pair
-        elimination.
+        Every pair with a member X = [I | A] in the big cell (A symmetric)
+        reads a table.  Take any generator Y with pivots pi, f-pivot indices
+        J = {j : n + j in pi}, K = {0..n-1} minus J and k = |K|.  The first k
+        rows of Y are its e-pivot rows; on them let M = Y[:k, K] and
+        Z = Y[:k, n + K].  M is invertible: the f-pivot rows span Y meet F
+        and are the identity at J, so the e-parts of Y, which are orthogonal
+        to them, meet span(e_J) only in 0, and the k independent e-parts of
+        the first rows keep their rank at the columns K.  One elimination of
+        [M | Z] gives T = M^-1 Z.  Let B_K be the symmetric matrix with T's
+        upper triangle (diagonal included), B' its n x n embedding with zeros
+        on the rows and columns J, and Y* = Y [[I, -B'], [0, I]], which is Y
+        with Z replaced by Z - M B_K.  The translation by the symmetric B' is
+        an isometry, so Y* is a generator; it has Y's pivots, and
+        M^-1 Z* = T - B_K is strictly lower triangular.  The translations by
+        symmetric matrices zero on J change T by exactly such B_K, so Y* is
+        the one member of Y's class with that property: its canonical
+        representative.
+
+        The input [G | X_Y] of (X, Y) equals, entry by entry in codes, that
+        of ([I | A - B'], Y*): G = Y_f^T - A Y_e^T with Y_f = Y*_f + Y_e B',
+        and X_Y agrees because B' is zero on the f-pivot columns J.  The same
+        input gives the same rank, pivots and tail, so one run of the
+        elimination over the pairs ([I | C], Y*), for the R distinct Y* and
+        the q^(n(n+1)/2) symmetric C of the big cell, gives (D, S) of every
+        such pair: ([I | A], Y) reads lane r(Y) q^(n(n+1)/2) + the index of
+        A - B', whose upper triangle holds its base-q digits.  For Y = [I | A_Y]
+        in the big cell, Y* = [I | 0] and B' = A_Y.  A pair is read in the
+        order (X, Y), whichever index is lower.  At q = 1 mod 4 S is
+        symmetric, so this changes nothing; at q = 3 mod 4, where S has no
+        meaning, it can change S from the order (lower, higher) that the
+        elimination of the other pairs uses, while D is the same.  Only the
+        pairs with both members outside the big cell run the pair
+        elimination, in chunks.
         """
         if self._pairs is None:
             t, n = self.spec, self.n
             codes, pivots, codes_j = self.generator_arrays()
             m = len(codes)
+            reps, rep_pivots, rep_of, shift = _translation_classes(t, codes, pivots, n)
+            # The table: lane r Q + c is the pair ([I | C_c], Y*_r).
+            C = next(_chart_bases(self))
+            C_j, Q = _times_j(t, C, n), len(C)
+            table_D = np.empty(len(reps) * Q, dtype=np.int8)
+            table_S = np.empty(len(reps) * Q, dtype=np.int8)
+            for start in range(0, len(table_D), PAIR_CHUNK):
+                lane = np.arange(start, min(start + PAIR_CHUNK, len(table_D)))
+                c, r = lane % Q, lane // Q
+                table_D[lane], table_S[lane] = _pair_kernel(
+                    t, C[c], C_j[c], reps[r], rep_pivots[r])
             D = np.zeros((m, m), dtype=np.int8)
             S = np.zeros((m, m), dtype=np.int8)
             big = (pivots == np.arange(n)).all(axis=1)
             cell, rest = np.flatnonzero(big), np.flatnonzero(~big)
-            # Pairs with a member outside the big cell: those members first,
-            # each pair eliminated as (lower index, higher index).
-            order = np.concatenate([rest, cell])
-            for x, y in pair_chunks(m, len(rest)):
-                a, b = np.minimum(order[x], order[y]), np.maximum(order[x], order[y])
+            for i, j in pair_chunks(len(rest)):
+                a, b = rest[i], rest[j]
                 rank, sign = _pair_kernel(t, codes[a], codes_j[a], codes[b], pivots[b])
                 D[a, b] = D[b, a] = rank
                 S[a, b] = S[b, a] = sign
-            # Big-cell pairs: one table over C of the pairs ([I | 0], [I | C]).
-            # It has one lane per big-cell generator, so it needs no chunks.
-            C = next(_chart_bases(self))
-            X = np.broadcast_to(C[0], C.shape)
-            table_D, table_S = _pair_kernel(
-                t, X, _times_j(t, X, n), C, np.broadcast_to(np.arange(n), C.shape[:2]))
-            # The table index of C = B - A: its upper triangle in base q.
+            # The lane of ([I | A], Y) is r(Y) Q plus the index of A - B'_Y:
+            # digit_lanes[d][v, Y] = q^(number of later digits) sub(v, B'_Y's
+            # digit d) over the upper-triangle digits d, and r(Y) Q in d = 0.
             iu, ju = np.triu_indices(n)
-            upper = codes[cell][:, iu, n + ju]
-            weights = self.spec.q ** np.arange(len(iu))[::-1]
-            for i, j in pair_chunks(len(cell)):
-                idx = t.sub(upper[j], upper[i]) @ weights
-                a, b = cell[i], cell[j]
-                D[a, b] = D[b, a] = table_D[idx]
-                S[a, b] = S[b, a] = table_S[idx]
+            elements, weights = np.arange(t.q)[:, None], t.q ** np.arange(len(iu))[::-1]
+            digit_lanes = [w * t.sub(elements, B) for w, B in zip(weights, shift.T)]
+            digit_lanes[0] += rep_of * Q
+            A = codes[cell][:, iu, n + ju]
+            rows = max(1, GATHER_BLOCK // m)
+            for start in range(0, len(cell), rows):
+                block, digits = cell[start:start + rows], A[start:start + rows]
+                lane = digit_lanes[0][digits[:, 0]]
+                for d in range(1, len(iu)):
+                    lane += digit_lanes[d][digits[:, d]]
+                for out, table in ((D, table_D), (S, table_S)):
+                    values = np.take(table, lane)
+                    out[block] = values
+                    # A big-cell column is written by its own row block.
+                    out[rest[:, None], block] = values[:, rest].T
+            # The table reads (0, 1) at X = Y.
+            np.fill_diagonal(S, 0)
             self._pairs = D, S
         return self._pairs
 
@@ -249,6 +290,52 @@ class SymplecticSpace:
 def _times_j(t: FieldSpec, codes, n):
     """Rows u J = (-u_f, u_e) of a code stack (..., 2n)."""
     return np.concatenate([t.neg(codes[..., n:]), codes[..., :n]], axis=-1)
+
+
+def _translation_classes(t: FieldSpec, codes, pivots, n):
+    """The translation class of every generator Y, as in
+    ``SymplecticSpace.pair_matrices``: (reps, rep_pivots, rep_of, shift),
+    with reps the (R, n, 2n) distinct representatives Y* in lexicographic
+    order and rep_pivots their pivots, rep_of[y] the index of Y*, and
+    shift[y] the upper triangle of B', in ``np.triu_indices`` order.
+    """
+    m = len(codes)
+    star = codes.copy()
+    iu, ju = np.triu_indices(n)
+    shift = np.zeros((m, len(iu)), dtype=codes.dtype)
+    f_count = (pivots >= n).sum(axis=1)
+    for in_J in product((False, True), repeat=n):
+        J, K = np.flatnonzero(in_J), np.flatnonzero(~np.array(in_J))
+        k = len(K)
+        group = np.flatnonzero((f_count == len(J)) & (pivots[:, k:] == n + J).all(axis=1))
+        if not (k and len(group)):
+            continue
+        Y = codes[group]
+        M, Z = Y[:, :k, K], Y[:, :k, n + K]
+        MZ = np.concatenate([M, Z], axis=2)
+        rank, _, _ = eliminate_batch(t, MZ, k)
+        if (rank < k).any():
+            y = group[np.flatnonzero(rank < k)[0]]
+            raise AssertionError(f"singular e-part at Y = {codes[y].tolist()}")
+        T = MZ[:, :, k:]
+        B_K = np.where(np.triu(np.ones((k, k), dtype=bool)), T, T.swapaxes(1, 2))
+        MB = t.mul(M[:, :, 0, None], B_K[:, None, 0, :])
+        for l in range(1, k):
+            MB = t.add(MB, t.mul(M[:, :, l, None], B_K[:, None, l, :]))
+        Y[:, :k, n + K] = t.sub(Z, MB)
+        star[group] = Y
+        B = np.zeros((len(group), n, n), dtype=codes.dtype)
+        B[:, K[:, None], K] = B_K
+        shift[group] = B[:, iu, ju]
+    # Sorted, not np.unique, as in enumerate_generators.
+    flat = star.reshape(m, -1)
+    order = np.lexsort(flat.T[::-1])
+    first = np.ones(m, dtype=bool)
+    first[1:] = (flat[order[1:]] != flat[order[:-1]]).any(axis=1)
+    rep_of = np.empty(m, dtype=np.intp)
+    rep_of[order] = np.cumsum(first) - 1
+    reps = order[first]
+    return star[reps], pivots[reps], rep_of, shift
 
 
 def _chart_bases(space: SymplecticSpace):

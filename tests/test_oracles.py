@@ -8,10 +8,14 @@ on the relation index that ``relation_index`` gives pair by pair, and with
 the p-tensor that int64 products of that index's 0/1 relation matrices give.
 """
 
+import os
 import random
+import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,14 +160,62 @@ def _check_rows(space, rows, columns):
 
 def symmetric_matrices(q, n):
     """Every symmetric n x n matrix over F_q as code rows, in the order of the
-    big-cell table: the upper triangle, row by row, read as base-q digits,
-    most significant first."""
+    big cell of ``_chart_bases``: the upper triangle, row by row, read as
+    base-q digits, most significant first."""
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     for digits in product(range(q), repeat=len(upper)):
         C = [[0] * n for _ in range(n)]
         for (i, j), c in zip(upper, digits):
             C[i][j] = C[j][i] = c
         yield C
+
+
+def symmetric_index(q, C):
+    """Position of the symmetric matrix C in ``symmetric_matrices``."""
+    n = len(C)
+    index = 0
+    for i in range(n):
+        for j in range(i, n):
+            index = index * q + C[i][j]
+    return index
+
+
+def translation_class(space, Y):
+    """(Y*, B') of a generator's RREF basis Y, one generator at a time over the
+    scalar F_q, from the definition in ``SymplecticSpace.pair_matrices``:
+    with J the f-pivot indices and K the others, T = M^-1 Z on Y's first k
+    rows, B' the symmetric matrix with T's upper triangle on K x K and zeros
+    on the rows and columns J, and Y* = Y [[I, -B'], [0, I]]."""
+    f, n = reference(space.spec), space.n
+    J = [p - n for p in (row.index(1) for row in Y) if p >= n]
+    K = [i for i in range(n) if i not in J]
+    k = len(K)
+    rows = [[Y[i][c] for c in K] + [Y[i][n + c] for c in K] for i in range(k)]
+    assert len(gauss_jordan(rows, k, f)[0]) == k, "M is singular"
+    B = [[0] * n for _ in range(n)]
+    for a in range(k):
+        for b in range(a, k):
+            B[K[a]][K[b]] = B[K[b]][K[a]] = rows[a][k + b]
+    star = tuple(tuple(row[:n]) + tuple(map(f.sub, row[n:], mat_mul([list(row[:n])], B, f)[0]))
+                 for row in Y)
+    return star, B
+
+
+def big_cell_basis(n, C):
+    """The RREF basis [I | C] of a big-cell generator."""
+    return tuple(tuple([int(i == j) for j in range(n)] + list(C[i])) for i in range(n))
+
+
+def table_lanes(space):
+    """The lanes of the pair table in order: every ([I | C], Y*) over the
+    distinct Y* in lexicographic order, and the symmetric C in the order of
+    ``symmetric_matrices``; and the index of each generator's Y*."""
+    q, n = space.spec.q, space.n
+    stars = [translation_class(space, Y)[0] for Y in bases(space)]
+    reps = sorted(set(stars))
+    lanes = [(big_cell_basis(n, C), Y) for Y in reps for C in symmetric_matrices(q, n)]
+    position = {Y: r for r, Y in enumerate(reps)}
+    return lanes, [position[Y] for Y in stars]
 
 
 def count_gram_lanes(monkeypatch):
@@ -218,50 +270,71 @@ class TestPairMatrices:
         for x, y in zip(*np.triu_indices(len(found), 1)):
             assert pair_oracle(space, found[x], found[y]) == (D[x][y], S[x][y])
 
-    @pytest.mark.parametrize("q,n", [(5, 2), (9, 1)])
+    @pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2)])
     def test_big_cell_pairs_read_the_table(self, q, n):
-        # For X = [I | A], Y = [I | B] the kernel's input [G | X_Y] is
-        # [sub(B, A) | I], which is also the input of ([I | 0], [I | C]) with
-        # C = sub(B, A); so the table entry of C is d(X, Y) and sigma(X, Y).
+        # For X = [I | A] and any Y, the kernel's input [G | X_Y] is that of
+        # ([I | A - B'], Y*); so the table entry of (Y*, A - B'), checked on
+        # every lane against pair_oracle, is d(X, Y) and sigma(X, Y).
         space = make_space(q, n)
         t, found = space.spec, bases(space)
         codes, pivots, codes_j = space.generator_arrays()
-        cell = np.flatnonzero((pivots == np.arange(n)).all(axis=1))
-        assert len(cell) == q ** (n * (n + 1) // 2)
-        a, b = (cell[i] for i in np.triu_indices(len(cell), 1))
-        C = t.sub(codes[b][:, :, n:], codes[a][:, :, n:])
-        assert (gram_batch(t, codes_j[a], codes[b]) == C).all()
-        assert (np.take_along_axis(codes[a], pivots[b][:, None, :], axis=2) == np.eye(n)).all()
+        m = len(found)
+        classes = [translation_class(space, Y) for Y in found]
+        stars = [star for star, _ in classes]
+        index = {basis: y for y, basis in enumerate(found)}
+        # Y* is a generator with Y's pivots, and M^-1 Z* is strictly lower
+        # triangular: Y* is its own representative, with B' = 0.
+        star_index = np.array([index[star] for star in stars])
+        assert (pivots[star_index] == pivots).all()
+        zero = [[0] * n for _ in range(n)]
+        assert all(translation_class(space, star) == (star, zero) for star in stars)
 
-        table_C = np.array(list(symmetric_matrices(q, n)), dtype=np.int16)
-        Y = np.concatenate([np.broadcast_to(np.eye(n, dtype=np.int16), table_C.shape), table_C], axis=2)
-        X = np.broadcast_to(Y[0], Y.shape)                  # C = 0 comes first
-        XJ = np.broadcast_to(np.roll(Y[0], n, axis=1), Y.shape)  # [I | 0] J = [0 | I]
-        rank, sign = symplectic._pair_kernel(t, X, XJ, Y, np.broadcast_to(np.arange(n), Y.shape[:2]))
-        position = {c.tobytes(): i for i, c in enumerate(table_C)}
-        for x, y, c in zip(a, b, C):
-            i = position[c.tobytes()]
-            assert (rank[i], sign[i]) == pair_oracle(space, found[x], found[y]), (x, y)
+        def kernel_input(X, XJ, Y, Y_pivots):
+            X_Y = np.take_along_axis(X, Y_pivots[:, None, :], axis=2)
+            return np.concatenate([gram_batch(t, XJ, Y), X_Y], axis=2)
+
+        cell = np.flatnonzero((pivots == np.arange(n)).all(axis=1))
+        x, y = (a.ravel() for a in np.meshgrid(cell, np.arange(m), indexing="ij"))
+        C = t.sub(codes[x][:, :, n:], np.array([B for _, B in classes], dtype=np.int16)[y])
+        eye = np.broadcast_to(np.eye(n, dtype=np.int16), C.shape)
+        moved = np.concatenate([eye, C], axis=2)                # [I | A - B']
+        moved_j = np.concatenate([t.neg(C), eye], axis=2)       # [I | C] J = [-C | I]
+        assert (kernel_input(codes[x], codes_j[x], codes[y], pivots[y])
+                == kernel_input(moved, moved_j, codes[star_index[y]], pivots[y])).all()
+
+        lanes, rep_of = table_lanes(space)
+        # X == Y only on the diagonal, which the pass sets to 0.
+        table = [None if X == Y else pair_oracle(space, X, Y) for X, Y in lanes]
+        D, S = space.pair_matrices()
+        cells = q ** (n * (n + 1) // 2)
+        for a, b, c in zip(x, y, C.tolist()):
+            if a != b:
+                lane = rep_of[b] * cells + symmetric_index(q, c)
+                assert table[lane] == (D[a, b], S[a, b]), (a, b)
+                assert lanes[lane][1] == stars[b]
 
     @pytest.mark.parametrize("distance_first", [True, False])
     def test_one_pass_in_either_order(self, distance_first, monkeypatch):
         space = make_space(5, 2)
         m = len(space.generator_arrays()[0])
+        R = len(set(translation_class(space, Y)[0] for Y in bases(space)))
         lanes = count_gram_lanes(monkeypatch)
         calls = [space.distance_matrix, CoherenceTable(space).sigma_matrix]
         for call in calls if distance_first else calls[::-1]:
             call()
             call()
-        # The table over the q^3 symmetric C, then every pair with a member
-        # outside the big cell of q^3 generators.
+        # The table over the R representatives Y* times the q^3 symmetric C,
+        # then every pair with both members outside the big cell of q^3
+        # generators.
         cell = 5 ** 3
-        assert lanes[0] == cell + m * (m - 1) // 2 - cell * (cell - 1) // 2 == 125 + 4340
+        assert R == 5 + 3
+        assert lanes[0] == R * cell + (m - cell) * (m - cell - 1) // 2 == 1000 + 465
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tail_elimination_only_below_rank_n(self, n, monkeypatch):
         # At rank n, M_Y is a permutation matrix and its elimination is skipped.
-        # The lanes below rank n are the singular C of the big-cell table and
-        # the pairs at distance < n with a member outside the big cell.
+        # The lanes below rank n are the table lanes at distance < n and the
+        # pairs at distance < n with both members outside the big cell.
         tail_lanes = 0
 
         def counted(t, M, ncols=None):
@@ -276,11 +349,56 @@ class TestPairMatrices:
         D = space.distance_matrix()
         _, pivots, _ = space.generator_arrays()
         outside = ~(pivots == np.arange(n)).all(axis=1)
-        f = reference(space.spec)
-        singular = sum(len(gauss_jordan(C, n, f)[0]) < n for C in symmetric_matrices(5, n))
-        below = np.triu(D < n, 1) & (outside[:, None] | outside[None, :])
+        lanes, _ = table_lanes(space)
+        singular = sum(X == Y or pair_oracle(space, X, Y)[0] < n for X, Y in lanes)
+        below = np.triu(D < n, 1) & outside[:, None] & outside[None, :]
         assert tail_lanes == singular + int(below.sum())
-        assert tail_lanes == (1 + 0 if n == 1 else 25 + 840)
+        assert tail_lanes == (1 + 0 if n == 1 else 175 + 90)
+
+    def test_singular_e_part_names_the_basis(self):
+        # Pivots (0, 2) at n = 2 give J = {0}, K = {1} and M = Y[:1, K] = 0.
+        # Such a basis is not isotropic, so no generator has it.
+        Y = np.array([[[1, 0, 0, 2], [0, 0, 1, 3]]], dtype=np.int16)
+        with pytest.raises(AssertionError,
+                           match=r"singular e-part at Y = \[\[1, 0, 0, 2\], \[0, 0, 1, 3\]\]"):
+            symplectic._translation_classes(construct_field(5, 1), Y, np.array([[0, 2]]), 2)
+
+    def test_peak_is_the_results_and_one_row_block(self, monkeypatch):
+        # D and S take 2 m^2 bytes.  The gather writes each row block of
+        # big-cell X to its rows and to the columns of the generators outside
+        # the big cell; the block's lanes, gathered digits and values take
+        # about 17 bytes an entry, and 64 also cover the small tables the
+        # gather reads.  A copy of all big-cell rows at once (m_big x m bytes,
+        # 598 KB here) exceeds the bound.  The eliminations' working arrays
+        # grow with PAIR_CHUNK, not with m; a small chunk keeps them below
+        # the bound, so that the gather sets the peak.
+        monkeypatch.setattr(symplectic, "PAIR_CHUNK", 1 << 9)
+        space = make_space(9, 2)
+        m = len(space.generator_arrays()[0])
+        tracemalloc.start()
+        try:
+            space.pair_matrices()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * m + 64 * symplectic.GATHER_BLOCK
+
+    def test_cold_pass_imports_nothing(self):
+        # A fresh interpreter, so no other test's imports count.  A module
+        # that numpy imports lazily on a first call (1-D np.unique does) would
+        # be paid on every cold start of the graph path.
+        script = ("import sys\n"
+                  "from polarcover.finite_field import construct_field\n"
+                  "from polarcover.symplectic import SymplecticSpace\n"
+                  "space = SymplecticSpace(construct_field(5, 1), 1)\n"
+                  "before = set(sys.modules)\n"
+                  "space.pair_matrices()\n"
+                  "print(sorted(set(sys.modules) ^ before))\n")
+        src = Path(symplectic.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.split() == ["[]"], proc.stdout + proc.stderr
 
     @pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (3, 2)])
     def test_distance_for_q_3_mod_4(self, q, n):

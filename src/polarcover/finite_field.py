@@ -36,6 +36,8 @@ def _build_tables(p, e):
     For each candidate f = x^e + sum c_i x^i in counting order, x^k for
     k >= e is reduced by x^k = -x^(k-e) (f - x^e), top degree first.
     Intermediates are int32: entries stay below 2e p^2 in absolute value.
+    For e >= 2 a candidate with a root in F_p has a linear factor, so its
+    table is never built; the zero-divisor test still decides the rest.
     """
     q = p**e
     weights = p ** np.arange(e, dtype=np.int32)
@@ -44,7 +46,12 @@ def _build_tables(p, e):
     conv = np.zeros((q, q, 2 * e - 1), dtype=np.int32)
     for i in range(e):
         conv[:, :, i:i + e] += digits[:, None, i, None] * digits[None, :, :]
-    for low in digits:
+    candidates = digits
+    if e >= 2:
+        # powers[t, i] = t^i mod p; f(t) = t^e + sum c_i t^i
+        powers = np.arange(p)[:, None] ** np.arange(e + 1) % p
+        candidates = digits[((digits @ powers[:, :e].T + powers[:, e]) % p != 0).all(axis=1)]
+    for low in candidates:
         prod = conv.copy()
         for k in range(2 * e - 2, e - 1, -1):
             prod[:, :, k - e:k] -= prod[:, :, k, None] % p * low

@@ -59,14 +59,17 @@ def _exact_int_product(A, B):
     Every partial sum of an entry is bounded by A.shape[1] * max|A| * max|B|;
     while that is at most 2^24, every partial sum is an integer that float32
     holds exactly, so the float32 product returned is exact.  Past it
-    OverflowError is raised before multiplying.
+    OverflowError is raised before multiplying.  ``B is A`` means A A^T,
+    which is A A only for a symmetric A: A is converted once and the
+    product runs as one BLAS syrk.
     """
     bound = A.shape[1]
     for X in (A, B):
         bound *= max(int(X.max(initial=0)), -int(X.min(initial=0)))
     if bound > _EXACT_FLOAT32_BOUND:
         raise OverflowError("matrix product may exceed float32 exact range")
-    return A.astype(np.float32) @ B.astype(np.float32)
+    X = A.astype(np.float32)
+    return X @ (X.T if B is A else B.astype(np.float32))
 
 
 @dataclass
@@ -128,11 +131,13 @@ class IntersectionTensor:
 def verify_scheme_bytes(N, d):
     """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
     points and d classes: 2 + (d + 1) + 16 bytes per fiber pair, plus
-    64 KiB for the Python objects.  The 2 are the two int8 sheets, the
-    d + 1 bound the d - 1 int8 U_i and V_i, and the 16 are four float32
-    matrices, the most a product holds at once: the other block's product,
-    this product, and the float32 copies of its two operands.  The
-    constancy comparison holds less: both blocks and two bool masks."""
+    64 KiB for the Python objects.  The 2 are the two int8 sheets, and the
+    d + 1 bound the d - 1 int8 U_i and V_i with the int8 and bool
+    temporaries that build one of them.  The 16 bound the product stage,
+    which holds one m x m product at a time: a GEMM holds 12 bytes (the
+    float32 copies of its two operands and the float32 product), a syrk 8
+    (one copy and the product), and the constancy comparison 6 (the
+    product, its bool mask and the mask's row blocks)."""
     m = N // 2
     return m * m * (2 + (d + 1) + 16) + 2**16
 
@@ -153,71 +158,120 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
     U_i = B_i + B_{d-i} and V_i = B_i - B_{d-i} the same- and cross-sheet
     blocks of A_i A_j are (U_i U_j +- V_i V_j)/2, and each pair of points is
-    one entry of one block.  Only the pairs 1 <= a <= b <= d//2 are
-    multiplied and checked: A_0 = I once the identity axiom holds, and
-    A_{d-i} is A_i with its sheets swapped, which maps class k to d - k.
-    A relation matrix is the one-sheet case, A_i = U_i without V, where
-    every pair 1 <= a <= b <= d is checked.  Witnesses are point pairs.
+    one entry of one block.  A fiber pair (x, y) of sheet-0 class k has
+    cross-sheet class d - k, so both blocks are constant on their classes
+    exactly when U_a U_b and V_a V_b are constant on the classes of sheet 0
+    and, for each k, the same-sheet value of class k equals the
+    cross-sheet value read off class d - k.  Only the pairs
+    1 <= a <= b <= top = d//2 are checked: A_0 = I once the identity axiom
+    holds, and A_{d-i} is A_i with its sheets swapped, which maps class k to
+    d - k.  A relation matrix is the one-sheet case, A_i = U_i without V and
+    top = d.
+
+    U_top is not multiplied.  Once the partition and identity axioms hold,
+    U_0 + ... + U_top = J (U_i is the 0/1 matrix of sheet-0 classes i and
+    d - i, or of class i on one sheet, and these cover 0..d once each) with
+    U_0 = I.  So U_a U_top = U_a J - U_a - sum_{0<i<top} U_a U_i entry by
+    entry.  The row sums of U_a are the diagonal, class 0, of U_a U_a, so
+    U_a J = r_a J once that product is constant for a < top, and the row
+    sums of all U_i add up to m, so r_top = m - 1 - sum_{0<i<top} r_i.  U_a
+    is 1 exactly on its own classes, and U_a U_i = (U_i U_a)^T is constant
+    with the same values as U_i U_a, the classes being symmetric.  The
+    values of U_a U_top are therefore known on every class, exactly, from
+    products already checked, and it is constant by the identity.
+
+    A failure is reported as a point pair.  If U_a U_b or V_a V_b differs at
+    fiber pair (x, y) of class k from its value at the first fiber pair
+    (x0, y0) of class k, let DU and DV be the differences of U_a U_b and
+    V_a V_b between the two pairs (DV = 0 on one sheet).  The same-sheet
+    blocks at the two pairs, both of class k, differ by (DU + DV)/2, and
+    the cross-sheet blocks, both of class d - k, by (DU - DV)/2; these are
+    not both 0.  So the witness is (x, y) on the same sheet, in class k, if
+    DU + DV != 0, and on the cross sheet, in class d - k, otherwise.  A
+    failed same/cross comparison of class k is reported at the cross-sheet
+    pair over the first fiber pair of class d - k, whose value differs from
+    that of every same-sheet pair of class k.
     """
-    d, s = instance.d, instance.sheets
-    sheets = [instance.matrix] + ([d - instance.matrix] if s == 2 else [])
-    half = d // 2 if s == 2 else d      # class i > half folds onto d - i
+    d, s, R = instance.d, instance.sheets, instance.matrix
+    sheets = [R] + ([d - R] if s == 2 else [])
+    m = len(R)
+    top = d // 2 if s == 2 else d       # class i > top folds onto d - i
 
     def pair(g, x, y):                  # sheet entry (x, y) as a point pair
         return (s * int(x), s * int(y) + g)
 
-    # Sheet 1 is d - sheet 0: in range and symmetric exactly when sheet 0 is.
-    if hit := _first_true((sheets[0] < 0) | (sheets[0] > d)):
+    # Sheet 1 is d - sheet 0: in range and symmetric exactly when sheet 0
+    # is, and it holds class d - k wherever sheet 0 holds class k.
+    if hit := _first_true((R < 0) | (R > d)):
         raise NotAPartition(f"relation index out of range at pair {pair(0, *hit)}")
-    first = [[] for _ in sheets]        # (k, entry) of relations first seen in a sheet
-    missing = set(range(d + 1))
-    for g, R in enumerate(sheets):
-        for k in sorted(missing):
-            if hit := _first_true(R == k):
-                first[g].append((k, hit))
-                missing.discard(k)
-    if missing:
-        raise NotAPartition(f"relations {sorted(missing)} are empty")
-    if hit := _first_true(np.diag(np.diagonal(sheets[0]) != 0)):
-        raise IdentityNotR0(int(sheets[0][hit]), pair(0, *hit))
-    for g, R in enumerate(sheets):
-        if hit := _first_true((R == 0) > np.eye(len(R), dtype=bool)):
+    at = {}                             # class -> its first fiber pair on sheet 0
+    for k in range(d + 1):
+        if hit := _first_true(R == k):
+            at[k] = hit
+    if missing := [k for k in range(d + 1) if k not in at and (s == 1 or d - k not in at)]:
+        raise NotAPartition(f"relations {missing} are empty")
+    if hit := _first_true(np.diag(np.diagonal(R) != 0)):
+        raise IdentityNotR0(int(R[hit]), pair(0, *hit))
+    for g, Rg in enumerate(sheets):
+        if hit := _first_true((Rg == 0) > np.eye(m, dtype=bool)):
             raise IdentityNotR0(0, pair(g, *hit))
-    if hit := _first_true(sheets[0] != sheets[0].T):
-        raise NotSymmetric(int(sheets[0][hit]), pair(0, *hit))
+    if hit := _first_true(R != R.T):
+        raise NotSymmetric(int(R[hit]), pair(0, *hit))
 
-    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (R == i).
-    W = [[sum((-1) ** (h * g) * (R == i).view(np.int8) for g, R in enumerate(sheets))
-          for i in range(1, half + 1)] for h in range(s)]
+    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (Rg == i).
+    W = [[sum((-1) ** (h * g) * (Rg == i).view(np.int8) for g, Rg in enumerate(sheets))
+          for i in range(1, top + 1)] for h in range(s)]
 
-    def check(a, b):
-        """Row (p_ab^k)_k, checked on every pair of every sheet."""
-        P = [_exact_int_product(W[h][a - 1], W[h][b - 1]) for h in range(s)]
-        # The float32 blocks (UU + VV)/2 and (UU - VV)/2, in place; exact,
-        # since UU + VV is even and at most 2m.
-        if s == 2:
-            P[1] += P[0]
-            P[1] /= 2
-            P[0] -= P[1]
-            P.reverse()
+    def nonconstant(a, b, x, y):
+        """NonConstant at fiber pair (x, y), in the block that differs."""
+        k = int(R[x, y])
+        x0, y0 = at[k]
+        delta = [int(W[h][a - 1][x].astype(np.int64) @ W[h][b - 1][:, y])
+                 - int(W[h][a - 1][x0].astype(np.int64) @ W[h][b - 1][:, y0])
+                 for h in range(s)]            # DU and, on a cover, DV
+        g = int(sum(delta) == 0)
+        return NonConstant(a, b, d - k if g else k, pair(g, x, y))
+
+    def values(h, a, b):
+        """Values of W_a W_b on the classes of sheet 0, checked constant."""
+        P = _exact_int_product(W[h][a - 1], W[h][b - 1])
         v = np.zeros(d + 1, dtype=np.float32)
-        for g, R in enumerate(sheets):
-            for k, at in first[g]:
-                v[k] = P[g][at]
-            # take gathers through an intp copy of R, so it goes by row blocks.
-            mask = np.concatenate([P[g][i:i + 64] != v.take(R[i:i + 64])
-                                   for i in range(0, len(R), 64)])
-            if hit := _first_true(mask):
-                raise NonConstant(a, b, int(R[hit]), pair(g, *hit))
+        for k, x in at.items():
+            v[k] = P[x]
+        # take gathers through an intp copy of R, so it goes by row blocks.
+        mask = np.concatenate([P[i:i + 64] != v.take(R[i:i + 64])
+                               for i in range(0, m, 64)])
+        if hit := _first_true(mask):
+            raise nonconstant(a, b, *hit)
         return [int(x) for x in v]
+
+    def fold(a, b, u, v):
+        """p_ab from U_a U_b (u) and V_a V_b (v) on the classes of sheet 0:
+        at class k the same-sheet block is (u + v)/2, and the cross-sheet
+        block, of class d - k, is (u - v)/2."""
+        same = {k: (u[k] + v[k]) // 2 for k in at}
+        cross = {d - k: (u[k] - v[k]) // 2 for k in at}
+        for k in sorted(same.keys() & cross.keys()):
+            if same[k] != cross[k]:
+                raise NonConstant(a, b, k, pair(1, *at[d - k]))
+        return [same[k] if k in same else cross[k] for k in range(d + 1)]
 
     p = [[None] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):          # A_0 = I by the identity axiom
         p[0][j] = [int(k == j) for k in range(d + 1)]
         p[j][0] = list(p[0][j])
-    for a in range(1, half + 1):
-        for b in range(a, half + 1):
-            p[a][b] = check(a, b)
+    uu = {}                         # (a, b) -> values of U_a U_b
+    for a in range(1, top + 1):
+        for b in range(a, top + 1):
+            if b < top:
+                u = values(0, a, b)
+            else:                   # U_a U_top = U_a (J - I - U_1 - ... - U_(top-1))
+                r = uu[a, a][0] if a < top else m - 1 - sum(uu[i, i][0] for i in range(1, top))
+                own = (a, d - a)[:s]    # the classes where U_a is 1
+                u = [r - (k in own) - sum(uu[a, i][k] for i in range(1, top))
+                     for k in range(d + 1)]
+            uu[a, b] = uu[b, a] = u
+            p[a][b] = u if s == 1 else fold(a, b, u, values(1, a, b))
             p[b][a] = list(p[a][b])
     # Two sheets: the cross-sheet index is d minus the same-sheet one, so
     # A_(d-i) is A_i with its sheets swapped, whatever A_d is, and
@@ -226,7 +280,7 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
         for j in range(d + 1):
             if p[i][j] is None:
                 v = p[min(i, d - i)][min(j, d - j)]
-                p[i][j] = v[::-1] if (i > half) != (j > half) else list(v)
+                p[i][j] = v[::-1] if (i > top) != (j > top) else list(v)
     valencies = [p[i][i][0] for i in range(d + 1)]
 
     for i in range(d + 1):

@@ -78,11 +78,11 @@ def eliminate_batch(t: FieldSpec, M, ncols=None):
 
 
 def gram_batch(t: FieldSpec, XJ, Y):
-    """G[p, i, j] = B(x_i, y_j) for stacks XJ = X J and Y of shape (P, n, 2n)."""
-    terms = t.mul(XJ[:, :, None, :], Y[:, None, :, :])
-    G = terms[..., 0]
-    for col in range(1, terms.shape[-1]):
-        G = t.add(G, terms[..., col])
+    """G[p, i, j] = B(x_i, y_j) for stacks XJ = X J and Y of shape (P, n, 2n),
+    summed one column at a time."""
+    G = t.mul(XJ[:, :, None, 0], Y[:, None, :, 0])
+    for col in range(1, Y.shape[-1]):
+        G = t.add(G, t.mul(XJ[:, :, None, col], Y[:, None, :, col]))
     return G
 
 

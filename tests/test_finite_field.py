@@ -167,6 +167,26 @@ class TestElementApi:
         assert f9.element_str(5) == "2,1"   # 2 + x
 
 
+EXTENSIONS = [(p, e) for p, e in ODD_PRIME_POWERS if e >= 2]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS, ids=[f"q{p**e}" for p, e in EXTENSIONS])
+def test_modulus_is_first_candidate_without_zero_divisor(p, e):
+    # The scan that skips candidates with a root in F_p picks the same
+    # modulus as the plain scan: the first monic f of degree e, in
+    # counting order of (c0, .., c_{e-1}), whose schoolbook product table
+    # has no zero among products of nonzero elements.
+    f = construct_field(p, e)
+    nonzero = [v for v in product(range(p), repeat=e) if any(v)]
+
+    def field_like(modulus):
+        return all(any(_schoolbook(a, b, modulus, p)) for a in nonzero for b in nonzero)
+
+    first = next(low for low in (f.coeffs(code) for code in range(f.q))
+                 if field_like(list(low) + [1]))
+    assert f.modulus == (*first, 1)
+
+
 @pytest.mark.parametrize("p,e", ODD_PRIME_POWERS,
                          ids=[f"q{p**e}" for p, e in ODD_PRIME_POWERS])
 class TestTableOracles:

@@ -496,6 +496,27 @@ class TestSchemeQuotient:
                 assert_nonconstant_witness(got, quotient.relation_matrix())
         assert found == schemes
 
+    def test_random_five_class_candidates(self):
+        # Random 5-class double cover candidates on 6 fibers; none is a
+        # scheme.  Some fail where U_a U_b and V_a V_b both differ but
+        # their sum does not, so only the cross-sheet block is nonconstant
+        # there, and the witness must be read from that block.
+        rng = np.random.default_rng(5)
+        m = 6
+        upper = np.triu_indices(m, 1)
+        for trial in range(500):
+            R = np.zeros((m, m), dtype=np.int8)
+            R[upper] = rng.integers(1, 5, len(upper[0]))
+            R += R.T
+            quotient = SchemeInstance(2 * m, 5, R, 5, sheets=2)
+            N = quotient.relation_matrix()
+            with pytest.raises(SchemeAxiomError) as one_sheet:
+                verify_scheme(SchemeInstance.from_matrix(N, 5))
+            with pytest.raises(type(one_sheet.value)) as exc:
+                verify_scheme(quotient)
+            if isinstance(exc.value, NonConstant):
+                assert_nonconstant_witness(exc.value, N)
+
     def test_flipped_sign_nonconstant(self):
         def flip(D, S):
             x, y = first_edge(D)

@@ -143,6 +143,30 @@ class TestExactProduct:
             scheme_core._exact_int_product(*(X.astype(np.int64)
                                              for X in self.operands(1041)))
 
+    @staticmethod
+    def symmetric(size):
+        """A symmetric int8 matrix with entries in [-127, 127], 127 on the
+        diagonal, so A A^T is at the bound when size is 1040."""
+        rng = np.random.default_rng(size)
+        A = rng.integers(-127, 128, (size, size), dtype=np.int8)
+        A = np.triu(A) + np.triu(A, 1).T
+        np.fill_diagonal(A, 127)
+        return A
+
+    def test_square_of_symmetric_int8_at_bound_is_exact(self):
+        A = self.symmetric(1040)
+        M = scheme_core._exact_int_product(A, A)          # syrk: B is A
+        assert M.dtype == np.float32
+        assert (M == scheme_core._exact_int_product(A, A.copy())).all()
+        assert (M.astype(np.int64) == A.astype(np.int64) @ A).all()
+        full = np.full((1040, 1040), 127, dtype=np.int8)
+        assert (scheme_core._exact_int_product(full, full) == 16_774_160).all()
+
+    def test_square_of_symmetric_int8_past_bound_raises(self):
+        A = self.symmetric(1041)
+        with pytest.raises(OverflowError):
+            scheme_core._exact_int_product(A, A)
+
 
 class TestPentagon:
     def test_tensor(self):
@@ -190,11 +214,10 @@ class TestCoverScheme:
         assert t.valencies == [1, 30, 125, 125, 30, 1]
         assert t.N == 312
 
-    @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
-    def test_one_check_per_sheet_per_folded_pair(self, bundle, n, request,
-                                                 monkeypatch):
-        # n(n+1)/2 folded pairs 1 <= a <= b <= n, each with two products
-        # and one constancy comparison per sheet
+    @staticmethod
+    def fiber_loop_calls(instance, monkeypatch):
+        """Names of the product and constancy-comparison calls of one
+        ``verify_scheme``, from its first product on."""
         calls = []
 
         def counted(name, fn):
@@ -206,10 +229,30 @@ class TestCoverScheme:
         for name in ("_exact_int_product", "_first_true"):
             monkeypatch.setattr(scheme_core, name,
                                 counted(name, getattr(scheme_core, name)))
-        verify_scheme(request.getfixturevalue(bundle)["instance"])
-        fiber_loop = calls[calls.index("_exact_int_product"):]
-        assert fiber_loop.count("_exact_int_product") == n * (n + 1)
-        assert fiber_loop.count("_first_true") == n * (n + 1)
+        verify_scheme(instance)
+        return calls[calls.index("_exact_int_product"):]
+
+    @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
+    def test_one_check_per_sheet_per_folded_pair(self, bundle, n, request,
+                                                 monkeypatch):
+        # n(n+1)/2 folded pairs 1 <= a <= b <= n, each with a V product and,
+        # for b < n, a U product (U_a U_n follows from U_0 + ... + U_n = J):
+        # n^2 products, each with one constancy comparison
+        instance = request.getfixturevalue(bundle)["instance"]
+        fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
+        assert fiber_loop.count("_exact_int_product") == n * n
+        assert fiber_loop.count("_first_true") == n * n
+
+    @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
+    def test_one_sheet_multiplies_below_the_top_class(self, bundle, n, request,
+                                                      monkeypatch):
+        # one sheet: the pairs 1 <= a <= b < d, d(d-1)/2 products
+        cover = request.getfixturevalue(bundle)["instance"]
+        d = 2 * n + 1
+        instance = SchemeInstance.from_matrix(cover.relation_matrix(), d)
+        fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
+        assert fiber_loop.count("_exact_int_product") == d * (d - 1) // 2
+        assert fiber_loop.count("_first_true") == d * (d - 1) // 2
 
     @pytest.mark.parametrize("bundle", ["q5n2", "q9n1", "q9n2"])
     def test_memory_prediction_bounds_peak(self, bundle, request):

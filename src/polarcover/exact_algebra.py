@@ -3,9 +3,10 @@
 Provides arbitrary-precision rationals (``fractions.Fraction``), the quadratic
 extension Q(r) as :class:`QuadExt`, Gaussian coefficients evaluated at any
 rational q but 0 and +-1, exact matrix routines (Gauss-Jordan, multiply,
-inverse, kernel, characteristic polynomial), and the scheme parameters read
-off a pair of eigenmatrices.  A polynomial is a list of its coefficients,
-low degree first.
+kernel, characteristic polynomial), the dual eigenmatrix of a symmetric
+scheme read off its eigenmatrix by the relation Q_ij = m_j P_ji / k_i, and
+the scheme parameters read off a pair of eigenmatrices.  A polynomial is a
+list of its coefficients, low degree first.
 
 Gauss-Jordan, kernel and product are the package's one copy of each: they
 take the field's arithmetic as an argument, so the same code runs over Q
@@ -29,9 +30,9 @@ __all__ = [
     "gauss_jordan",
     "mat_mul",
     "mat_identity",
-    "mat_inverse",
     "mat_kernel",
     "mat_charpoly",
+    "dual_eigenmatrix",
     "pq_tensor",
     "is_tridiagonal",
 ]
@@ -435,18 +436,6 @@ def gauss_jordan(rows, ncols, field=PYTHON_OPS):
     return pivots, det
 
 
-def mat_inverse(A):
-    """Exact inverse by Gauss-Jordan elimination of [A | I]."""
-    m = len(A)
-    if any(len(row) != m for row in A):
-        raise ValueError("inverse requires a square matrix")
-    zero, one = _zero_one_like(A[0][0])
-    rows = [list(row) + unit for row, unit in zip(A, mat_identity(m, one, zero))]
-    if len(gauss_jordan(rows, m)[0]) != m:
-        raise ZeroDivisionError("matrix is singular")
-    return [row[m:] for row in rows]
-
-
 def mat_kernel(A, field=PYTHON_OPS):
     """Basis of the right null space {v : A v = 0}, as a list of vectors.
 
@@ -516,6 +505,20 @@ def _over_lcm(M):
     D = math.lcm(*(z.den for row in M for z in row))
     return [[(z.x * (D // z.den), z.y * (D // z.den)) for z in row]
             for row in M], D
+
+
+def dual_eigenmatrix(P, N):
+    """Q = N P^-1 for the QuadExt eigenmatrix P of a symmetric association
+    scheme on N points, read off P with no inverse (Brouwer, Cohen and
+    Neumaier, §2.2): with the valencies k = P[0], m_j = N / sum_l P_jl^2 / k_l
+    and Q_ij = m_j P_ji / k_i, so Q[0] holds the multiplicities.  This is row
+    orthogonality of P; for any other P the result need not be N P^-1, and
+    sum_j m_j = N, entry (0, 0) of Q P = N I, is a check that can fail.
+    """
+    d1 = len(P)
+    inv_k = [k.inverse() for k in P[0]]
+    m = [N / sum(P[j][l] * P[j][l] * inv_k[l] for l in range(d1)) for j in range(d1)]
+    return [[m[j] * P[j][i] * inv_k[i] for j in range(d1)] for i in range(d1)]
 
 
 def pq_tensor(P, Q, N):

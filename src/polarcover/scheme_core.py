@@ -27,9 +27,9 @@ from .errors import (
 )
 from .exact_algebra import (
     QuadExt,
+    dual_eigenmatrix,
     is_tridiagonal,
     mat_charpoly,
-    mat_inverse,
     mat_kernel,
     pq_tensor,
 )
@@ -131,13 +131,13 @@ class IntersectionTensor:
 def verify_scheme_bytes(N, d):
     """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
     points and d classes: 2 + (d + 1) + 16 bytes per fiber pair, plus
-    64 KiB for the Python objects.  The 2 are the two int8 sheets, and the
-    d + 1 bound the d - 1 int8 U_i and V_i with the int8 and bool
-    temporaries that build one of them.  The 16 bound the product stage,
-    which holds one m x m product at a time: a GEMM holds 12 bytes (the
-    float32 copies of its two operands and the float32 product), a syrk 8
-    (one copy and the product), and the constancy comparison 6 (the
-    product, its bool mask and the mask's row blocks)."""
+    64 KiB for the Python objects.  The 2 are the int8 sheet 0 and one bool
+    comparison of it, and the d + 1 bound the d - 1 int8 U_i and V_i with
+    the int8 and bool temporaries that build one of them.  The 16 bound
+    the product stage, which holds one m x m product at a time: a GEMM
+    holds 12 bytes (the float32 copies of its two operands and the float32
+    product), a syrk 8 (one copy and the product), and the constancy
+    comparison 6 (the product, its bool mask and the mask's row blocks)."""
     m = N // 2
     return m * m * (2 + (d + 1) + 16) + 2**16
 
@@ -193,15 +193,14 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     that of every same-sheet pair of class k.
     """
     d, s, R = instance.d, instance.sheets, instance.matrix
-    sheets = [R] + ([d - R] if s == 2 else [])
     m = len(R)
     top = d // 2 if s == 2 else d       # class i > top folds onto d - i
 
     def pair(g, x, y):                  # sheet entry (x, y) as a point pair
         return (s * int(x), s * int(y) + g)
 
-    # Sheet 1 is d - sheet 0: in range and symmetric exactly when sheet 0
-    # is, and it holds class d - k wherever sheet 0 holds class k.
+    # Sheet 1 is d - sheet 0, read off R: in range and symmetric exactly
+    # when sheet 0 is, and it holds class d - k where sheet 0 holds class k.
     if hit := _first_true((R < 0) | (R > d)):
         raise NotAPartition(f"relation index out of range at pair {pair(0, *hit)}")
     at = {}                             # class -> its first fiber pair on sheet 0
@@ -210,16 +209,20 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
             at[k] = hit
     if missing := [k for k in range(d + 1) if k not in at and (s == 1 or d - k not in at)]:
         raise NotAPartition(f"relations {missing} are empty")
-    if hit := _first_true(np.diag(np.diagonal(R) != 0)):
-        raise IdentityNotR0(int(R[hit]), pair(0, *hit))
-    for g, Rg in enumerate(sheets):
-        if hit := _first_true((Rg == 0) > np.eye(m, dtype=bool)):
-            raise IdentityNotR0(0, pair(g, *hit))
+    if (diagonal := np.flatnonzero(np.diagonal(R))).size:
+        x = int(diagonal[0])
+        raise IdentityNotR0(int(R[x, x]), pair(0, x, x))
+    off = R == 0
+    np.fill_diagonal(off, False)
+    if hit := _first_true(off):
+        raise IdentityNotR0(0, pair(0, *hit))
+    if s == 2 and (hit := _first_true(R == d)):
+        raise IdentityNotR0(0, pair(1, *hit))
     if hit := _first_true(R != R.T):
         raise NotSymmetric(int(R[hit]), pair(0, *hit))
 
-    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at (Rg == i).
-    W = [[sum((-1) ** (h * g) * (Rg == i).view(np.int8) for g, Rg in enumerate(sheets))
+    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at R == (i, d - i)[g].
+    W = [[sum((-1) ** (h * g) * (R == c).view(np.int8) for g, c in enumerate((i, d - i)[:s]))
           for i in range(1, top + 1)] for h in range(s)]
 
     def nonconstant(a, b, x, y):
@@ -346,47 +349,49 @@ def _square_split(q):
 
 
 def _exact_eigenvalues(L, q):
-    """The distinct eigenvalues of an integer matrix L, exact in Q(sqrt q).
+    """The distinct eigenvalues of an integer matrix L in Q(sqrt q), exact.
 
     They are algebraic integers, so each one in Q(sqrt q) = Q(sqrt t),
     q = s^2 t with t squarefree, has the form (a + b sqrt t)/2 for integers
     a, b; a root and its Galois conjugate sum to a and differ by b sqrt t.
     Float eigenvalues only propose (a, b) from every pair of them; a
     candidate is kept when the exact characteristic polynomial vanishes at
-    it.  Raises unless L has len(L) distinct roots, all of them in the field.
-    The hints round to the right (a, b) while the eigenvalues stay far below
-    2^52, as they do for every L_1 here (|theta| <= k_1 < N).
+    it.  The hints round to the right (a, b) while the eigenvalues stay far
+    below 2^52, as they do for every L_1 here (|theta| <= k_1 < N).
     """
     charpoly = mat_charpoly(L)
-    derivative = [i * c for i, c in enumerate(charpoly)][1:]
 
-    def value(coeffs, x):
+    def vanishes(x):
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(charpoly):
             acc = acc * x + c
-        return acc
+        return not acc
 
     s, t = _square_split(q)
     sqrt_t = QuadExt.root(q) / s
     hints = np.linalg.eigvals(np.array(L, dtype=np.float64)).real.tolist()
     candidates = {(round(x + y) + round((x - y) / math.sqrt(t)) * sqrt_t) / 2
                   for x in hints for y in hints}
-    roots = [theta for theta in candidates if not value(charpoly, theta)]
-    for theta in roots:
-        if not value(derivative, theta):
-            raise RepeatedEigenvalue(f"eigenvalue {theta} is a repeated root")
-    if len(roots) != len(L):
-        raise EigenvalueOutsideField(
-            f"{len(L) - len(roots)} eigenvalues lie outside Q(sqrt {q})")
-    return roots
+    return [theta for theta in candidates if vanishes(theta)]
 
 
 def spectral_data(t: IntersectionTensor) -> SpectralData:
     """Exact eigenmatrices from the intersection tensor, over Q(sqrt t.field_q).
 
     Rows of P are the left eigenvectors of L_1 normalized to first entry 1,
-    sorted by eigenvalue in decreasing order (the valency row comes first);
-    Q = N * P^(-1).  All SpectralData invariants are verified before return.
+    sorted by eigenvalue in decreasing order (the valency row comes first).
+    L_1 is diagonalizable, being multiplication by the real symmetric A_1 in
+    the Bose-Mesner algebra, so a repeated root has a kernel of dimension
+    >= 2 and raises RepeatedEigenvalue there; fewer than d + 1 roots in the
+    field then raise EigenvalueOutsideField.  Once row 0 of P is the
+    verified valencies, Q = N P^-1 is read off P by the symmetric-scheme
+    relation Q_ij = m_j P_ji / k_i (``dual_eigenmatrix``), and the
+    multiplicities are Q[0].  Their sum N, column orthogonality of P at
+    column 0, is checked: the relation does not give it.  Three checks would
+    be vacuous: column 0 of P is 1, each row being scaled by its first
+    entry; column 0 of Q is m_0 = N / sum_l k_l = 1, the valencies of a
+    verified tensor summing to N; and m_j = N / sum_l P_jl^2 / k_l > 0, a
+    sum of squares over positive k_l with P_j0 = 1.
     """
     N, d, q = t.N, t.d, t.field_q
     if q is None:
@@ -408,30 +413,16 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
             raise AssertionError("left eigenvector has zero first entry")
         inv = u[0].inverse()
         P.append([x * inv for x in u])
+    if len(P) != d + 1:
+        raise EigenvalueOutsideField(
+            f"{d + 1 - len(P)} eigenvalues lie outside Q(sqrt {q})")
 
-    Pinv = mat_inverse(P)
-    Qm = [[N * x for x in row] for row in Pinv]
-
-    one = QuadExt(1, 0, q)
-    for i in range(d + 1):
-        if P[i][0] != one:
-            raise AssertionError("column 0 of P is not all ones")
-        if Qm[i][0] != one:
-            raise AssertionError("column 0 of Q is not all ones")
-    valencies = list(P[0])
-    for i, k in enumerate(t.valencies):
-        if valencies[i] != QuadExt(k, 0, q):
-            raise AssertionError(
-                f"P row 0 entry {i} = {valencies[i]} differs from valency {k}")
-    mults = [Qm[0][j] for j in range(d + 1)]
-    total = QuadExt(0, 0, q)
-    for m in mults:
-        if m.sign() <= 0:
-            raise AssertionError(f"nonpositive multiplicity {m}")
-        total = total + m
-    if total != QuadExt(N, 0, q):
+    if P[0] != t.valencies:
+        raise AssertionError(f"P row 0 {P[0]} differs from the valencies {t.valencies}")
+    Q = dual_eigenmatrix(P, N)
+    if sum(Q[0]) != N:
         raise AssertionError("multiplicities do not sum to N")
-    return SpectralData(N, d, q, P, Qm, valencies, mults, [row[1] for row in P])
+    return SpectralData(N, d, q, P, Q, list(P[0]), list(Q[0]), [row[1] for row in P])
 
 
 @dataclass

@@ -95,18 +95,16 @@ PAIR_CHUNK = 1 << 13
 GATHER_BLOCK = 1 << 13
 
 
-def pair_chunks(m, rows=None):
-    """(a, b) index arrays over all pairs a < b of range(m) with a in
-    range(rows) (every row by default), in row order.
+def pair_chunks(m):
+    """(a, b) index arrays over all pairs a < b of range(m), in row order.
 
     Whole rows of the upper triangle are grouped until a chunk holds about
     PAIR_CHUNK pairs (a single row may exceed it).
     """
-    rows = m - 1 if rows is None else min(rows, m - 1)
     start = 0
-    while start < rows:
+    while start < m - 1:
         stop, count = start + 1, m - 1 - start
-        while stop < rows and count + (m - 1 - stop) <= PAIR_CHUNK:
+        while stop < m - 1 and count + (m - 1 - stop) <= PAIR_CHUNK:
             count += m - 1 - stop
             stop += 1
         chunk_rows = np.arange(start, stop)

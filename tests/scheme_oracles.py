@@ -5,6 +5,8 @@ matrices themselves, with exact int64 matrix products.
 ``verify_drg_parameters`` checks that a dual polar graph is
 distance-regular with no diamond, by counting.  ``pq_tensor_per_term`` is
 ``exact_algebra.pq_tensor`` summed term by term in QuadExt arithmetic.
+``inverse`` is the exact inverse by elimination, against which
+``dual_eigenmatrix``'s Q = N P^-1 is checked.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +15,7 @@ from math import lcm
 import numpy as np
 
 from polarcover.errors import SchemeAxiomError
+from polarcover.exact_algebra import QuadExt, gauss_jordan
 from polarcover.scheme_core import SchemeInstance, verify_scheme
 
 
@@ -36,6 +39,17 @@ def pq_tensor_per_term(P, Q, N):
             acc = acc + P[ell][i] * P[ell][j] * Q[k][ell]
         return acc / N
     return entry
+
+
+def inverse(A):
+    """A^-1 of a square QuadExt matrix by Gauss-Jordan elimination of
+    [A | I]; a singular A raises ZeroDivisionError."""
+    m, q = len(A), A[0][0].q
+    rows = [list(row) + [QuadExt(int(i == j), 0, q) for j in range(m)]
+            for i, row in enumerate(A)]
+    if len(gauss_jordan(rows, m)[0]) != m:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[m:] for row in rows]
 
 
 @dataclass

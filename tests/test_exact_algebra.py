@@ -18,10 +18,7 @@ from polarcover.exact_algebra import (
     gauss_jordan,
     is_tridiagonal,
     mat_charpoly,
-    mat_identity,
-    mat_inverse,
     mat_kernel,
-    mat_mul,
     pq_tensor,
 )
 from polarcover.feasibility import candidate_parameters, parse_r
@@ -460,21 +457,6 @@ class TestQuadExt:
 
 
 class TestMatrixOps:
-    def test_inverse_1x1(self):
-        A = [[QuadExt(2, 0, 5)]]
-        assert mat_inverse(A) == [[QuadExt(Fraction(1, 2), 0, 5)]]
-
-    def test_inverse_roundtrip(self):
-        r = QuadExt.root(5)
-        one, zero = QuadExt(1, 0, 5), QuadExt(0, 0, 5)
-        A = [[one, r], [r, QuadExt(3, 0, 5)]]
-        assert mat_mul(A, mat_inverse(A)) == mat_identity(2, one, zero)
-
-    def test_singular_raises(self):
-        one = QuadExt(1, 0, 5)
-        with pytest.raises(ZeroDivisionError):
-            mat_inverse([[one, one], [one, one]])
-
     def test_kernel_of_zero(self):
         zero = QuadExt(0, 0, 5)
         basis = mat_kernel([[zero, zero], [zero, zero]])

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from polarcover.errors import (
     RepeatedEigenvalue,
 )
 from polarcover.cover import CoverGraph
-from polarcover.exact_algebra import QuadExt, mat_inverse, mat_mul, pq_tensor
+from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, mat_mul, pq_tensor
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
@@ -39,7 +40,13 @@ from polarcover.scheme_core import (
     verify_scheme_bytes,
 )
 from polarcover.symplectic import SymplecticSpace
-from scheme_oracles import verify_idempotents
+from scheme_oracles import inverse, verify_idempotents
+
+
+def triangle_instance():
+    """K_3 as a 1-class scheme, with splitting field base 5."""
+    R = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    return SchemeInstance.from_matrix(R, 1, field_q=5)
 
 
 def pentagon_instance():
@@ -254,6 +261,18 @@ class TestCoverScheme:
         assert fiber_loop.count("_exact_int_product") == d * (d - 1) // 2
         assert fiber_loop.count("_first_true") == d * (d - 1) // 2
 
+    @pytest.mark.parametrize("bundle", ["q5n1", "q5n2"])
+    def test_cross_sheet_pair_in_relation_zero(self, bundle, request):
+        # R[x, y] = d puts (2x, 2y + 1), on opposite sheets, in class 0;
+        # R stays in range, symmetric and 0 only on its diagonal.
+        instance = request.getfixturevalue(bundle)["instance"]
+        R = instance.matrix.copy()
+        x, y = 1, 4
+        R[x, y] = R[y, x] = instance.d
+        with pytest.raises(IdentityNotR0) as exc:
+            verify_scheme(dataclasses.replace(instance, matrix=R))
+        assert exc.value.witness == (2 * x, 2 * y + 1)
+
     @pytest.mark.parametrize("bundle", ["q5n2", "q9n1", "q9n2"])
     def test_memory_prediction_bounds_peak(self, bundle, request):
         instance = request.getfixturevalue(bundle)["instance"]
@@ -358,10 +377,10 @@ class TestKreinAndOrderings:
         assert sorted(q_poly_orderings(kt)) == want
 
     def test_orderings_of_thirteen_classes(self):
-        # The closed-form P at n = 6, q = 5 (d = 13), Q = N P^(-1).
+        # The closed-form P at n = 6, q = 5 (d = 13), Q read off P.
         P = eigenmatrices_closed(6, 5).p_full
         N = int(sum(P[0][1:], P[0][0]).a)
-        Q = [[N * x for x in row] for row in mat_inverse(P)]
+        Q = dual_eigenmatrix(P, N)
         sd = SpectralData(N, 13, 5, P, Q, P[0], Q[0], [row[1] for row in P])
         assert q_poly_orderings(krein(sd)) == [
             tuple(range(14)), (0, 13, 2, 11, 4, 9, 6, 7, 8, 5, 10, 3, 12, 1)]
@@ -404,11 +423,38 @@ class TestKreinAndOrderings:
 
     def test_trivial_rank_one_scheme(self):
         # complete graph on 3 points: d = 1, unique ordering (0, 1)
-        R = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 1, field_q=5))
-        sd = spectral_data(t)
+        sd = spectral_data(verify_scheme(triangle_instance()))
         kt = krein(sd)
         assert q_poly_orderings(kt) == [(0, 1)]
+
+
+class TestDualEigenmatrix:
+    """Q read off P by the symmetric-scheme relation, against N times the
+    Gauss-Jordan inverse of P, which does not use the relation."""
+
+    @staticmethod
+    def assert_n_p_inverse(P, Q, N):
+        assert Q == [[N * x for x in row] for row in inverse(P)]
+        assert mat_mul(P, Q) == [[N * (i == j) for j in range(len(P))]
+                                 for i in range(len(P))]
+
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_spectral_data_of_covers(self, p, e, n):
+        sd = cover_scheme(p, e, n)[1]
+        self.assert_n_p_inverse(sd.P, sd.Q, sd.N)
+
+    @pytest.mark.parametrize("instance", [pentagon_instance, triangle_instance])
+    def test_spectral_data_of_small_schemes(self, instance):
+        sd = spectral_data(verify_scheme(instance()))
+        self.assert_n_p_inverse(sd.P, sd.Q, sd.N)
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    @pytest.mark.parametrize("q", [5, 101])
+    def test_closed_form(self, q, n):
+        # N = 2 prod_(1 <= i <= n) (q^i + 1) points of the cover
+        P = eigenmatrices_closed(n, q).p_full
+        N = 2 * math.prod(q**i + 1 for i in range(1, n + 1))
+        self.assert_n_p_inverse(P, dual_eigenmatrix(P, N), N)
 
 
 class TestEigenvalueResolver:

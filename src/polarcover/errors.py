@@ -6,12 +6,12 @@ class PolarcoverError(Exception):
 
 
 class ResourceCapExceeded(PolarcoverError):
-    """A predicted enumeration or matrix size exceeds the configured cap."""
+    """A command's predicted peak bytes exceed the physical memory, its cap."""
 
     def __init__(self, predicted, cap):
         self.predicted = predicted
         self.cap = cap
-        super().__init__(f"predicted size {predicted} exceeds cap {cap}")
+        super().__init__(f"predicted {predicted} bytes exceeds cap {cap} bytes")
 
 
 class QNotOneModFour(PolarcoverError):

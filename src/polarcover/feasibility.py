@@ -180,8 +180,8 @@ class ParameterSet:
     r: QuadExt
     P: list
     Q: list
-    L: list = None              # optional L_0..L_d templates, evaluated
-    Lstar: list = None          # optional dual templates, evaluated
+    L: list                     # L_0..L_d templates, evaluated
+    Lstar: list                 # dual templates, evaluated
 
     @property
     def N(self):
@@ -222,7 +222,7 @@ def _first_witness(d, witness):
 @dataclass
 class FeasibilityReport:
     checks: list = field(default_factory=list)  # (name, ok, witness)
-    lstar: FeasibilityReport = field(default=None, init=False)  # L* report, if run
+    lstar: FeasibilityReport = field(default=None, init=False)  # set by check_feasibility
 
     def add(self, name, ok, witness=""):
         self.checks.append((name, bool(ok), witness))
@@ -279,15 +279,13 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
                             and e.a.denominator == 1 and e.a % 2 == 0)), "")
     rep.add("handshake", not witness, witness)
 
-    if ps.L is not None:
-        def L_witness(i, k, j):
-            return f"L_{i}[{k}][{j}]" if ps.L[i][k][j] != p[i][j][k] else ""
-        witness = _first_witness(d, L_witness)
-        rep.add("L_consistency", not witness, witness)
+    def L_witness(i, k, j):
+        return f"L_{i}[{k}][{j}]" if ps.L[i][k][j] != p[i][j][k] else ""
+    witness = _first_witness(d, L_witness)
+    rep.add("L_consistency", not witness, witness)
 
-    if ps.Lstar is not None:
-        rep.lstar = verify_Lstar(ps, krein)
-        rep.add("Lstar_consistency", rep.lstar.ok, rep.lstar.first_failure)
+    rep.lstar = verify_Lstar(ps, krein)
+    rep.add("Lstar_consistency", rep.lstar.ok, rep.lstar.first_failure)
     return rep
 
 

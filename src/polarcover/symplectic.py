@@ -17,7 +17,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ResourceCapExceeded
 from .finite_field import FieldSpec
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "pair_chunks",
     "distance_profile",
 ]
-
-DEFAULT_GENERATOR_CAP = 10**6
 
 
 def eliminate_batch(t: FieldSpec, M, ncols=None):
@@ -160,7 +157,7 @@ class SymplecticSpace:
             count *= q**i + 1
         return count
 
-    def generator_arrays(self, cap=DEFAULT_GENERATOR_CAP):
+    def generator_arrays(self):
         """(codes, pivots, codes_j) of all generators, in enumeration order.
 
         codes is the (m, n, 2n) array of RREF bases from
@@ -169,7 +166,7 @@ class SymplecticSpace:
         Gram matrix B(x_i, y_j).
         """
         if self._arrays is None:
-            codes = enumerate_generators(self, cap=cap)
+            codes = enumerate_generators(self)
             pivots = (codes != 0).argmax(axis=2)
             self._arrays = (codes, pivots, _times_j(self.spec, codes, self.n))
         return self._arrays
@@ -325,11 +322,7 @@ def _translation_classes(t: FieldSpec, codes, pivots, n):
         B = np.zeros((len(group), n, n), dtype=codes.dtype)
         B[:, K[:, None], K] = B_K
         shift[group] = B[:, iu, ju]
-    # Sorted, not np.unique, as in enumerate_generators.
-    flat = star.reshape(m, -1)
-    order = np.lexsort(flat.T[::-1])
-    first = np.ones(m, dtype=bool)
-    first[1:] = (flat[order[1:]] != flat[order[:-1]]).any(axis=1)
+    order, first = _lexsorted_runs(star.reshape(m, -1))
     rep_of = np.empty(m, dtype=np.intp)
     rep_of[order] = np.cumsum(first) - 1
     reps = order[first]
@@ -361,7 +354,18 @@ def _chart_bases(space: SymplecticSpace):
         yield np.concatenate([np.where(T, t.neg(A), eye), np.where(T, eye, A)], axis=2)
 
 
-def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
+def _lexsorted_runs(flat):
+    """(order, first): the lexicographic order of the rows of flat and, per
+    sorted row, whether it differs from the one before.  Not
+    np.unique(axis=0): its first call in a process costs ~4 ms."""
+    order = np.lexsort(flat.T[::-1])
+    ranked = flat[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, first
+
+
+def enumerate_generators(space: SymplecticSpace):
     """The (m, n, 2n) code array of the RREF bases of all maximal totally
     isotropic subspaces, in lexicographic order.
 
@@ -371,19 +375,14 @@ def enumerate_generators(space: SymplecticSpace, cap=DEFAULT_GENERATOR_CAP):
     against prod (q^i + 1), and isotropy on the result.
     """
     predicted = space.predicted_generator_count()
-    if predicted > cap:
-        raise ResourceCapExceeded(predicted, cap)
     t, n = space.spec, space.n
     found = []
     for V in _chart_bases(space):
         eliminate_batch(t, V)
         found.append(V.reshape(len(V), -1))
     flat = np.concatenate(found)
-    # Not np.unique(axis=0): its first call in a process costs ~4 ms.
-    flat = flat[np.lexsort(flat.T[::-1])]
-    first = np.ones(len(flat), dtype=bool)
-    first[1:] = (flat[1:] != flat[:-1]).any(axis=1)
-    codes = flat[first].reshape(-1, n, 2 * n)
+    order, first = _lexsorted_runs(flat)
+    codes = flat[order[first]].reshape(-1, n, 2 * n)
     if len(codes) != predicted:
         raise AssertionError(
             f"enumeration found {len(codes)} generators, expected {predicted}"
@@ -409,3 +408,12 @@ def export_generators(space: SymplecticSpace):
     if spec.e == 1:
         return codes
     return [[[spec.element_str(c) for c in row] for row in basis] for basis in codes]
+
+
+def enumerate_bytes(m, n):
+    """Predicted peak bytes of ``enumerate`` on m generators of a 2n-space.
+    Its 2^n charts of under m bases each took at most 9 bytes per entry with
+    the sorted copy and elimination temporaries (12 counted), the export of
+    the m 2n^2 entries and their JSON 135-250 (256 counted; tracemalloc,
+    Python 3.11, n = 2, 3); 1 MiB holds the Python objects."""
+    return 2 * n * n * m * (12 * 2**n + 256) + 2**20

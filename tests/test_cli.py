@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -54,14 +55,20 @@ class TestExitCodes:
         assert code == EXIT_INVALID
 
     def test_cap_exceeded(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--q", "5", "--n", "9",
-                           "--cap-generators", "1000000")
+        code, out, err = run(capsys, "enumerate", "--q", "5", "--n", "9")
         assert code == EXIT_CAP
+        assert out == ""
+        assert "exceeds cap" in err
 
-    @pytest.mark.parametrize("command", ["scheme", "crosscheck"])
-    def test_memory_cap_before_computing(self, capsys, monkeypatch, command):
-        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~10 GB,
-        # more than the 8 GiB simulated here.
+    @pytest.mark.parametrize("argv", [
+        ("scheme", "--q", "5", "--n", "3"),
+        ("crosscheck", "--q", "5", "--n", "3"),
+        ("enumerate", "--q", "13", "--n", "3"),
+    ], ids=["scheme", "crosscheck", "enumerate"])
+    def test_memory_cap_before_computing(self, capsys, monkeypatch, argv):
+        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~10 GB;
+        # q=13, n=3: m = 5,231,240 generators, whose enumeration and JSON
+        # export would need ~33 GB.  Both exceed the 8 GiB simulated here.
         import polarcover.cli as cli
         import polarcover.symplectic as symplectic
         from polarcover.maslov import CoherenceTable
@@ -75,17 +82,37 @@ class TestExitCodes:
         physical = cli._physical_memory()
         assert physical > 0
         monkeypatch.setattr(cli, "_physical_memory", lambda: min(physical, 2**33))
-        code, out, err = run(capsys, command, "--q", "5", "--n", "3")
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_CAP
         assert out == ""
         assert "exceeds cap" in err
 
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
+        from polarcover.symplectic import enumerate_bytes
 
         # m = 6 fibers: two int8 sheets, d+1 int8 U/V, 16 bytes of float32
         assert verify_scheme_bytes(12, 3) == 36 * (2 + 4 + 16) + 2**16
         assert verify_scheme_bytes(3280, 5) < 10**9       # q=9, n=2 runs
+        assert enumerate_bytes(598600, 3) < 2**33         # q=9, n=3 runs in 8 GiB
+
+    @pytest.mark.parametrize("q", [9, 17])
+    def test_enumerate_prediction_bounds_peak(self, capsys, q):
+        # An extension field (element strings in the export) and a prime one.
+        from polarcover.symplectic import enumerate_bytes
+
+        argv = ("enumerate", "--q", str(q), "--n", "2")
+        assert main(list(argv)) == EXIT_OK      # imports and caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = (q + 1) * (q * q + 1)
+        assert len(json.loads(capsys.readouterr().out)["generators"]) == m
+        assert peak <= enumerate_bytes(m, 2)
 
     def test_math_fail_on_infeasible_r(self, capsys):
         code, out, _ = run(capsys, "feasibility", "--r", "sqrt:5")
@@ -99,6 +126,14 @@ class TestExitCodes:
     def test_threads_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "scheme", "--q", "5", "--n", "1", "--threads", "2")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["enumerate", "scheme", "crosscheck"])
+    def test_cap_generators_flag_rejected(self, capsys, command):
+        # Memory is predicted from (q, n); there is no count cap to set.
+        code, out, _ = run(capsys, command, "--q", "5", "--n", "1",
+                           "--cap-generators", "1000000")
+        assert code == EXIT_INVALID
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ("scheme", "--q", "5", "--n", "1", "--format", "csv"),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from field_oracles import reference
-from polarcover.errors import ResourceCapExceeded
 from polarcover.finite_field import construct_field
 from polarcover.exact_algebra import gauss_jordan
 from polarcover.symplectic import SymplecticSpace, distance_profile, enumerate_generators
@@ -46,12 +45,6 @@ class TestEnumeration:
         assert found == sorted(found) and len(set(found)) == len(found)
         again = enumerate_generators(space)
         assert [tuple(map(tuple, basis)) for basis in again.tolist()] == found
-
-    def test_resource_cap(self):
-        space = SymplecticSpace(construct_field(5, 1), 9)
-        with pytest.raises(ResourceCapExceeded) as exc:
-            enumerate_generators(space, cap=10**6)
-        assert exc.value.predicted > exc.value.cap
 
     def test_bform_alternating(self, q5n2):
         space = q5n2["space"]

@@ -57,19 +57,18 @@ def _check_q(q):
 
 
 def _build_space(q, n, peak_bytes):
-    """The space with its generators enumerated, once the command's peak
-    bytes for its m generators, peak_bytes(m, n), fit the physical memory;
-    otherwise ResourceCapExceeded, before any enumeration starts."""
-    pe = _check_q(q)
-    from .finite_field import construct_field
-    from .symplectic import SymplecticSpace
+    """The space with its generators enumerated, once the F_q tables and
+    peak_bytes(m, n), the command's peak for its m generators, fit the
+    physical memory; else ResourceCapExceeded before the tables are built."""
+    p, e = _check_q(q)
+    from .finite_field import construct_bytes, construct_field
+    from .symplectic import SymplecticSpace, generator_count
 
-    spec = construct_field(*pe)
-    space = SymplecticSpace(spec, n)
-    predicted = peak_bytes(space.predicted_generator_count(), n)
+    predicted = construct_bytes(p, e) + peak_bytes(generator_count(q, n), n)
     limit = _physical_memory()
     if predicted > limit:
         raise ResourceCapExceeded(predicted, limit)
+    space = SymplecticSpace(construct_field(p, e), n)
     space.generator_arrays()
     return space
 

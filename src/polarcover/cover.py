@@ -24,7 +24,7 @@ __all__ = ["CoverGraph"]
 
 class CoverGraph:
     """Double cover on 2 * prod(q^i + 1) signed vertices, read off the
-    distance matrix D and the sign matrix S of its base generators."""
+    signed distances sigma * d of its base generators."""
 
     def __init__(self, table: CoherenceTable):
         self.table = table

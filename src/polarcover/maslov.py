@@ -12,13 +12,13 @@ is symmetric and independent of the basis choice; the coherent triples
 ``pair_oracle`` (tests/symplectic_oracles.py) computes this definition one
 pair at a time.
 
-``CoherenceTable.sigma_matrix`` reads all pairs off the space's one pair
-pass, ``SymplecticSpace.pair_matrices``, which gives the distance matrix D
-from the same eliminations; its docstring derives the batched formula, and
-shows why a pair of a big-cell generator [I | A] and any Y has the sign of
-([I | A - B'], Y*), with Y* the canonical representative of Y under the
-translations by symmetric B', so that every pair with a big-cell member
-reads one table.
+``CoherenceTable.sigma_matrix`` is the sign of the space's one pair pass,
+``SymplecticSpace.signed_distance_matrix``, whose int8 entries sigma * d
+carry the distance in their absolute value; its docstring derives the
+batched formula, and shows why a pair of a big-cell generator [I | A] and
+any Y has the sign of ([I | A - B'], Y*), with Y* the canonical
+representative of Y under the translations by symmetric B', so that every
+pair with a big-cell member reads one table.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class CoherenceTable:
 
     def sigma_matrix(self):
         """Full symmetric matrix of sigma values, diagonal 0 (numpy int8),
-        from ``SymplecticSpace.pair_matrices``."""
-        return self.space.pair_matrices()[1]
+        the sign of ``SymplecticSpace.signed_distance_matrix``; a new array
+        on every call."""
+        return np.sign(self.space.signed_distance_matrix())
 
 
 @dataclass
@@ -87,8 +88,8 @@ def coherent_split_count(table: CoherenceTable, x: int, y: int):
     the generators of enumeration indices x and y."""
     if x == y:
         raise ValueError("distinct generators required")
-    S = table.sigma_matrix()
-    D = table.space.distance_matrix()
-    zs = np.flatnonzero((D[x] == D[x, y]) & (D[y] == 1))     # never x or y
-    coherent = int((S[x, y] * S[y, zs] * S[zs, x] == 1).sum())
+    Ex, Ey = (table.space.signed_distance_matrix()[v] for v in (x, y))
+    zs = np.flatnonzero((np.abs(Ex) == abs(Ex[y])) & (np.abs(Ey) == 1))  # never x or y
+    # |E[x, z]| = |E[x, y]| and E[y, z] = sigma(y, z): coherent iff E[x, z] E[y, z] = E[x, y].
+    coherent = int((Ex[zs] * Ey[zs] == Ex[y]).sum())
     return coherent, len(zs) - coherent

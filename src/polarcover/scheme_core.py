@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -95,17 +94,12 @@ class SchemeInstance:
 
     @staticmethod
     def from_cover(cover):
-        """Same-sign pairs over (x, y) are in relation D[x, y] where the sign
-        S[x, y] is +1 and 2n+1 - D[x, y] where it is -1; any other sign off
-        the diagonal gives the out-of-range index -1."""
+        """Same-sheet pairs over (x, y) are in relation d(x, y) where sigma(x, y)
+        is +1 and 2n+1 - d(x, y) where it is -1: E, or 2n+1 + E where E < 0,
+        of the space's signed distance E = sigma * d (0 on the diagonal)."""
         d = 2 * cover.n + 1
-        # One pass gives both; reading S first charges it to
-        # CoherenceTable.sigma_matrix in a traced run.
-        S = cover.table.sigma_matrix()
-        D = cover.space.distance_matrix()
-        R = np.where(S == 1, D, d - D)
-        R[(S != 1) & (S != -1)] = -1
-        np.fill_diagonal(R, 0)
+        E = cover.space.signed_distance_matrix()
+        R = np.where(E < 0, d + E, E)
         return SchemeInstance(cover.num_vertices, d, R, cover.space.spec.q, sheets=2)
 
     def relation_matrix(self):
@@ -298,10 +292,10 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
 
 
 def intersection_matrix(t: IntersectionTensor, i: int):
-    """The matrix L_i with (L_i)[k][j] = p_ij^k, as exact rationals."""
+    """The matrix L_i with (L_i)[k][j] = p_ij^k, as ints."""
     if not 0 <= i <= t.d:
         raise IndexError(f"relation index {i} out of range")
-    return [[Fraction(t.p[i][j][k]) for j in range(t.d + 1)] for k in range(t.d + 1)]
+    return [[t.p[i][j][k] for j in range(t.d + 1)] for k in range(t.d + 1)]
 
 
 def class_distances(t: IntersectionTensor):
@@ -396,10 +390,9 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     N, d, q = t.N, t.d, t.field_q
     if q is None:
         raise ValueError("field base q is required to express eigenvalues")
-    # (L_1)[k][j] = p_1j^k, as ints; its transpose is t.p[1] itself.
-    L1 = [list(col) for col in zip(*t.p[1])]
-    eigs = sorted(_exact_eigenvalues(L1, q), reverse=True)
+    eigs = sorted(_exact_eigenvalues(intersection_matrix(t, 1), q), reverse=True)
 
+    # The transpose of L_1 is t.p[1] itself.
     L1T = [[QuadExt(x, 0, q) for x in row] for row in t.p[1]]
     P = []
     for theta in eigs:

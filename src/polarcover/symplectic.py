@@ -4,15 +4,16 @@ Vectors are rows of field-element codes of length 2n, ordered as the
 hyperbolic basis e_1..e_n, f_1..f_n with B(e_i, f_j) = delta_ij.  All work
 runs on numpy arrays of codes: the generators packed as one (m, n, 2n)
 array of RREF bases, and one batched Gauss-Jordan (``eliminate_batch``)
-over stacks of small matrices.  ``SymplecticSpace.pair_matrices`` is the one
-pass over all generator pairs: it gives the distance matrix D and the sign
-matrix S of ``maslov`` together, and its docstring derives the sign formula
-and why every pair with a member in the big cell can read (D, S) from one
-table, indexed by the translation class of the other member.
+over stacks of small matrices.  ``SymplecticSpace.signed_distance_matrix``
+is the one pass over all generator pairs: its int8 E = sigma * d holds the
+distance and the pair sign of ``maslov``, and its docstring derives the sign
+formula and why every pair with a member in the big cell can read E from
+one table, indexed by the translation class of the other member.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -22,6 +23,7 @@ from .finite_field import FieldSpec
 __all__ = [
     "SymplecticSpace",
     "enumerate_generators",
+    "generator_count",
     "eliminate_batch",
     "gram_batch",
     "pair_chunks",
@@ -76,7 +78,7 @@ def eliminate_batch(t: FieldSpec, M, ncols=None):
 
 def gram_batch(t: FieldSpec, XJ, Y):
     """G[p, i, j] = B(x_i, y_j) for stacks XJ = X J and Y of shape (P, n, 2n),
-    summed one column at a time."""
+    summed one column at a time: the F_q product XJ Y^T of any stacks."""
     G = t.mul(XJ[:, :, None, 0], Y[:, None, :, 0])
     for col in range(1, Y.shape[-1]):
         G = t.add(G, t.mul(XJ[:, :, None, col], Y[:, None, :, col]))
@@ -86,9 +88,9 @@ def gram_batch(t: FieldSpec, XJ, Y):
 # Pairs per chunk of the batched pair kernels: their working arrays stay at
 # a few MB, and larger chunks measured no faster.
 PAIR_CHUNK = 1 << 13
-# Entries of D per row block of the big-cell gather in ``pair_matrices``:
-# the block's temporaries stay at a few hundred KB, and larger blocks
-# measured no faster.
+# Entries of E per row block of the big-cell gather in
+# ``signed_distance_matrix``: the block's temporaries stay at a few hundred
+# KB, and larger blocks measured no faster.
 GATHER_BLOCK = 1 << 13
 
 
@@ -114,12 +116,13 @@ def pair_chunks(m):
 
 
 def _pair_kernel(t: FieldSpec, X, XJ, Y, Y_pivots):
-    """(rank, sign) of each pair of the stacks X, Y of RREF bases (P, n, 2n),
-    given XJ = X J and the (P, n) pivot columns of Y: the distance D and the
-    sign S of ``SymplecticSpace.pair_matrices``, whose docstring derives them.
+    """sign * rank (int8) of each pair of the stacks X, Y of RREF bases
+    (P, n, 2n), given XJ = X J and the (P, n) pivot columns of Y: the signed
+    distance E of ``SymplecticSpace.signed_distance_matrix``, whose
+    docstring derives it.
     """
     n = X.shape[1]
-    # [G | X_Y] -> [R | E X_Y]
+    # [G | X_Y] -> [R | L X_Y]
     X_Y = np.take_along_axis(X, Y_pivots[:, None, :], axis=2)
     M = np.concatenate([gram_batch(t, XJ, Y), X_Y], axis=2)
     rank, pc, pivot_product = eliminate_batch(t, M, n)
@@ -135,7 +138,7 @@ def _pair_kernel(t: FieldSpec, X, XJ, Y, Y_pivots):
             raise AssertionError(
                 f"singular tail coordinates at X = {X[x].tolist()}, Y = {Y[x].tolist()}")
         sign[tail] *= t.chi(det)
-    return rank, sign
+    return sign * rank.astype(np.int8)
 
 
 class SymplecticSpace:
@@ -148,14 +151,7 @@ class SymplecticSpace:
         self.n = n
         self.dim = 2 * n
         self._arrays = None
-        self._pairs = None
-
-    def predicted_generator_count(self):
-        q = self.spec.q
-        count = 1
-        for i in range(1, self.n + 1):
-            count *= q**i + 1
-        return count
+        self._signed = None
 
     def generator_arrays(self):
         """(codes, pivots, codes_j) of all generators, in enumeration order.
@@ -171,29 +167,30 @@ class SymplecticSpace:
             self._arrays = (codes, pivots, _times_j(self.spec, codes, self.n))
         return self._arrays
 
-    def pair_matrices(self):
-        """(D, S): symmetric int8 matrices of distances and pair signs.
+    def signed_distance_matrix(self):
+        """E: the symmetric int8 matrix of signed distances sigma * d.
 
-        Computed once.  With X, Y the RREF bases, G = X J Y^T
-        (G_ij = B(x_i, y_j)) and X_Y the columns of X at the pivot columns
-        of Y, one elimination of [G | X_Y] on G's columns gives E G = R in
-        RREF with k = rank(G) = d(X, Y) pivot rows at columns pc, since the
-        left kernel of G gives X meet Y.  D[a, b] is that k, and
+        Computed once; the diagonal is 0.  With X, Y the RREF bases,
+        G = X J Y^T (G_ij = B(x_i, y_j)) and X_Y the columns of X at the
+        pivot columns of Y, one elimination of [G | X_Y] on G's columns gives
+        L G = R in RREF with k = rank(G) = d(X, Y) pivot rows at columns pc,
+        since the left kernel of G gives X meet Y.  |E[a, b]| is k; its sign
 
-            S[a, b] = chi(product of the pivots of G) * chi(det M_Y),
+            chi(product of the pivots of G) * chi(det M_Y),
 
-        where M_Y has rows e_pc (i < k) and (E X_Y)_i (i >= k).  For
+        where M_Y has rows e_pc (i < k) and (L X_Y)_i (i >= k).  For
         q = 1 mod 4 this is the sign sigma of ``maslov``.  Proof sketch:
-        the rows K = E[k:] span the left kernel of G, so K X spans X meet Y;
-        take the basis x = E X of X (coordinates E) and, for Y, the heads
+        the rows K = L[k:] span the left kernel of G, so K X spans X meet Y;
+        take the basis x = L X of X (coordinates L) and, for Y, the heads
         y_i = Y_{pc_i} with the tail K X, whose Y-coordinates are
         (K X)[:, pivots of Y] = K X_Y.  These Y-coordinates are the rows of
         M_Y, and the head Gram block is R[:k, pc] = I.  So
-        sigma = chi(det E * det M_Y), and chi(det E) is chi of the product
+        sigma = chi(det L * det M_Y), and chi(det L) is chi of the product
         of the pivots because the row swaps only change its sign and
-        chi(-1) = 1.  At q = 3 mod 4 S is computed but has no such meaning
-        (M_Y is nonsingular for every q).  At k = n every row of M_Y is a
-        unit row e_pc, so only the pairs with k < n eliminate M_Y.
+        chi(-1) = 1.  At q = 3 mod 4 the sign has no such meaning, but it
+        is still +-1 (M_Y is nonsingular for every q), so |E| = d.  At
+        k = n every row of M_Y is a unit row e_pc, so only the pairs with
+        k < n eliminate M_Y.
 
         Every pair with a member X = [I | A] in the big cell (A symmetric)
         reads a table.  Take any generator Y with pivots pi, f-pivot indices
@@ -218,18 +215,18 @@ class SymplecticSpace:
         and X_Y agrees because B' is zero on the f-pivot columns J.  The same
         input gives the same rank, pivots and tail, so one run of the
         elimination over the pairs ([I | C], Y*), for the R distinct Y* and
-        the q^(n(n+1)/2) symmetric C of the big cell, gives (D, S) of every
-        such pair: ([I | A], Y) reads lane r(Y) q^(n(n+1)/2) + the index of
-        A - B', whose upper triangle holds its base-q digits.  For Y = [I | A_Y]
-        in the big cell, Y* = [I | 0] and B' = A_Y.  A pair is read in the
-        order (X, Y), whichever index is lower.  At q = 1 mod 4 S is
-        symmetric, so this changes nothing; at q = 3 mod 4, where S has no
-        meaning, it can change S from the order (lower, higher) that the
-        elimination of the other pairs uses, while D is the same.  Only the
-        pairs with both members outside the big cell run the pair
-        elimination, in chunks.
+        the q^(n(n+1)/2) symmetric C of the big cell, gives E of every such
+        pair: ([I | A], Y) reads lane r(Y) q^(n(n+1)/2) + the index of
+        A - B', whose upper triangle holds its base-q digits.  For
+        Y = [I | A_Y] in the big cell, Y* = [I | 0] and B' = A_Y, so X = Y
+        reads the lane ([I | 0], [I | 0]) of rank 0.  A pair is read in the
+        order (X, Y), whichever index is lower.  At q = 1 mod 4 the sign is
+        symmetric, so this changes nothing; at q = 3 mod 4 it can differ
+        from the order (lower, higher) of the other pairs, those with both
+        members outside the big cell, which run the pair elimination in
+        chunks.
         """
-        if self._pairs is None:
+        if self._signed is None:
             t, n = self.spec, self.n
             codes, pivots, codes_j = self.generator_arrays()
             m = len(codes)
@@ -237,22 +234,17 @@ class SymplecticSpace:
             # The table: lane r Q + c is the pair ([I | C_c], Y*_r).
             C = next(_chart_bases(self))
             C_j, Q = _times_j(t, C, n), len(C)
-            table_D = np.empty(len(reps) * Q, dtype=np.int8)
-            table_S = np.empty(len(reps) * Q, dtype=np.int8)
-            for start in range(0, len(table_D), PAIR_CHUNK):
-                lane = np.arange(start, min(start + PAIR_CHUNK, len(table_D)))
+            table = np.empty(len(reps) * Q, dtype=np.int8)
+            for start in range(0, len(table), PAIR_CHUNK):
+                lane = np.arange(start, min(start + PAIR_CHUNK, len(table)))
                 c, r = lane % Q, lane // Q
-                table_D[lane], table_S[lane] = _pair_kernel(
-                    t, C[c], C_j[c], reps[r], rep_pivots[r])
-            D = np.zeros((m, m), dtype=np.int8)
-            S = np.zeros((m, m), dtype=np.int8)
+                table[lane] = _pair_kernel(t, C[c], C_j[c], reps[r], rep_pivots[r])
+            E = np.zeros((m, m), dtype=np.int8)
             big = (pivots == np.arange(n)).all(axis=1)
             cell, rest = np.flatnonzero(big), np.flatnonzero(~big)
             for i, j in pair_chunks(len(rest)):
                 a, b = rest[i], rest[j]
-                rank, sign = _pair_kernel(t, codes[a], codes_j[a], codes[b], pivots[b])
-                D[a, b] = D[b, a] = rank
-                S[a, b] = S[b, a] = sign
+                E[a, b] = E[b, a] = _pair_kernel(t, codes[a], codes_j[a], codes[b], pivots[b])
             # The lane of ([I | A], Y) is r(Y) Q plus the index of A - B'_Y:
             # digit_lanes[d][v, Y] = q^(number of later digits) sub(v, B'_Y's
             # digit d) over the upper-triangle digits d, and r(Y) Q in d = 0.
@@ -267,19 +259,17 @@ class SymplecticSpace:
                 lane = digit_lanes[0][digits[:, 0]]
                 for d in range(1, len(iu)):
                     lane += digit_lanes[d][digits[:, d]]
-                for out, table in ((D, table_D), (S, table_S)):
-                    values = np.take(table, lane)
-                    out[block] = values
-                    # A big-cell column is written by its own row block.
-                    out[rest[:, None], block] = values[:, rest].T
-            # The table reads (0, 1) at X = Y.
-            np.fill_diagonal(S, 0)
-            self._pairs = D, S
-        return self._pairs
+                values = np.take(table, lane)
+                E[block] = values
+                # A big-cell column is written by its own row block.
+                E[rest[:, None], block] = values[:, rest].T
+            self._signed = E
+        return self._signed
 
     def distance_matrix(self):
-        """Symmetric int8 matrix of dual-polar-graph distances."""
-        return self.pair_matrices()[0]
+        """Symmetric int8 matrix of dual-polar-graph distances, |E| of
+        ``signed_distance_matrix``; a new array on every call."""
+        return np.abs(self.signed_distance_matrix())
 
 
 def _times_j(t: FieldSpec, codes, n):
@@ -289,7 +279,7 @@ def _times_j(t: FieldSpec, codes, n):
 
 def _translation_classes(t: FieldSpec, codes, pivots, n):
     """The translation class of every generator Y, as in
-    ``SymplecticSpace.pair_matrices``: (reps, rep_pivots, rep_of, shift),
+    ``SymplecticSpace.signed_distance_matrix``: (reps, rep_pivots, rep_of, shift),
     with reps the (R, n, 2n) distinct representatives Y* in lexicographic
     order and rep_pivots their pivots, rep_of[y] the index of Y*, and
     shift[y] the upper triangle of B', in ``np.triu_indices`` order.
@@ -314,10 +304,8 @@ def _translation_classes(t: FieldSpec, codes, pivots, n):
             raise AssertionError(f"singular e-part at Y = {codes[y].tolist()}")
         T = MZ[:, :, k:]
         B_K = np.where(np.triu(np.ones((k, k), dtype=bool)), T, T.swapaxes(1, 2))
-        MB = t.mul(M[:, :, 0, None], B_K[:, None, 0, :])
-        for l in range(1, k):
-            MB = t.add(MB, t.mul(M[:, :, l, None], B_K[:, None, l, :]))
-        Y[:, :k, n + K] = t.sub(Z, MB)
+        # B_K is symmetric, so the Gram product M B_K^T is M B_K.
+        Y[:, :k, n + K] = t.sub(Z, gram_batch(t, M, B_K))
         star[group] = Y
         B = np.zeros((len(group), n, n), dtype=codes.dtype)
         B[:, K[:, None], K] = B_K
@@ -365,6 +353,11 @@ def _lexsorted_runs(flat):
     return order, first
 
 
+def generator_count(q, n):
+    """prod (q^i + 1), i = 1..n: the generator count of a 2n-space over F_q."""
+    return math.prod(q**i + 1 for i in range(1, n + 1))
+
+
 def enumerate_generators(space: SymplecticSpace):
     """The (m, n, 2n) code array of the RREF bases of all maximal totally
     isotropic subspaces, in lexicographic order.
@@ -374,8 +367,8 @@ def enumerate_generators(space: SymplecticSpace):
     the generators seen in several charts kept once.  The count is checked
     against prod (q^i + 1), and isotropy on the result.
     """
-    predicted = space.predicted_generator_count()
     t, n = space.spec, space.n
+    predicted = generator_count(t.q, n)
     found = []
     for V in _chart_bases(space):
         eliminate_batch(t, V)

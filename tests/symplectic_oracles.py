@@ -4,8 +4,8 @@ A generator is an enumeration index x or its RREF basis ``bases(space)[x]``,
 a tuple of code rows.  ``pair_oracle`` computes the distance and the sign of
 one pair straight from the definition in ``maslov``'s docstring, with the
 exact ``gauss_jordan`` over the scalar F_q of ``field_oracles``; it shares
-no code with the batched pass ``SymplecticSpace.pair_matrices`` that it is
-the reference for.
+no code with the batched pass ``SymplecticSpace.signed_distance_matrix``
+that it is the reference for.
 
 An isometry g of B (multiplier 1) permutes the generators and keeps every
 triple sign; a similarity with nonsquare multiplier flips the sign of the

@@ -70,15 +70,15 @@ class TestExitCodes:
         # q=13, n=3: m = 5,231,240 generators, whose enumeration and JSON
         # export would need ~33 GB.  Both exceed the 8 GiB simulated here.
         import polarcover.cli as cli
+        import polarcover.finite_field as finite_field
         import polarcover.symplectic as symplectic
-        from polarcover.maslov import CoherenceTable
 
         def refuse(*args, **kwargs):
             raise AssertionError("the computation started")
 
+        monkeypatch.setattr(finite_field, "construct_field", refuse)
         monkeypatch.setattr(symplectic, "enumerate_generators", refuse)
-        monkeypatch.setattr(symplectic.SymplecticSpace, "distance_matrix", refuse)
-        monkeypatch.setattr(CoherenceTable, "sigma_matrix", refuse)
+        monkeypatch.setattr(symplectic.SymplecticSpace, "signed_distance_matrix", refuse)
         physical = cli._physical_memory()
         assert physical > 0
         monkeypatch.setattr(cli, "_physical_memory", lambda: min(physical, 2**33))
@@ -86,6 +86,23 @@ class TestExitCodes:
         assert code == EXIT_CAP
         assert out == ""
         assert "exceeds cap" in err
+
+    @pytest.mark.parametrize("q,code", [(32749, EXIT_CAP), (59049, EXIT_INVALID)])
+    def test_field_tables_before_building(self, capsys, monkeypatch, q, code):
+        # F_32749 passes _check_q, and its q x q tables would take ~19 GB,
+        # more than the 8 GiB simulated here.  q = 3^10 >= 2^15 cannot be
+        # held in int16 codes: invalid input, refused before any prediction.
+        import polarcover.cli as cli
+        import polarcover.finite_field as finite_field
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the field tables were built")
+
+        monkeypatch.setattr(finite_field, "construct_field", refuse)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**33)
+        got, out, err = run(capsys, "enumerate", "--q", str(q), "--n", "1")
+        assert (got, out) == (code, "")
+        assert ("exceeds cap" if code == EXIT_CAP else "below 2^15") in err
 
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
@@ -113,6 +130,26 @@ class TestExitCodes:
         m = (q + 1) * (q * q + 1)
         assert len(json.loads(capsys.readouterr().out)["generators"]) == m
         assert peak <= enumerate_bytes(m, 2)
+
+    @pytest.mark.parametrize("q", [5, 9])
+    def test_scheme_prediction_bounds_peak(self, capsys, q):
+        # The whole command: field tables, the signed pair matrix E, the
+        # fiber relation matrix of from_cover, verify_scheme and the
+        # spectral stages, against the prediction its pre-flight checks.
+        from polarcover.scheme_core import verify_scheme_bytes
+
+        argv = ["scheme", "--q", str(q), "--n", "2"]
+        assert main(argv) == EXIT_OK      # imports and caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = (q + 1) * (q * q + 1)
+        assert json.loads(capsys.readouterr().out)["N"] == 2 * m
+        assert peak <= verify_scheme_bytes(2 * m, 5)
 
     def test_math_fail_on_infeasible_r(self, capsys):
         code, out, _ = run(capsys, "feasibility", "--r", "sqrt:5")
@@ -225,9 +262,9 @@ class TestEnumerate:
         _, want, _ = run(capsys, "enumerate", "--q", "5", "--n", "2")
 
         def refuse(self):
-            raise AssertionError("the pair matrices were built")
+            raise AssertionError("the pair matrix was built")
 
-        monkeypatch.setattr(symplectic.SymplecticSpace, "pair_matrices", refuse)
+        monkeypatch.setattr(symplectic.SymplecticSpace, "signed_distance_matrix", refuse)
         code, out, _ = run(capsys, "enumerate", "--q", "5", "--n", "2")
         assert code == EXIT_OK and out == want
         assert json.loads(out)["distance_profile"] == {"0": 1, "1": 30, "2": 125}

@@ -147,12 +147,15 @@ class TestEliminateBatch:
 
 
 def _check_rows(space, rows, columns):
-    """D and S of the one pair pass against pair_oracle on the given pairs."""
+    """The signed distance E of the one pair pass against pair_oracle on the
+    given pairs: |E| is the distance and sign(E) the sign, as the two
+    accessors give them."""
     found = bases(space)
-    S = CoherenceTable(space).sigma_matrix()
-    D = space.distance_matrix()
-    assert (np.diagonal(D) == 0).all() and (np.diagonal(S) == 0).all()
-    D, S = D.tolist(), S.tolist()
+    E = space.signed_distance_matrix()
+    assert E.dtype == np.int8 and (np.diagonal(E) == 0).all()
+    assert (space.distance_matrix() == np.abs(E)).all()
+    assert (CoherenceTable(space).sigma_matrix() == np.sign(E)).all()
+    D, S = np.abs(E).tolist(), np.sign(E).tolist()
     wrong = [(x, y) for x in rows for y in columns(x)
              if pair_oracle(space, found[x], found[y]) != (D[x][y], S[x][y])]
     assert not wrong, wrong[:5]
@@ -182,7 +185,7 @@ def symmetric_index(q, C):
 
 def translation_class(space, Y):
     """(Y*, B') of a generator's RREF basis Y, one generator at a time over the
-    scalar F_q, from the definition in ``SymplecticSpace.pair_matrices``:
+    scalar F_q, from the definition in ``SymplecticSpace.signed_distance_matrix``:
     with J the f-pivot indices and K the others, T = M^-1 Z on Y's first k
     rows, B' the symmetric matrix with T's upper triangle on K x K and zeros
     on the rows and columns J, and Y* = Y [[I, -B'], [0, I]]."""
@@ -249,10 +252,11 @@ class TestPairMatrices:
 
     def test_oracle_runs_without_the_pair_pass(self, monkeypatch):
         # With every batched kernel raising, wherever it is bound, pair_oracle
-        # still gives D and S on every pair: it shares no code with them.
+        # still gives |E| and sign(E) on every pair: it shares no code with E.
         space = make_space(5, 2)
         found = bases(space)
-        D, S = (M.tolist() for M in space.pair_matrices())
+        E = space.signed_distance_matrix()
+        D, S = np.abs(E).tolist(), np.sign(E).tolist()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a batched kernel ran")
@@ -264,7 +268,7 @@ class TestPairMatrices:
                 for attr in names:
                     if id(getattr(module, attr, None)) in originals:
                         monkeypatch.setattr(module, attr, refuse)
-        monkeypatch.setattr(SymplecticSpace, "pair_matrices", refuse)
+        monkeypatch.setattr(SymplecticSpace, "signed_distance_matrix", refuse)
         with pytest.raises(AssertionError, match="batched kernel"):
             make_space(5, 2).distance_matrix()
         for x, y in zip(*np.triu_indices(len(found), 1)):
@@ -274,7 +278,7 @@ class TestPairMatrices:
     def test_big_cell_pairs_read_the_table(self, q, n):
         # For X = [I | A] and any Y, the kernel's input [G | X_Y] is that of
         # ([I | A - B'], Y*); so the table entry of (Y*, A - B'), checked on
-        # every lane against pair_oracle, is d(X, Y) and sigma(X, Y).
+        # every lane against pair_oracle, is sigma(X, Y) d(X, Y).
         space = make_space(q, n)
         t, found = space.spec, bases(space)
         codes, pivots, codes_j = space.generator_arrays()
@@ -305,12 +309,12 @@ class TestPairMatrices:
         lanes, rep_of = table_lanes(space)
         # X == Y only on the diagonal, which the pass sets to 0.
         table = [None if X == Y else pair_oracle(space, X, Y) for X, Y in lanes]
-        D, S = space.pair_matrices()
+        E = space.signed_distance_matrix()
         cells = q ** (n * (n + 1) // 2)
         for a, b, c in zip(x, y, C.tolist()):
             if a != b:
                 lane = rep_of[b] * cells + symmetric_index(q, c)
-                assert table[lane] == (D[a, b], S[a, b]), (a, b)
+                assert table[lane] == (abs(E[a, b]), np.sign(E[a, b])), (a, b)
                 assert lanes[lane][1] == stars[b]
 
     @pytest.mark.parametrize("distance_first", [True, False])
@@ -323,12 +327,18 @@ class TestPairMatrices:
         for call in calls if distance_first else calls[::-1]:
             call()
             call()
-        # The table over the R representatives Y* times the q^3 symmetric C,
-        # then every pair with both members outside the big cell of q^3
-        # generators.
+        # The space keeps E alone: the two views are new arrays on every call.
+        kept = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        assert [(v.shape, v.dtype) for v in kept] == [((m, m), np.int8)]
+        assert space.distance_matrix() is not space.distance_matrix()
+        # One product M B_K per generator with an e-pivot row, all but
+        # <f_1, f_2>, for the translation classes; the table over the R
+        # representatives Y* times the q^3 symmetric C; then every pair with
+        # both members outside the big cell of q^3 generators.
         cell = 5 ** 3
         assert R == 5 + 3
-        assert lanes[0] == R * cell + (m - cell) * (m - cell - 1) // 2 == 1000 + 465
+        assert lanes[0] == (m - 1) + R * cell + (m - cell) * (m - cell - 1) // 2
+        assert lanes[0] == 155 + 1000 + 465
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tail_elimination_only_below_rank_n(self, n, monkeypatch):
@@ -364,7 +374,7 @@ class TestPairMatrices:
             symplectic._translation_classes(construct_field(5, 1), Y, np.array([[0, 2]]), 2)
 
     def test_peak_is_the_results_and_one_row_block(self, monkeypatch):
-        # D and S take 2 m^2 bytes.  The gather writes each row block of
+        # E takes m^2 bytes.  The gather writes each row block of
         # big-cell X to its rows and to the columns of the generators outside
         # the big cell; the block's lanes, gathered digits and values take
         # about 17 bytes an entry, and 64 also cover the small tables the
@@ -377,11 +387,11 @@ class TestPairMatrices:
         m = len(space.generator_arrays()[0])
         tracemalloc.start()
         try:
-            space.pair_matrices()
+            space.signed_distance_matrix()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * m * m + 64 * symplectic.GATHER_BLOCK
+        assert peak <= m * m + 64 * symplectic.GATHER_BLOCK
 
     def test_cold_pass_imports_nothing(self):
         # A fresh interpreter, so no other test's imports count.  A module
@@ -392,7 +402,7 @@ class TestPairMatrices:
                   "from polarcover.symplectic import SymplecticSpace\n"
                   "space = SymplecticSpace(construct_field(5, 1), 1)\n"
                   "before = set(sys.modules)\n"
-                  "space.pair_matrices()\n"
+                  "space.signed_distance_matrix()\n"
                   "print(sorted(set(sys.modules) ^ before))\n")
         src = Path(symplectic.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -407,17 +417,21 @@ class TestPairMatrices:
         want = np.zeros((len(found),) * 2, dtype=np.int8)
         for x, y in zip(*np.triu_indices(len(found), 1)):
             want[x, y] = want[y, x] = pair_oracle(space, found[x], found[y])[0]
-        assert (space.distance_matrix() == want).all()
+        E = space.signed_distance_matrix()
+        assert (np.abs(E) == want).all() and (space.distance_matrix() == want).all()
 
 
 def edited_cover(q, n, edit):
-    """A cover whose pair data are copies of (D, S) changed by edit(D, S)."""
+    """A cover whose pair data are copies of (D, S) changed by edit(D, S):
+    ``relation_index`` reads them, and ``from_cover`` their product E = S D."""
     space = make_space(q, n)
     table = CoherenceTable(space)
-    D, S = space.distance_matrix().copy(), table.sigma_matrix().copy()
+    D, S = space.distance_matrix(), table.sigma_matrix()     # new arrays
     edit(D, S)
+    E = S * D
     space.distance_matrix = lambda: D
     table.sigma_matrix = lambda: S
+    space.signed_distance_matrix = lambda: E
     return CoverGraph(table)
 
 
@@ -558,11 +572,17 @@ class TestSchemeQuotient:
         assert a != b and one_sheet.relation_matrix()[a, b] == 0
 
     def test_sign_outside_pm1_is_out_of_range(self):
+        # E = S D cannot hold a sign outside +-1, so the fiber matrix gets
+        # the index -1 itself, where relation_index gives -1 to sign 0.
         def zero(D, S):
             x, y = first_edge(D)
             S[x, y] = S[y, x] = 0
 
-        quotient, one_sheet = both_paths(edited_cover(5, 1, zero))
+        cover = edited_cover(5, 1, zero)
+        one_sheet = SchemeInstance.from_matrix(relation_index_matrix(cover), 3, 5)
+        quotient = SchemeInstance.from_cover(CoverGraph(CoherenceTable(make_space(5, 1))))
+        x, y = first_edge(cover.space.distance_matrix())
+        quotient.matrix[x, y] = quotient.matrix[y, x] = -1
         assert (quotient.relation_matrix() == one_sheet.matrix).all()
         for instance in (quotient, one_sheet):
             with pytest.raises(NotAPartition, match=r"at pair \(0, \d+\)"):

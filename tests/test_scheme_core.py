@@ -181,7 +181,9 @@ class TestPentagon:
         assert t.valencies == [1, 2, 2]
         assert t.p[1][1][2] == 1
         assert t.p[1][2][1] == 1
-        assert intersection_matrix(t, 1)[0][1] == 2
+        L1 = intersection_matrix(t, 1)
+        assert L1[0][1] == 2
+        assert {type(x) for row in L1 for x in row} == {int}
 
     def test_class_distances(self):
         assert class_distances(verify_scheme(pentagon_instance())) == [0, 1, 2]

@@ -145,16 +145,16 @@ def cmd_scheme(args):
     )
 
     _, tensor = _verified_cover(args.q, args.n)
-    sd = spectral_data(tensor)
-    kt = krein(sd)
-    orderings = q_poly_orderings(kt)
+    sd = spectral_data(tensor, args.q)
+    qk = krein(sd)
+    orderings = q_poly_orderings(qk)
     if not orderings:
         raise PolarcoverError("no Q-polynomial ordering found")
-    payload = export_scheme(sd, tensor, kt, orderings)
+    payload = export_scheme(sd, tensor, qk, orderings)
     payload["q"] = args.q
     payload["n"] = args.n
     payload["seed"] = args.seed
-    payload["q_bipartite"] = [q_bipartite_check(kt, o) for o in orderings]
+    payload["q_bipartite"] = [q_bipartite_check(qk, o) for o in orderings]
     _emit(args, payload)
     return EXIT_OK
 
@@ -194,7 +194,7 @@ def cmd_crosscheck(args):
         payload["l1_matches"] = L1b == L1c
         rep_b = verify_thm71(L1b, sigma, polys, args.q)
         payload["moment_identities_brute_ok"] = rep_b.ok
-        sd = spectral_data(tensor)
+        sd = spectral_data(tensor, args.q)
         ck = crosscheck_P(args.n, args.q, sd, cf)
         payload["p_matrix_matches"] = ck.ok
         if not ck.ok:
@@ -281,11 +281,10 @@ def _suite_scheme():
 
     _, tensor = _verified_cover(5, 1)
     assert tensor.p[1][1][0] == 5
-    sd = spectral_data(tensor)
-    kt = krein(sd)
-    orderings = q_poly_orderings(kt)
+    qk = krein(spectral_data(tensor, 5))
+    orderings = q_poly_orderings(qk)
     assert len(orderings) == 2
-    assert all(q_bipartite_check(kt, o) for o in orderings)
+    assert all(q_bipartite_check(qk, o) for o in orderings)
 
 
 def _suite_closed_form():

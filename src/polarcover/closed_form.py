@@ -307,7 +307,7 @@ def crosscheck_P(n, q, sd, cf: ClosedFormEigenmatrices) -> CrosscheckReport:
     (the A_1 eigenvalue) and then compared entry by entry.
     """
     m = 2 * n + 2
-    if sd.d + 1 != m:
+    if len(sd.P) != m:
         return CrosscheckReport(False, None, "class count mismatch")
     by_eig = {}
     for idx in range(m):

@@ -26,7 +26,8 @@ __all__ = [
 ]
 
 # Candidate 4-class parameter tables as expressions in r.  The scheme would
-# have N = (r^2 + 1)(r^6 + r^2) / ... = sum of the Q row-0 entries points.
+# have N = 1 + r^2 + r^4 + r^6 = (r^2 + 1)(r^4 + 1) points, the sum of the
+# Q row-0 entries (820 at r = 3).
 _P_TEMPLATE = [
     ["1", "(r**4 + r**3 + r**2 + r)/2", "(r**4 - r**3 + r**2 - r)/2",
      "(r**6 + r**4)/2", "(r**6 - r**4)/2"],

@@ -37,7 +37,6 @@ __all__ = [
     "SchemeInstance",
     "IntersectionTensor",
     "SpectralData",
-    "KreinTensor",
     "verify_scheme",
     "verify_scheme_bytes",
     "intersection_matrix",
@@ -73,7 +72,8 @@ def _exact_int_product(A, B):
 
 @dataclass
 class SchemeInstance:
-    """Point set {0..N-1} with a relation index on ordered pairs.
+    """Point set {0..N-1}, N = sheets * len(matrix), with a relation index
+    on ordered pairs.
 
     With ``sheets == 2`` the points are an antipodal double cover of
     m = N/2 fibers: point 2x + b is fiber x on sheet b, ``matrix`` is the
@@ -81,16 +81,17 @@ class SchemeInstance:
     cross-sheet pair (2x + b, 2y + 1 - b) is in relation d - matrix[x, y].
     """
 
-    N: int
     d: int
     matrix: np.ndarray          # N x N, or m x m same-sheet, relation indices
-    field_q: int = None         # base of the splitting field Q(sqrt(q))
     sheets: int = 1
 
+    @property
+    def N(self):
+        return self.sheets * len(self.matrix)
+
     @staticmethod
-    def from_matrix(R, d, field_q=None):
-        R = np.asarray(R)
-        return SchemeInstance(R.shape[0], d, R, field_q)
+    def from_matrix(R, d):
+        return SchemeInstance(d, np.asarray(R))
 
     @staticmethod
     def from_cover(cover):
@@ -100,7 +101,7 @@ class SchemeInstance:
         d = 2 * cover.n + 1
         E = cover.space.signed_distance_matrix()
         R = np.where(E < 0, d + E, E)
-        return SchemeInstance(cover.num_vertices, d, R, cover.space.spec.q, sheets=2)
+        return SchemeInstance(d, R, sheets=2)
 
     def relation_matrix(self):
         """The N x N relation index."""
@@ -117,9 +118,7 @@ class SchemeInstance:
 class IntersectionTensor:
     d: int
     N: int
-    p: list                     # p[i][j][k], nonnegative ints
-    valencies: list             # k_i
-    field_q: int = None
+    p: list                     # p[i][j][k], nonnegative ints; k_i = p[i][i][0]
 
 
 def verify_scheme_bytes(N, d):
@@ -288,7 +287,7 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
                 if valencies[k] * p[i][j][k] != valencies[i] * p[k][j][i]:
                     raise AssertionError(f"counting identity fails at ({i},{j},{k})")
 
-    return IntersectionTensor(d, instance.N, p, valencies, instance.field_q)
+    return IntersectionTensor(d, instance.N, p)
 
 
 def intersection_matrix(t: IntersectionTensor, i: int):
@@ -321,14 +320,13 @@ def class_distances(t: IntersectionTensor):
 
 @dataclass
 class SpectralData:
+    """The eigenmatrices over Q(sqrt q).  Row 0 of P holds the valencies,
+    column 1 the eigenvalues of A_1 (one per row), and row 0 of Q the
+    multiplicities."""
+
     N: int
-    d: int
-    q: int                      # base of Q(sqrt(q))
     P: list                     # (d+1)x(d+1) QuadExt
     Q: list
-    valencies: list             # QuadExt, row 0 of P
-    multiplicities: list        # QuadExt, row 0 of Q
-    eigenvalues: list           # of A_1, per row of P
 
 
 def _square_split(q):
@@ -369,8 +367,8 @@ def _exact_eigenvalues(L, q):
     return [theta for theta in candidates if vanishes(theta)]
 
 
-def spectral_data(t: IntersectionTensor) -> SpectralData:
-    """Exact eigenmatrices from the intersection tensor, over Q(sqrt t.field_q).
+def spectral_data(t: IntersectionTensor, q) -> SpectralData:
+    """Exact eigenmatrices from the intersection tensor, over Q(sqrt q).
 
     Rows of P are the left eigenvectors of L_1 normalized to first entry 1,
     sorted by eigenvalue in decreasing order (the valency row comes first).
@@ -387,9 +385,7 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     verified tensor summing to N; and m_j = N / sum_l P_jl^2 / k_l > 0, a
     sum of squares over positive k_l with P_j0 = 1.
     """
-    N, d, q = t.N, t.d, t.field_q
-    if q is None:
-        raise ValueError("field base q is required to express eigenvalues")
+    N, d = t.N, t.d
     eigs = sorted(_exact_eigenvalues(intersection_matrix(t, 1), q), reverse=True)
 
     # The transpose of L_1 is t.p[1] itself.
@@ -410,46 +406,34 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
         raise EigenvalueOutsideField(
             f"{d + 1 - len(P)} eigenvalues lie outside Q(sqrt {q})")
 
-    if P[0] != t.valencies:
-        raise AssertionError(f"P row 0 {P[0]} differs from the valencies {t.valencies}")
+    valencies = [t.p[i][i][0] for i in range(d + 1)]
+    if P[0] != valencies:
+        raise AssertionError(f"P row 0 {P[0]} differs from the valencies {valencies}")
     Q = dual_eigenmatrix(P, N)
     if sum(Q[0]) != N:
         raise AssertionError("multiplicities do not sum to N")
-    return SpectralData(N, d, q, P, Q, list(P[0]), list(Q[0]), [row[1] for row in P])
+    return SpectralData(N, P, Q)
 
 
-@dataclass
-class KreinTensor:
-    d: int
-    N: int
-    q: int
-    qk: list                    # qk[i][j][k], QuadExt
-    multiplicities: list
-
-
-def krein(sd: SpectralData) -> KreinTensor:
-    """Krein parameters q_ij^k = (1/N) sum_l Q_li Q_lj P_kl."""
-    d, N, q = sd.d, sd.N, sd.q
-    m = sd.multiplicities
-    qk = pq_tensor(sd.Q, sd.P, N)
-    for i in range(d + 1):
-        for kk in range(d + 1):
-            acc = QuadExt(0, 0, q)
-            for j in range(d + 1):
-                acc = acc + qk[i][j][kk]
-            if acc != m[i]:
+def krein(sd: SpectralData) -> list:
+    """Krein parameters qk[i][j][k] = q_ij^k = (1/N) sum_l Q_li Q_lj P_kl,
+    QuadExt, with each row sum sum_j q_ij^k checked to be m_i = Q[0][i]."""
+    qk = pq_tensor(sd.Q, sd.P, sd.N)
+    for i, plane in enumerate(qk):
+        for kk in range(len(qk)):
+            if sum((row[kk] for row in plane[1:]), plane[0][kk]) != sd.Q[0][i]:
                 raise AssertionError(f"Krein row sum fails at (i={i}, k={kk})")
-    return KreinTensor(d, N, q, qk, list(m))
+    return qk
 
 
-def q_poly_orderings(kt: KreinTensor):
+def q_poly_orderings(qk):
     """All idempotent orderings making the dual L*_1 tridiagonal.
 
     Returns full orderings (0, e_1, .., e_d).  A tridiagonal ordering is a
     forced chain: from e_j the next index is the unique unused k with
     q_{e_1, e_j}^k nonzero, so the search is linear per starting idempotent.
     """
-    d = kt.d
+    d = len(qk) - 1
     if d == 1:
         return [(0, 1)]
     out = []
@@ -459,36 +443,35 @@ def q_poly_orderings(kt: KreinTensor):
         ok = True
         while ok and len(e) <= d:
             cands = [k for k in range(d + 1)
-                     if k not in used and kt.qk[c][e[-1]][k]]
+                     if k not in used and qk[c][e[-1]][k]]
             if len(cands) != 1:
                 ok = False
             else:
                 e.append(cands[0])
                 used.add(cands[0])
-        if ok and is_tridiagonal([[kt.qk[c][j][k] for j in e] for k in e]):
+        if ok and is_tridiagonal([[qk[c][j][k] for j in e] for k in e]):
             out.append(tuple(e))
     return out
 
 
-def q_bipartite_check(kt: KreinTensor, ordering) -> bool:
+def q_bipartite_check(qk, ordering) -> bool:
     """True iff all dual a*_j = q_{1j}^j vanish in the given ordering."""
     c = ordering[1]
-    return all(not kt.qk[c][ordering[j]][ordering[j]]
-               for j in range(1, kt.d + 1))
+    return all(not qk[c][j][j] for j in ordering[1:])
 
 
-def export_scheme(sd: SpectralData, t: IntersectionTensor, kt: KreinTensor,
+def export_scheme(sd: SpectralData, t: IntersectionTensor, qk,
                   orderings) -> dict:
     """JSON-ready scheme summary with exact Q(r) entries."""
     return {
         "N": sd.N,
-        "d": sd.d,
-        "valencies": [v.to_json() for v in sd.valencies],
-        "multiplicities": [m.to_json() for m in sd.multiplicities],
+        "d": t.d,
+        "valencies": [v.to_json() for v in sd.P[0]],
+        "multiplicities": [m.to_json() for m in sd.Q[0]],
         "P": [[x.to_json() for x in row] for row in sd.P],
         "Q": [[x.to_json() for x in row] for row in sd.Q],
         "p_tensor": t.p,
         "krein_tensor": [[[x.to_json() for x in row] for row in plane]
-                         for plane in kt.qk],
+                         for plane in qk],
         "q_poly_orderings": [list(o) for o in orderings],
     }

@@ -45,12 +45,12 @@ def q13n1():
 @pytest.fixture(scope="session")
 def q5n2_scheme(q5n2):
     tensor = verify_scheme(q5n2["instance"])
-    sd = spectral_data(tensor)
+    sd = spectral_data(tensor, 5)
     return {"tensor": tensor, "sd": sd, **q5n2}
 
 
 @pytest.fixture(scope="session")
 def q5n1_scheme(q5n1):
     tensor = verify_scheme(q5n1["instance"])
-    sd = spectral_data(tensor)
+    sd = spectral_data(tensor, 5)
     return {"tensor": tensor, "sd": sd, **q5n1}

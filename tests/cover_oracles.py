@@ -53,22 +53,35 @@ def fiber_block_adjacency(cover):
     return A
 
 
-def relation_index(cover, u: SignedVertex, v: SignedVertex) -> int:
-    """The relation of (u, v); a pair whose sign is neither +1 nor -1 is in
-    the out-of-range relation -1."""
+def _relation(D, S, n, u, v):
+    """``relation_index`` on the pair data (D, S) of a cover of rank n."""
     if u.gen == v.gen:
-        return 0 if u.sign == v.sign else 2 * cover.n + 1
-    D, S = pair_data(cover)
+        return 0 if u.sign == v.sign else 2 * n + 1
     k, s = int(D[u.gen, v.gen]), int(S[u.gen, v.gen])
     if s not in (1, -1):
         return -1
-    return k if u.sign * v.sign == s else 2 * cover.n + 1 - k
+    return k if u.sign * v.sign == s else 2 * n + 1 - k
+
+
+def _neighbors(D, S, u):
+    """``neighbors`` on the pair data (D, S) of a cover."""
+    js = np.flatnonzero(D[u.gen] == 1)
+    signs = u.sign * S[u.gen, js]
+    return [SignedVertex(j, s) for j, s in zip(js.tolist(), signs.tolist())]
+
+
+def relation_index(cover, u: SignedVertex, v: SignedVertex) -> int:
+    """The relation of (u, v); a pair whose sign is neither +1 nor -1 is in
+    the out-of-range relation -1."""
+    return _relation(*pair_data(cover), cover.n, u, v)
 
 
 def relation_index_matrix(cover):
-    """The N x N relation index, one ``relation_index`` call per ordered pair."""
+    """The N x N relation index, the ``relation_index`` rule per ordered
+    pair on pair data read once."""
+    D, S = pair_data(cover)
     vertices = [SignedVertex.from_vid(v) for v in range(cover.num_vertices)]
-    return np.array([[relation_index(cover, u, v) for v in vertices]
+    return np.array([[_relation(D, S, cover.n, u, v) for v in vertices]
                      for u in vertices], dtype=np.int8)
 
 
@@ -77,10 +90,7 @@ def adjacent(cover, u: SignedVertex, v: SignedVertex) -> bool:
 
 
 def neighbors(cover, u: SignedVertex):
-    D, S = pair_data(cover)
-    js = np.flatnonzero(D[u.gen] == 1)
-    signs = u.sign * S[u.gen, js]
-    return [SignedVertex(j, s) for j, s in zip(js.tolist(), signs.tolist())]
+    return _neighbors(*pair_data(cover), u)
 
 
 def adjacency_lists(A):
@@ -125,14 +135,15 @@ def graph_distances(A):
 
 def count_paths3(cover, u: SignedVertex, v: SignedVertex) -> int:
     """Number of length-3 walks from u to v that are paths."""
+    D, S = pair_data(cover)
     count = 0
-    for w1 in neighbors(cover, u):
+    for w1 in _neighbors(D, S, u):
         if w1.vid == v.vid:
             continue
-        for w2 in neighbors(cover, w1):
+        for w2 in _neighbors(D, S, w1):
             if w2.vid in (u.vid, v.vid):
                 continue
-            if adjacent(cover, w2, v):
+            if _relation(D, S, cover.n, w2, v) == 1:
                 count += 1
     return count
 

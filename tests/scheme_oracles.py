@@ -66,7 +66,7 @@ def verify_idempotents(sd, A_list) -> IdempotentReport:
     scaled integer matrices S_j = D*N*E_j = Sa + Sb*r with D clearing all
     Q-entry denominators, so every identity becomes integer matrix algebra.
     """
-    N, d, q = sd.N, sd.d, sd.q
+    N, d, q = sd.N, len(sd.P) - 1, sd.P[0][0].q
     D = 1
     for row in sd.Q:
         for x in row:

@@ -67,10 +67,10 @@ def build(p, e, n):
 def full_verification(cover):
     instance = SchemeInstance.from_cover(cover)
     tensor = verify_scheme(instance)
-    sd = spectral_data(tensor)
-    kt = krein(sd)
-    orderings = q_poly_orderings(kt)
-    return tensor, sd, kt, orderings
+    sd = spectral_data(tensor, cover.space.spec.q)
+    qk = krein(sd)
+    orderings = q_poly_orderings(qk)
+    return tensor, sd, qk, orderings
 
 
 def test_criterion_1_icosahedron_identity():
@@ -90,7 +90,7 @@ def test_criterion_1_icosahedron_identity():
     assert coeffs == poly_mul(*([-root, 1] for root in roots))
 
     # closed-form interleaved P equals the spectral P exactly
-    tensor, sd, kt, orderings = full_verification(cover)
+    tensor, sd, qk, orderings = full_verification(cover)
     report = crosscheck_P(1, 5, sd, eigenmatrices_closed(1, 5))
     assert report.ok, report.failure
 
@@ -104,7 +104,7 @@ def test_criterion_2_full_scheme_q5_n2():
     space, table, cover = build(5, 1, 2)
     assert cover.num_vertices == 312
 
-    tensor, sd, kt, orderings = full_verification(cover)
+    tensor, sd, qk, orderings = full_verification(cover)
 
     # closed-form L_1, entry for entry
     assert intersection_matrix(tensor, 1) == l1_closed(2, 5)
@@ -120,7 +120,7 @@ def test_criterion_2_full_scheme_q5_n2():
           for i, row in enumerate(sd.P)}
     o1, o2 = sorted(orderings)
     assert tuple(pi[j] for j in o1) == o2
-    assert all(q_bipartite_check(kt, o) for o in orderings)
+    assert all(q_bipartite_check(qk, o) for o in orderings)
 
     # closed-form interleaved P equals the spectral P exactly
     report = crosscheck_P(2, 5, sd, eigenmatrices_closed(2, 5))
@@ -137,12 +137,12 @@ def test_criterion_3_square_q_rationality():
     # 2 cores).
     for n in (1, 2):
         space, table, cover = build(3, 2, n)
-        tensor, sd, kt, orderings = full_verification(cover)
+        tensor, sd, qk, orderings = full_verification(cover)
         assert max(class_distances(tensor)) == 3
         assert all(not v.b for row in sd.P for v in row)
         assert all(not v.b for row in sd.Q for v in row)
         assert len(orderings) == 2
-        assert all(q_bipartite_check(kt, o) for o in orderings)
+        assert all(q_bipartite_check(qk, o) for o in orderings)
         report = crosscheck_P(n, 9, sd, eigenmatrices_closed(n, 9))
         assert report.ok, report.failure
 

@@ -1,11 +1,14 @@
 """Closed-form L_1, Q-sequence, polynomial family, eigenmatrix formulas."""
 
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import polarcover.closed_form as closed_form
+from polarcover.cli import main
 from polarcover.errors import QNotOneModFour
 from polarcover.exact_algebra import QuadExt, gauss
 from polarcover.closed_form import (
@@ -157,7 +160,7 @@ class TestSFamily:
         # x^l coefficients of the family = spectrum of A_1.
         polys = s_family(2, 5)
         leads = {polys[ell][ell] for ell in range(6)}
-        assert leads == set(q5n2_scheme["sd"].eigenvalues)
+        assert leads == {row[1] for row in q5n2_scheme["sd"].P}
 
     def test_conjugate_sequence_also_verifies(self):
         # Galois conjugation r -> -r of both sigma and the family is again
@@ -396,9 +399,20 @@ class TestCrosscheck:
         from polarcover.scheme_core import spectral_data, verify_scheme
 
         t = verify_scheme(q9n1["instance"])
-        sd = spectral_data(t)
+        sd = spectral_data(t, 9)
         report = crosscheck_P(1, 9, sd, eigenmatrices_closed(1, 9))
         assert report.ok, report.failure
+
+    def test_exported_p_in_a_namespace(self, capsys):
+        # The exported P, read back from JSON into a namespace with d and P
+        # only, is all that crosscheck_P needs.
+        assert main(["scheme", "--q", "5", "--n", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        P = [[QuadExt.from_json(x) for x in row] for row in payload["P"]]
+        sd = SimpleNamespace(d=payload["d"], P=P)
+        report = crosscheck_P(1, 5, sd, eigenmatrices_closed(1, 5))
+        assert report.ok, report.failure
+        assert sorted(report.row_map) == [0, 1, 2, 3]
 
     def test_detects_mismatch(self, q5n1_scheme):
         cf = eigenmatrices_closed(1, 5)

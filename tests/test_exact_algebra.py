@@ -545,7 +545,8 @@ class TestPqTensor:
 
     @pytest.mark.parametrize("bundle", ["q5n1", "q9n1", "q13n1", "q5n2"])
     def test_matches_per_term_oracle_on_spectral_data(self, bundle, request):
-        sd = spectral_data(verify_scheme(request.getfixturevalue(bundle)["instance"]))
+        data = request.getfixturevalue(bundle)
+        sd = spectral_data(verify_scheme(data["instance"]), data["space"].spec.q)
         self.assert_matches_oracle(sd.P, sd.Q, sd.N)
 
     @pytest.mark.parametrize("zero", [0, Fraction(0), QuadExt(0, 0, 5)])

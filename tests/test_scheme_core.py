@@ -25,7 +25,6 @@ from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, mat_mul, pq_tens
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
-    KreinTensor,
     SchemeInstance,
     SpectralData,
     _exact_eigenvalues,
@@ -44,9 +43,9 @@ from scheme_oracles import inverse, verify_idempotents
 
 
 def triangle_instance():
-    """K_3 as a 1-class scheme, with splitting field base 5."""
+    """K_3 as a 1-class scheme."""
     R = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    return SchemeInstance.from_matrix(R, 1, field_q=5)
+    return SchemeInstance.from_matrix(R, 1)
 
 
 def pentagon_instance():
@@ -56,41 +55,41 @@ def pentagon_instance():
         for y in range(5):
             if x != y:
                 R[x, y] = 1 if (x - y) % 5 in (1, 4) else 2
-    return SchemeInstance.from_matrix(R, 2, field_q=5)
+    return SchemeInstance.from_matrix(R, 2)
 
 
 class TestFaultInjection:
     def test_not_a_partition_out_of_range(self):
         R = np.array([[0, 5], [5, 0]])
         with pytest.raises(NotAPartition):
-            verify_scheme(SchemeInstance.from_matrix(R, 1, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 1))
 
     def test_not_a_partition_empty_relation(self):
         R = np.array([[0, 1], [1, 0]])
         with pytest.raises(NotAPartition):
-            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
 
     def test_identity_not_r0_diagonal(self):
         R = np.array([[1, 1], [1, 0]])
         with pytest.raises(IdentityNotR0):
-            verify_scheme(SchemeInstance.from_matrix(R, 1, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 1))
 
     def test_identity_not_r0_offdiagonal(self):
         R = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         with pytest.raises(IdentityNotR0):
-            verify_scheme(SchemeInstance.from_matrix(R, 1, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 1))
 
     def test_not_symmetric(self):
         R = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
         with pytest.raises(NotSymmetric) as exc:
-            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
         assert exc.value.witness is not None
 
     def test_nonconstant_valency(self):
         # path on 3 points graded by distance: relation 1 has valency 1 or 2
         R = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(NonConstant):
-            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
 
     def test_nonconstant_p_tensor(self):
         # 6-cycle with "adjacent" vs "everything else": valencies are
@@ -101,7 +100,7 @@ class TestFaultInjection:
                 if x != y:
                     R[x, y] = 1 if (x - y) % 6 in (1, 5) else 2
         with pytest.raises(NonConstant) as exc:
-            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
         assert exc.value.witness is not None
 
     def test_nonconstant_past_the_first_row_block(self):
@@ -112,7 +111,7 @@ class TestFaultInjection:
         R[:64, :64] = R[64:, 64:] = 1
         np.fill_diagonal(R, 0)
         with pytest.raises(NonConstant) as exc:
-            verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
         assert (exc.value.i, exc.value.j, exc.value.k) == (1, 1, 0)
         assert exc.value.witness == (64, 64)
 
@@ -178,7 +177,7 @@ class TestExactProduct:
 class TestPentagon:
     def test_tensor(self):
         t = verify_scheme(pentagon_instance())
-        assert t.valencies == [1, 2, 2]
+        assert [t.p[i][i][0] for i in range(3)] == [1, 2, 2]
         assert t.p[1][1][2] == 1
         assert t.p[1][2][1] == 1
         L1 = intersection_matrix(t, 1)
@@ -192,24 +191,22 @@ class TestPentagon:
         # two triangles: relation 1 never reaches relation 2 (K_{3,3})
         R = np.array([[0 if x == y else 1 if x // 3 == y // 3 else 2
                        for y in range(6)] for x in range(6)])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 2, field_q=5))
+        t = verify_scheme(SchemeInstance.from_matrix(R, 2))
         with pytest.raises(ValueError, match=r"classes \[2\] are unreachable"):
             class_distances(t)
 
     def test_spectral(self):
         t = verify_scheme(pentagon_instance())
-        sd = spectral_data(t)
+        sd = spectral_data(t, 5)
         r = QuadExt.root(5)
         two = QuadExt(2, 0, 5)
-        # eigenvalues of C5: 2, (-1+sqrt5)/2, (-1-sqrt5)/2
-        assert sd.eigenvalues[0] == two
-        assert sd.eigenvalues[1] == (r - 1) / 2
-        assert sd.eigenvalues[2] == (-r - 1) / 2
-        assert sd.multiplicities == [QuadExt(1, 0, 5), two, two]
+        # eigenvalues of C5, column 1 of P: 2, (-1+sqrt5)/2, (-1-sqrt5)/2
+        assert [row[1] for row in sd.P] == [two, (r - 1) / 2, (-r - 1) / 2]
+        assert sd.Q[0] == [QuadExt(1, 0, 5), two, two]
 
     def test_pq_identity(self):
         t = verify_scheme(pentagon_instance())
-        sd = spectral_data(t)
+        sd = spectral_data(t, 5)
         prod = mat_mul(sd.P, sd.Q)
         for i in range(3):
             for j in range(3):
@@ -220,7 +217,7 @@ class TestPentagon:
 class TestCoverScheme:
     def test_valencies_q5n2(self, q5n2_scheme):
         t = q5n2_scheme["tensor"]
-        assert t.valencies == [1, 30, 125, 125, 30, 1]
+        assert [t.p[i][i][0] for i in range(6)] == [1, 30, 125, 125, 30, 1]
         assert t.N == 312
 
     @staticmethod
@@ -290,32 +287,33 @@ class TestCoverScheme:
         sd = q5n2_scheme["sd"]
         prod = mat_mul(sd.P, sd.Q)
         N = sd.N
-        for i in range(sd.d + 1):
-            for j in range(sd.d + 1):
-                assert prod[i][j] == QuadExt(N if i == j else 0, 0, sd.q)
+        for i in range(6):
+            for j in range(6):
+                assert prod[i][j] == QuadExt(N if i == j else 0, 0, 5)
 
     def test_eigenvalues_strictly_decreasing(self, q5n2_scheme, q5n1_scheme):
         for bundle in (q5n2_scheme, q5n1_scheme):
-            ev = bundle["sd"].eigenvalues
+            P = bundle["sd"].P
+            ev = [row[1] for row in P]
             assert all(a > b for a, b in zip(ev, ev[1:]))
-            assert ev[0] == bundle["sd"].valencies[1]
+            assert ev[0] == P[0][1]
 
     def test_multiplicities_sum(self, q5n2_scheme):
         sd = q5n2_scheme["sd"]
-        total = sd.multiplicities[0]
-        for m in sd.multiplicities[1:]:
+        total = sd.Q[0][0]
+        for m in sd.Q[0][1:]:
             total = total + m
-        assert total == QuadExt(sd.N, 0, sd.q)
+        assert total == QuadExt(sd.N, 0, 5)
 
     def test_splitting_field_usage(self, q5n1_scheme, q9n1, q13n1):
         # q = 5, 13: genuinely irrational entries.  q = 9: r = 3 rational.
         sd5 = q5n1_scheme["sd"]
         assert any(x.b for row in sd5.P for x in row)
         t13 = verify_scheme(q13n1["instance"])
-        sd13 = spectral_data(t13)
+        sd13 = spectral_data(t13, 13)
         assert any(x.b for row in sd13.P for x in row)
         t9 = verify_scheme(q9n1["instance"])
-        sd9 = spectral_data(t9)
+        sd9 = spectral_data(t9, 9)
         assert all(not x.b for row in sd9.P for x in row)
 
     def test_conjugation_permutes_p_rows(self, q5n2_scheme):
@@ -334,15 +332,16 @@ def cover_scheme(p, e, n):
     space = SymplecticSpace(construct_field(p, e), n)
     instance = SchemeInstance.from_cover(CoverGraph(CoherenceTable(space)))
     tensor = verify_scheme(instance)
-    return tensor, spectral_data(tensor)
+    return tensor, spectral_data(tensor, p**e)
 
 
 def krein_per_term(sd):
     """q_ij^k = (m_i m_j / N) sum_l P_il P_jl P_kl / k_l^2, term by term."""
-    d, P, m, k = sd.d, sd.P, sd.multiplicities, sd.valencies
+    P, m, k = sd.P, sd.Q[0], sd.P[0]
+    d = len(P) - 1
     out = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i, j, kk in itertools.product(range(d + 1), repeat=3):
-        acc = QuadExt(0, 0, sd.q)
+        acc = QuadExt(0, 0, P[0][0].q)
         for ell in range(d + 1):
             acc = acc + P[i][ell] * P[j][ell] * P[kk][ell] / (k[ell] * k[ell])
         out[i][j][kk] = m[i] * m[j] * acc / sd.N
@@ -356,7 +355,7 @@ class TestKreinAndOrderings:
     @pytest.mark.parametrize("p,e,n", COVERS)
     def test_krein_matches_per_term_formula(self, p, e, n):
         _, sd = cover_scheme(p, e, n)
-        assert krein(sd).qk == krein_per_term(sd)
+        assert krein(sd) == krein_per_term(sd)
 
     @pytest.mark.parametrize("p,e,n", COVERS)
     def test_pq_tensor_gives_the_verified_p_tensor(self, p, e, n):
@@ -367,54 +366,52 @@ class TestKreinAndOrderings:
     def test_orderings_match_exhaustive_search(self, n):
         # Every (0, pi) with L*_{pi_1}, read in that ordering, nonzero off
         # the diagonal exactly on the two side diagonals.
-        kt = krein(cover_scheme(5, 1, n)[1])
-        d = kt.d
+        qk = krein(cover_scheme(5, 1, n)[1])
+        d = 2 * n + 1
         want = []
         for pi in itertools.permutations(range(1, d + 1)):
             e = (0, *pi)
-            if all(bool(kt.qk[e[1]][e[j]][e[k]]) == (abs(k - j) == 1)
+            if all(bool(qk[e[1]][e[j]][e[k]]) == (abs(k - j) == 1)
                    for k in range(d + 1) for j in range(d + 1) if k != j):
                 want.append(e)
         assert want
-        assert sorted(q_poly_orderings(kt)) == want
+        assert sorted(q_poly_orderings(qk)) == want
 
     def test_orderings_of_thirteen_classes(self):
         # The closed-form P at n = 6, q = 5 (d = 13), Q read off P.
         P = eigenmatrices_closed(6, 5).p_full
         N = int(sum(P[0][1:], P[0][0]).a)
         Q = dual_eigenmatrix(P, N)
-        sd = SpectralData(N, 13, 5, P, Q, P[0], Q[0], [row[1] for row in P])
-        assert q_poly_orderings(krein(sd)) == [
+        assert q_poly_orderings(krein(SpectralData(N, P, Q))) == [
             tuple(range(14)), (0, 13, 2, 11, 4, 9, 6, 7, 8, 5, 10, 3, 12, 1)]
 
     def test_krein_nonnegative(self, q5n2_scheme):
-        kt = krein(q5n2_scheme["sd"])
-        for plane in kt.qk:
+        for plane in krein(q5n2_scheme["sd"]):
             for row in plane:
                 for v in row:
                     assert v.sign() >= 0
 
     def test_two_q_poly_orderings(self, q5n2_scheme):
-        kt = krein(q5n2_scheme["sd"])
-        orderings = q_poly_orderings(kt)
+        qk = krein(q5n2_scheme["sd"])
+        orderings = q_poly_orderings(qk)
         assert sorted(orderings) == [(0, 1, 2, 3, 4, 5), (0, 5, 2, 3, 4, 1)]
         for o in orderings:
-            assert q_bipartite_check(kt, o)
+            assert q_bipartite_check(qk, o)
 
     def test_orderings_icosahedron(self, q5n1_scheme):
-        kt = krein(q5n1_scheme["sd"])
-        orderings = q_poly_orderings(kt)
+        qk = krein(q5n1_scheme["sd"])
+        orderings = q_poly_orderings(qk)
         assert len(orderings) == 2
         for o in orderings:
             assert o[0] == 0
-            assert q_bipartite_check(kt, o)
+            assert q_bipartite_check(qk, o)
 
     def test_conjugate_orderings_swap(self, q5n2_scheme):
         # The two orderings are exchanged by the Galois row permutation of P
         # (r -> -r swaps one conjugate pair of eigenspaces, fixes the rest).
         sd = q5n2_scheme["sd"]
-        kt = krein(sd)
-        o1, o2 = sorted(q_poly_orderings(kt))
+        qk = krein(sd)
+        o1, o2 = sorted(q_poly_orderings(qk))
         index_of = {tuple(map(str, row)): i for i, row in enumerate(sd.P)}
         pi = {i: index_of[tuple(str(x.conjugate()) for x in row)]
               for i, row in enumerate(sd.P)}
@@ -425,9 +422,9 @@ class TestKreinAndOrderings:
 
     def test_trivial_rank_one_scheme(self):
         # complete graph on 3 points: d = 1, unique ordering (0, 1)
-        sd = spectral_data(verify_scheme(triangle_instance()))
-        kt = krein(sd)
-        assert q_poly_orderings(kt) == [(0, 1)]
+        sd = spectral_data(verify_scheme(triangle_instance()), 5)
+        qk = krein(sd)
+        assert q_poly_orderings(qk) == [(0, 1)]
 
 
 class TestDualEigenmatrix:
@@ -447,7 +444,7 @@ class TestDualEigenmatrix:
 
     @pytest.mark.parametrize("instance", [pentagon_instance, triangle_instance])
     def test_spectral_data_of_small_schemes(self, instance):
-        sd = spectral_data(verify_scheme(instance()))
+        sd = spectral_data(verify_scheme(instance()), 5)
         self.assert_n_p_inverse(sd.P, sd.Q, sd.N)
 
     @pytest.mark.parametrize("n", [3, 6, 12])
@@ -472,16 +469,16 @@ class TestEigenvalueResolver:
         # C7 distance scheme: eigenvalues 2 cos(2 pi k / 7) are cubic surds
         R = np.array([[min((x - y) % 7, (y - x) % 7) for y in range(7)]
                       for x in range(7)])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
+        t = verify_scheme(SchemeInstance.from_matrix(R, 3))
         with pytest.raises(EigenvalueOutsideField):
-            spectral_data(t)
+            spectral_data(t, 5)
 
     def test_klein_four_repeated(self):
         # Z2 x Z2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1
         R = np.array([[x ^ y for y in range(4)] for x in range(4)])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 3, field_q=5))
+        t = verify_scheme(SchemeInstance.from_matrix(R, 3))
         with pytest.raises(RepeatedEigenvalue):
-            spectral_data(t)
+            spectral_data(t, 5)
 
 
 class TestIdempotents:
@@ -501,7 +498,7 @@ class TestIdempotents:
     def test_pentagon(self):
         inst = pentagon_instance()
         t = verify_scheme(inst)
-        sd = spectral_data(t)
+        sd = spectral_data(t, 5)
         report = verify_idempotents(sd, self._a_list(inst))
         assert report.ok, report.failure
 
@@ -520,8 +517,8 @@ class TestExport:
     def test_json_serializable(self, q5n1_scheme):
         sd = q5n1_scheme["sd"]
         t = q5n1_scheme["tensor"]
-        kt = krein(sd)
-        blob = export_scheme(sd, t, kt, q_poly_orderings(kt))
+        qk = krein(sd)
+        blob = export_scheme(sd, t, qk, q_poly_orderings(qk))
         text = json.dumps(blob, sort_keys=True)
         back = json.loads(text)
         assert back["N"] == 12

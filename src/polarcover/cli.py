@@ -285,6 +285,9 @@ def _suite_scheme():
     orderings = q_poly_orderings(qk)
     assert len(orderings) == 2
     assert all(q_bipartite_check(qk, o) for o in orderings)
+    # n = 2 reads p_22 off L_1 rather than multiplying
+    _, tensor = _verified_cover(5, 2)
+    assert [tensor.p[i][i][0] for i in range(6)] == [1, 30, 125, 125, 30, 1]
 
 
 def _suite_closed_form():

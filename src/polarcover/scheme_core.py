@@ -97,10 +97,12 @@ class SchemeInstance:
     def from_cover(cover):
         """Same-sheet pairs over (x, y) are in relation d(x, y) where sigma(x, y)
         is +1 and 2n+1 - d(x, y) where it is -1: E, or 2n+1 + E where E < 0,
-        of the space's signed distance E = sigma * d (0 on the diagonal)."""
+        of the space's signed distance E = sigma * d (0 on the diagonal).
+        That is int8 arithmetic on the mask E < 0: np.where, selecting by a
+        data-dependent mask, is several times slower."""
         d = 2 * cover.n + 1
         E = cover.space.signed_distance_matrix()
-        R = np.where(E < 0, d + E, E)
+        R = E + d * (E < 0).view(np.int8)
         return SchemeInstance(d, R, sheets=2)
 
     def relation_matrix(self):
@@ -141,11 +143,65 @@ def _first_true(mask):
     return divmod(at, mask.shape[1]) if mask.flat[at] else None
 
 
+def _krylov_products(L1, top):
+    """{(a, b): p_ab} for 2 <= a <= b <= top from L_1 alone, by
+    p_ab^k = (K_a K^-1 e_b)_k, or None when K is singular.  K and K_a have
+    the columns L_1^r e_0 and L_1^r e_a, r = 0..d (see ``verify_scheme``).
+
+    K^T X_a = K_a^T, X_a = L_a^T, is solved for every a at once by
+    fraction-free Gauss-Jordan elimination on the integer rows
+    [K^T | K_2^T | ... | K_top^T]: each step divides exactly by the previous
+    pivot, and the last step leaves [delta I | delta X_2 | ... | delta X_top]
+    with delta = +-det K.  Row b of block a is then delta p_ab, one exact
+    division per entry, and each entry must be a nonnegative integer.
+    """
+    d = len(L1) - 1
+
+    def orbit(a):
+        """The vectors L_1^r e_a for r = 0..d."""
+        v = [int(k == a) for k in range(d + 1)]
+        out = [v]
+        for _ in range(d):
+            v = [sum(x * y for x, y in zip(row, v)) for row in L1]
+            out.append(v)
+        return out
+
+    # Row r: L_1^r e_0, then L_1^r e_a for a = 2..top.
+    rows = [sum(parts, []) for parts in zip(*map(orbit, [0, *range(2, top + 1)]))]
+    prev = 1
+    for c in range(d + 1):
+        pivot = next((r for r in range(c, d + 1) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        head = rows[c]
+        for r in range(d + 1):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(head[c] * x - f * y) // prev for x, y in zip(rows[r], head)]
+        prev = head[c]
+    products = {}
+    for a in range(2, top + 1):
+        for b in range(a, top + 1):
+            p_ab = []
+            for x in rows[b][(a - 1) * (d + 1):a * (d + 1)]:
+                value, rest = divmod(x, prev)
+                if rest or value < 0:
+                    raise AssertionError(f"derived p_{a}{b} entry {x}/{prev} "
+                                         "is not a nonnegative integer")
+                p_ab.append(value)
+            products[a, b] = p_ab
+    return products
+
+
 def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     """Exhaustive axiom check; every ordered pair contributes.
 
     Verifies the partition, identity, symmetry and constancy axioms, then
     returns the intersection tensor (with the standard identities checked).
+    Constancy is checked on every pair for the products A_1 A_j; when A_1
+    generates the Bose-Mesner algebra, the other products follow from
+    these exactly (see below), and otherwise they are checked the same way.
 
     A double cover is checked on its fibers.  With B_i the same-sheet part
     of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
@@ -155,8 +211,8 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     cross-sheet class d - k, so both blocks are constant on their classes
     exactly when U_a U_b and V_a V_b are constant on the classes of sheet 0
     and, for each k, the same-sheet value of class k equals the
-    cross-sheet value read off class d - k.  Only the pairs
-    1 <= a <= b <= top = d//2 are checked: A_0 = I once the identity axiom
+    cross-sheet value read off class d - k.  At most the pairs
+    1 <= a <= b <= top = d//2 need checking: A_0 = I once the identity axiom
     holds, and A_{d-i} is A_i with its sheets swapped, which maps class k to
     d - k.  A relation matrix is the one-sheet case, A_i = U_i without V and
     top = d.
@@ -172,6 +228,27 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     with the same values as U_i U_a, the classes being symmetric.  The
     values of U_a U_top are therefore known on every class, exactly, from
     products already checked, and it is constant by the identity.
+
+    The pairs a = 1 come first: U_1 U_j for j < top and V_1 V_j for
+    j <= top, 2 top - 1 products on a cover and d - 1 on one sheet.  They
+    give row 1 of the tensor, A_1 A_(d-j) being A_1 A_j with its sheets
+    swapped, and with it L_1, (L_1)[k][j] = p_1j^k.  Let K have the
+    columns L_1^r e_0 and K_a the columns L_1^r e_a, r = 0..d.  If K is
+    nonsingular, p_ab^k = (K_a K^-1 e_b)_k for 2 <= a <= b <= top, and
+    these pairs are not multiplied.  Proof: the classes are nonempty and
+    disjoint, so A_0, ..., A_d are independent and span a space S of
+    dimension d + 1 that holds I = A_0.  Each A_1 A_j lies in S, with
+    coordinates L_1 e_j, so S is A_1-invariant and A_1^r lies in S with
+    coordinates L_1^r e_0, column r of K.  A nonsingular K makes the d + 1
+    powers A_1^0, ..., A_1^d independent, so S = C[A_1]: S is closed
+    under products, so every A_a A_b is constant on the classes, and it
+    is commutative, so A_a A_1^r = A_1^r A_a has coordinates L_1^r e_a.
+    With L_a the matrix of multiplication by A_a on S, that is L_a K = K_a,
+    so L_a = K_a K^-1 and p_ab^k = (L_a e_b)_k (``_krylov_products``
+    computes it exactly in integers).  If K is singular, A_1 does not
+    generate (the all-plus sign pattern of K_4, read on one sheet, is a
+    scheme whose A_1 has 2 eigenvalues for 4 classes), and the pairs
+    a >= 2 are multiplied as well.
 
     A failure is reported as a point pair.  If U_a U_b or V_a V_b differs at
     fiber pair (x, y) of class k from its value at the first fiber pair
@@ -214,9 +291,22 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     if hit := _first_true(R != R.T):
         raise NotSymmetric(int(R[hit]), pair(0, *hit))
 
-    # W[h][i - 1]: int8 U_i (h = 0) and V_i (h = 1); sheet g holds B_i at R == (i, d - i)[g].
-    W = [[sum((-1) ** (h * g) * (R == c).view(np.int8) for g, c in enumerate((i, d - i)[:s]))
-          for i in range(1, top + 1)] for h in range(s)]
+    def sheet_parts(i):
+        """int8 U_i and, on a cover, V_i, from lo = B_i at R == i and
+        hi = B_(d-i) at R == d - i.  The two comparisons' buffers become
+        U_i = lo + hi and V_i = lo - hi = U_i - 2 hi in place: a third
+        buffer would leave the process's peak RSS ~1 MB higher at q=9, n=2."""
+        lo = (R == i).view(np.int8)
+        if s == 1:
+            return (lo,)
+        hi = (R == d - i).view(np.int8)
+        lo += hi
+        hi *= -2
+        hi += lo
+        return lo, hi
+
+    # W[h][i - 1]: U_i (h = 0) and V_i (h = 1).
+    W = list(zip(*map(sheet_parts, range(1, top + 1))))
 
     def nonconstant(a, b, x, y):
         """NonConstant at fiber pair (x, y), in the block that differs."""
@@ -257,26 +347,38 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
         p[0][j] = [int(k == j) for k in range(d + 1)]
         p[j][0] = list(p[0][j])
     uu = {}                         # (a, b) -> values of U_a U_b
-    for a in range(1, top + 1):
-        for b in range(a, top + 1):
-            if b < top:
-                u = values(0, a, b)
-            else:                   # U_a U_top = U_a (J - I - U_1 - ... - U_(top-1))
-                r = uu[a, a][0] if a < top else m - 1 - sum(uu[i, i][0] for i in range(1, top))
-                own = (a, d - a)[:s]    # the classes where U_a is 1
-                u = [r - (k in own) - sum(uu[a, i][k] for i in range(1, top))
-                     for k in range(d + 1)]
-            uu[a, b] = uu[b, a] = u
-            p[a][b] = u if s == 1 else fold(a, b, u, values(1, a, b))
-            p[b][a] = list(p[a][b])
+
+    def multiply(a, b):
+        if b < top:
+            u = values(0, a, b)
+        else:                       # U_a U_top = U_a (J - I - U_1 - ... - U_(top-1))
+            r = uu[a, a][0] if a < top else m - 1 - sum(uu[i, i][0] for i in range(1, top))
+            own = (a, d - a)[:s]    # the classes where U_a is 1
+            u = [r - (k in own) - sum(uu[a, i][k] for i in range(1, top))
+                 for k in range(d + 1)]
+        uu[a, b] = uu[b, a] = u
+        return u if s == 1 else fold(a, b, u, values(1, a, b))
+
     # Two sheets: the cross-sheet index is d minus the same-sheet one, so
     # A_(d-i) is A_i with its sheets swapped, whatever A_d is, and
     # p_(d-i)j^k = p_ij^(d-k), p_(d-i)(d-j)^k = p_ij^k.
-    for i in range(d + 1):
-        for j in range(d + 1):
+    def swapped(i, j):
+        v = p[min(i, d - i)][min(j, d - j)]
+        return v[::-1] if (i > top) != (j > top) else list(v)
+
+    for b in range(1, top + 1):
+        p[1][b] = multiply(1, b)
+    L1 = [list(row) for row in zip(*(p[1][j] or swapped(1, j) for j in range(d + 1)))]
+    derived = _krylov_products(L1, top)
+    for a in range(2, top + 1):
+        for b in range(a, top + 1):
+            p[a][b] = multiply(a, b) if derived is None else derived[a, b]
+    for i in range(d + 1):          # the rest by p_ji = p_ij and the swap
+        for j in range(i, d + 1):
             if p[i][j] is None:
-                v = p[min(i, d - i)][min(j, d - j)]
-                p[i][j] = v[::-1] if (i > top) != (j > top) else list(v)
+                p[i][j] = swapped(i, j)
+            if p[j][i] is None:
+                p[j][i] = list(p[i][j])
     valencies = [p[i][i][0] for i in range(d + 1)]
 
     for i in range(d + 1):

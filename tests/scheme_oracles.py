@@ -1,5 +1,7 @@
 """Reference checks for the scheme engine, written the direct way.
 
+``matmul_tensor`` is the intersection tensor of a relation index from
+int64 products of all its relation matrices.
 ``verify_idempotents`` tests ``spectral_data``'s P and Q on the relation
 matrices themselves, with exact int64 matrix products.
 ``verify_drg_parameters`` checks that a dual polar graph is
@@ -28,6 +30,22 @@ def int64_product(A, B):
     if bound >= 2**63:
         raise OverflowError("matrix product may exceed the int64 range")
     return A.astype(np.int64) @ B.astype(np.int64)
+
+
+def matmul_tensor(R, d):
+    """p[i][j][k] of the relation index R with classes 0..d, from numpy's
+    int64 matmul (its integer loop: no BLAS, no float) of the 0/1 relation
+    matrices; each product is asserted constant on each class."""
+    A = [(R == i).astype(np.int64) for i in range(d + 1)]
+    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(d + 1):
+            M = np.matmul(A[i], A[j])
+            for k in range(d + 1):
+                values = np.unique(M[R == k])
+                assert len(values) == 1, (i, j, k)
+                p[i][j][k] = int(values[0])
+    return p
 
 
 def pq_tensor_per_term(P, Q, N):

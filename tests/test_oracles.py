@@ -36,6 +36,7 @@ from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import SchemeInstance, verify_scheme
 from polarcover.symplectic import SymplecticSpace, eliminate_batch, gram_batch
+from scheme_oracles import matmul_tensor
 from symplectic_oracles import bases, bform, pair_oracle, rref
 
 FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 13: (13, 1)}
@@ -467,20 +468,9 @@ class TestSchemeQuotient:
 
     @pytest.mark.parametrize("q,n", [(5, 1), (9, 1), (13, 1), (5, 2)])
     def test_matches_integer_matmul(self, q, n):
-        # p_ij^k from int64 matmul (numpy's integer loop: no BLAS, no float)
-        # of the 0/1 relation matrices of the pair-by-pair relation index
+        # p_ij^k from int64 matmul of the pair-by-pair relation index
         cover = CoverGraph(CoherenceTable(make_space(q, n)))
-        R = relation_index_matrix(cover)
-        d = 2 * cover.n + 1
-        A = [(R == i).astype(np.int64) for i in range(d + 1)]
-        want = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-        for i in range(d + 1):
-            for j in range(d + 1):
-                M = np.matmul(A[i], A[j])
-                for k in range(d + 1):
-                    values = np.unique(M[R == k])
-                    assert len(values) == 1, (i, j, k)
-                    want[i][j][k] = int(values[0])
+        want = matmul_tensor(relation_index_matrix(cover), 2 * cover.n + 1)
         assert verify_scheme(SchemeInstance.from_cover(cover)).p == want
 
     @pytest.mark.parametrize("m,schemes", [(4, 16), (5, 32)])

@@ -39,7 +39,7 @@ from polarcover.scheme_core import (
     verify_scheme_bytes,
 )
 from polarcover.symplectic import SymplecticSpace
-from scheme_oracles import inverse, verify_idempotents
+from scheme_oracles import inverse, matmul_tensor, verify_idempotents
 
 
 def triangle_instance():
@@ -241,24 +241,25 @@ class TestCoverScheme:
     @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
     def test_one_check_per_sheet_per_folded_pair(self, bundle, n, request,
                                                  monkeypatch):
-        # n(n+1)/2 folded pairs 1 <= a <= b <= n, each with a V product and,
-        # for b < n, a U product (U_a U_n follows from U_0 + ... + U_n = J):
-        # n^2 products, each with one constancy comparison
+        # only the folded pairs (1, b), b <= n: a V product each and, for
+        # b < n, a U product (U_1 U_n follows from U_0 + ... + U_n = J),
+        # 2n - 1 products, each with one constancy comparison; A_1
+        # generates, so the pairs a >= 2 are derived from L_1
         instance = request.getfixturevalue(bundle)["instance"]
         fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
-        assert fiber_loop.count("_exact_int_product") == n * n
-        assert fiber_loop.count("_first_true") == n * n
+        assert fiber_loop.count("_exact_int_product") == 2 * n - 1
+        assert fiber_loop.count("_first_true") == 2 * n - 1
 
     @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
-    def test_one_sheet_multiplies_below_the_top_class(self, bundle, n, request,
-                                                      monkeypatch):
-        # one sheet: the pairs 1 <= a <= b < d, d(d-1)/2 products
+    def test_one_sheet_multiplies_only_relation_one(self, bundle, n, request,
+                                                    monkeypatch):
+        # one sheet: the pairs (1, b), 1 <= b < d, d - 1 products
         cover = request.getfixturevalue(bundle)["instance"]
         d = 2 * n + 1
         instance = SchemeInstance.from_matrix(cover.relation_matrix(), d)
         fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
-        assert fiber_loop.count("_exact_int_product") == d * (d - 1) // 2
-        assert fiber_loop.count("_first_true") == d * (d - 1) // 2
+        assert fiber_loop.count("_exact_int_product") == d - 1
+        assert fiber_loop.count("_first_true") == d - 1
 
     @pytest.mark.parametrize("bundle", ["q5n1", "q5n2"])
     def test_cross_sheet_pair_in_relation_zero(self, bundle, request):
@@ -324,6 +325,53 @@ class TestCoverScheme:
         assert sorted(map(str, rows)) == sorted(map(str, conj))
         # and the permutation is not the identity (irrational rows move)
         assert rows != conj
+
+
+class TestKrylovDerivation:
+    """The pairs a >= 2 read off L_1 when A_1 generates, multiplied when not."""
+
+    @staticmethod
+    def k2_by_k3():
+        """K_2 x K_3 on the points 3x + y: relation 1 differs in x only, 2 in
+        y only, 3 in both; A_1 = (J - I) (x) I has the 2 eigenvalues +-1."""
+        return np.array([[(x != u) + 2 * (y != v) for u in range(2) for v in range(3)]
+                         for x in range(2) for y in range(3)])
+
+    @staticmethod
+    def all_plus_k4():
+        """The all-plus sign pattern of K_4 on one sheet: A_1 = (J - I) (x) I_2
+        has the 2 eigenvalues 3 and -1."""
+        R = np.ones((4, 4), dtype=np.int8)
+        np.fill_diagonal(R, 0)
+        return SchemeInstance(3, R, sheets=2).relation_matrix()
+
+    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
+    def test_singular_krylov_multiplies_every_pair(self, relations, monkeypatch):
+        # K is singular, so every pair 1 <= a <= b < d = 3 is multiplied.
+        R = getattr(self, relations)()
+        instance = SchemeInstance.from_matrix(R, 3)
+        assert verify_scheme(instance).p == matmul_tensor(R, 3)
+        calls = TestCoverScheme.fiber_loop_calls(instance, monkeypatch)
+        assert calls.count("_exact_int_product") == 3
+
+    def test_derived_products_match_a_float64_square(self, q9n2):
+        # p_22^k is derived at q = 9, n = 2; A_2 A_2 has entries below
+        # N = 1640 < 2^53, so its float64 product is exact.  A_3 = A_2 T,
+        # with T the sheet swap, so A_3 A_3 = A_2 A_2 and A_2 A_3 is A_2 A_2
+        # read at the swapped pairs.
+        instance = q9n2["instance"]
+        t = verify_scheme(instance)
+        R = instance.relation_matrix()
+        A2 = (R == 2).astype(np.float64)
+        M = A2 @ A2
+        del A2
+        values = []
+        for k in range(6):
+            on_class = np.unique(M[R == k])
+            assert len(on_class) == 1, k
+            values.append(int(on_class[0]))
+        assert t.p[2][2] == t.p[3][3] == values
+        assert t.p[2][3] == t.p[3][2] == values[::-1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,7 +27,9 @@ class EigenvalueOutsideField(PolarcoverError):
 
 
 class RepeatedEigenvalue(PolarcoverError):
-    """The intersection matrix L_1 has a repeated eigenvalue."""
+    """The intersection matrix L_1 has a repeated eigenvalue: its Krylov
+    matrix [L_1^r e_0], r = 0..d, is singular, so A_1 does not generate the
+    Bose-Mesner algebra."""
 
 
 class SchemeAxiomError(PolarcoverError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_algebra import QuadExt, mat_mul, pq_tensor
+from .exact_algebra import QuadExt, pq_tensor
 
 __all__ = [
     "ParameterSet",
@@ -252,10 +252,9 @@ def check_feasibility(ps: ParameterSet) -> FeasibilityReport:
     N = ps.N
     p, krein = pq_tensor(P, Q, N), pq_tensor(Q, P, N)
 
-    PQ = mat_mul(P, Q)
-    witness = next((f"(PQ)[{i}][{j}] = {PQ[i][j]}"
-                    for i in range(d + 1) for j in range(d + 1)
-                    if PQ[i][j] != (N if i == j else 0)), "")
+    r = range(d + 1)
+    witness = next((f"(PQ)[{i}][{j}] = {x}" for i in r for j in r
+                    if (x := sum(P[i][l] * Q[l][j] for l in r)) != (N if i == j else 0)), "")
     rep.add("pq_identity", not witness, witness)
 
     bad = [str(P[0][j]) for j in range(d + 1) if not _is_positive_integer(P[0][j])]

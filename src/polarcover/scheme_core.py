@@ -12,6 +12,7 @@ check that no partial sum can exceed 2^24.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,7 @@ from .errors import (
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from .exact_algebra import (
-    QuadExt,
-    dual_eigenmatrix,
-    is_tridiagonal,
-    mat_charpoly,
-    mat_kernel,
-    pq_tensor,
-)
+from .exact_algebra import QuadExt, dual_eigenmatrix, is_tridiagonal, pq_tensor
 
 __all__ = [
     "SchemeInstance",
@@ -143,31 +137,27 @@ def _first_true(mask):
     return divmod(at, mask.shape[1]) if mask.flat[at] else None
 
 
-def _krylov_products(L1, top):
-    """{(a, b): p_ab} for 2 <= a <= b <= top from L_1 alone, by
-    p_ab^k = (K_a K^-1 e_b)_k, or None when K is singular.  K and K_a have
-    the columns L_1^r e_0 and L_1^r e_a, r = 0..d (see ``verify_scheme``).
+def _powers(L, a, count):
+    """The vectors L^r e_a for r < count, L an int matrix as a list of rows."""
+    v = [int(k == a) for k in range(len(L))]
+    out = [v]
+    for _ in range(count - 1):
+        v = [sum(map(operator.mul, row, v)) for row in L]
+        out.append(v)
+    return out
 
-    K^T X_a = K_a^T, X_a = L_a^T, is solved for every a at once by
-    fraction-free Gauss-Jordan elimination on the integer rows
-    [K^T | K_2^T | ... | K_top^T]: each step divides exactly by the previous
-    pivot, and the last step leaves [delta I | delta X_2 | ... | delta X_top]
-    with delta = +-det K.  Row b of block a is then delta p_ab, one exact
-    division per entry, and each entry must be a nonnegative integer.
+
+def _krylov_inverse(L1):
+    """(delta, X) with delta = +-det K and X = delta K^-1, both in ints,
+    where K has the columns L_1^r e_0, r = 0..d; None when K is singular.
+
+    One fraction-free Gauss-Jordan elimination on the integer rows [K | I]:
+    each step divides exactly by the previous pivot, and the last step
+    leaves [delta I | delta K^-1] with delta the last pivot.
     """
     d = len(L1) - 1
-
-    def orbit(a):
-        """The vectors L_1^r e_a for r = 0..d."""
-        v = [int(k == a) for k in range(d + 1)]
-        out = [v]
-        for _ in range(d):
-            v = [sum(x * y for x, y in zip(row, v)) for row in L1]
-            out.append(v)
-        return out
-
-    # Row r: L_1^r e_0, then L_1^r e_a for a = 2..top.
-    rows = [sum(parts, []) for parts in zip(*map(orbit, [0, *range(2, top + 1)]))]
+    rows = [list(row) + [int(r == c) for c in range(d + 1)]
+            for r, row in enumerate(zip(*_powers(L1, 0, d + 1)))]
     prev = 1
     for c in range(d + 1):
         pivot = next((r for r in range(c, d + 1) if rows[r][c]), None)
@@ -180,18 +170,7 @@ def _krylov_products(L1, top):
                 f = rows[r][c]
                 rows[r] = [(head[c] * x - f * y) // prev for x, y in zip(rows[r], head)]
         prev = head[c]
-    products = {}
-    for a in range(2, top + 1):
-        for b in range(a, top + 1):
-            p_ab = []
-            for x in rows[b][(a - 1) * (d + 1):a * (d + 1)]:
-                value, rest = divmod(x, prev)
-                if rest or value < 0:
-                    raise AssertionError(f"derived p_{a}{b} entry {x}/{prev} "
-                                         "is not a nonnegative integer")
-                p_ab.append(value)
-            products[a, b] = p_ab
-    return products
+    return prev, [row[d + 1:] for row in rows]
 
 
 def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
@@ -244,8 +223,10 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     under products, so every A_a A_b is constant on the classes, and it
     is commutative, so A_a A_1^r = A_1^r A_a has coordinates L_1^r e_a.
     With L_a the matrix of multiplication by A_a on S, that is L_a K = K_a,
-    so L_a = K_a K^-1 and p_ab^k = (L_a e_b)_k (``_krylov_products``
-    computes it exactly in integers).  If K is singular, A_1 does not
+    so L_a = K_a K^-1 and p_ab^k = (L_a e_b)_k = (K_a X e_b)_k / delta,
+    with delta = +-det K and X = delta K^-1 in ints (``_krylov_inverse``):
+    one exact division per entry, and each entry must be a nonnegative
+    integer.  If K is singular, A_1 does not
     generate (the all-plus sign pattern of K_4, read on one sheet, is a
     scheme whose A_1 has 2 eigenvalues for 4 classes), and the pairs
     a >= 2 are multiplied as well.
@@ -369,10 +350,24 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     for b in range(1, top + 1):
         p[1][b] = multiply(1, b)
     L1 = [list(row) for row in zip(*(p[1][j] or swapped(1, j) for j in range(d + 1)))]
-    derived = _krylov_products(L1, top)
+    krylov = _krylov_inverse(L1)
+
+    def derived(a, b):
+        """p_ab^k = (K_a X e_b)_k / delta, each a nonnegative integer."""
+        delta, X = krylov
+        column = [row[b] for row in X]
+        p_ab = []
+        for row in zip(*_powers(L1, a, d + 1)):     # the rows of K_a
+            value, rest = divmod(x := sum(map(operator.mul, row, column)), delta)
+            if rest or value < 0:
+                raise AssertionError(f"derived p_{a}{b} entry {x}/{delta} "
+                                     "is not a nonnegative integer")
+            p_ab.append(value)
+        return p_ab
+
     for a in range(2, top + 1):
         for b in range(a, top + 1):
-            p[a][b] = multiply(a, b) if derived is None else derived[a, b]
+            p[a][b] = multiply(a, b) if krylov is None else derived(a, b)
     for i in range(d + 1):          # the rest by p_ji = p_ij and the swap
         for j in range(i, d + 1):
             if p[i][j] is None:
@@ -442,19 +437,18 @@ def _square_split(q):
     return s, t
 
 
-def _exact_eigenvalues(L, q):
-    """The distinct eigenvalues of an integer matrix L in Q(sqrt q), exact.
+def _exact_eigenvalues(L, charpoly, q):
+    """The distinct roots in Q(sqrt q) of charpoly, the characteristic
+    polynomial of the integer matrix L (coefficients low degree first), exact.
 
     They are algebraic integers, so each one in Q(sqrt q) = Q(sqrt t),
     q = s^2 t with t squarefree, has the form (a + b sqrt t)/2 for integers
     a, b; a root and its Galois conjugate sum to a and differ by b sqrt t.
-    Float eigenvalues only propose (a, b) from every pair of them; a
-    candidate is kept when the exact characteristic polynomial vanishes at
-    it.  The hints round to the right (a, b) while the eigenvalues stay far
-    below 2^52, as they do for every L_1 here (|theta| <= k_1 < N).
+    Float eigenvalues of L only propose (a, b) from every pair of them; a
+    candidate is kept when charpoly vanishes at it exactly.  The hints round
+    to the right (a, b) while the eigenvalues stay far below 2^52, as they
+    do for every L_1 here (|theta| <= k_1 < N).
     """
-    charpoly = mat_charpoly(L)
-
     def vanishes(x):
         acc = 0
         for c in reversed(charpoly):
@@ -469,45 +463,65 @@ def _exact_eigenvalues(L, q):
     return [theta for theta in candidates if vanishes(theta)]
 
 
+def _eigenmatrix(L1, q):
+    """P of the integer matrix L_1 over Q(sqrt q), rows sorted by eigenvalue
+    in decreasing order, read off X = delta K^-1 (``_krylov_inverse``) as
+    ``spectral_data`` describes; RepeatedEigenvalue when K is singular, and
+    EigenvalueOutsideField when fewer than d + 1 roots lie in the field."""
+    d = len(L1) - 1
+    krylov = _krylov_inverse(L1)
+    if krylov is None:
+        raise RepeatedEigenvalue(f"L_1 has fewer than {d + 1} distinct eigenvalues")
+    delta, X = krylov
+    power = _powers(L1, 0, d + 2)[-1]           # L_1^(d+1) e_0
+    charpoly = [-sum(map(operator.mul, row, power)) // delta for row in X] + [1]
+    eigs = sorted(_exact_eigenvalues(L1, charpoly, q), reverse=True)
+    if len(eigs) != d + 1:
+        raise EigenvalueOutsideField(
+            f"{d + 1 - len(eigs)} eigenvalues lie outside Q(sqrt {q})")
+    P = []
+    for theta in eigs:
+        powers = [theta**r for r in range(d + 1)]
+        P.append([sum(map(operator.mul, powers, column)) / delta for column in zip(*X)])
+    return P
+
+
 def spectral_data(t: IntersectionTensor, q) -> SpectralData:
     """Exact eigenmatrices from the intersection tensor, over Q(sqrt q).
 
-    Rows of P are the left eigenvectors of L_1 normalized to first entry 1,
-    sorted by eigenvalue in decreasing order (the valency row comes first).
-    L_1 is diagonalizable, being multiplication by the real symmetric A_1 in
-    the Bose-Mesner algebra, so a repeated root has a kernel of dimension
-    >= 2 and raises RepeatedEigenvalue there; fewer than d + 1 roots in the
-    field then raise EigenvalueOutsideField.  Once row 0 of P is the
-    verified valencies, Q = N P^-1 is read off P by the symmetric-scheme
-    relation Q_ij = m_j P_ji / k_i (``dual_eigenmatrix``), and the
-    multiplicities are Q[0].  Their sum N, column orthogonality of P at
-    column 0, is checked: the relation does not give it.  Three checks would
-    be vacuous: column 0 of P is 1, each row being scaled by its first
-    entry; column 0 of Q is m_0 = N / sum_l k_l = 1, the valencies of a
-    verified tensor summing to N; and m_j = N / sum_l P_jl^2 / k_l > 0, a
-    sum of squares over positive k_l with P_j0 = 1.
+    L_1 is the matrix of multiplication by A_1 on the Bose-Mesner algebra
+    in the basis A_0, ..., A_d, so column r of K = [L_1^r e_0], r = 0..d,
+    holds the coordinates of A_1^r.  A_1 is real symmetric, so the
+    dimension of C[A_1] is its number of distinct eigenvalues, and K is
+    nonsingular exactly when there are d + 1 of them.  A singular K raises
+    RepeatedEigenvalue before any root is sought.  Otherwise, with
+    X = delta K^-1 and delta = +-det K in ints (``_krylov_inverse``):
+
+    - The characteristic polynomial of L_1 is x^(d+1) - sum_r c_r x^r with
+      c = K^-1 L_1^(d+1) e_0 = X L_1^(d+1) e_0 / delta.  By Cayley-Hamilton
+      L_1^(d+1) e_0 is that combination of the columns of K, which is
+      unique, so the c_r are the negated lower coefficients, integers, and
+      the division is exact.  Its roots in the field are the eigenvalues
+      (``_exact_eigenvalues``); fewer than d + 1 of them raise
+      EigenvalueOutsideField.
+    - P = V K^-1 with V[theta][r] = theta^r, one row per eigenvalue theta,
+      sorted in decreasing order (the valency row comes first).  The row
+      A_j -> P_(theta,j) is the character of the algebra at the primitive
+      idempotent of theta, a homomorphism, so it takes A_1^r, with
+      coordinates K e_r, to theta^r: P_theta K = V_theta.  Each row starts
+      with 1, since K e_0 = e_0.
+
+    Once row 0 of P is the verified valencies, Q = N P^-1 is read off P by
+    the symmetric-scheme relation Q_ij = m_j P_ji / k_i
+    (``dual_eigenmatrix``), and the multiplicities are Q[0].  Their sum N,
+    column orthogonality of P at column 0, is checked: the relation does
+    not give it.  Three checks would be vacuous: column 0 of P is 1 by
+    construction; column 0 of Q is m_0 = N / sum_l k_l = 1, the valencies
+    of a verified tensor summing to N; and m_j = N / sum_l P_jl^2 / k_l > 0,
+    a sum of squares over positive k_l with P_j0 = 1.
     """
     N, d = t.N, t.d
-    eigs = sorted(_exact_eigenvalues(intersection_matrix(t, 1), q), reverse=True)
-
-    # The transpose of L_1 is t.p[1] itself.
-    L1T = [[QuadExt(x, 0, q) for x in row] for row in t.p[1]]
-    P = []
-    for theta in eigs:
-        B = [[L1T[i][j] - (theta if i == j else 0) for j in range(d + 1)]
-             for i in range(d + 1)]
-        kern = mat_kernel(B)
-        if len(kern) != 1:
-            raise RepeatedEigenvalue(f"eigenspace of {theta} has dimension {len(kern)}")
-        u = kern[0]
-        if not u[0]:
-            raise AssertionError("left eigenvector has zero first entry")
-        inv = u[0].inverse()
-        P.append([x * inv for x in u])
-    if len(P) != d + 1:
-        raise EigenvalueOutsideField(
-            f"{d + 1 - len(P)} eigenvalues lie outside Q(sqrt {q})")
-
+    P = _eigenmatrix(intersection_matrix(t, 1), q)
     valencies = [t.p[i][i][0] for i in range(d + 1)]
     if P[0] != valencies:
         raise AssertionError(f"P row 0 {P[0]} differs from the valencies {valencies}")

@@ -34,9 +34,10 @@ __all__ = [
 def eliminate_batch(t: FieldSpec, M, ncols=None):
     """Gauss-Jordan on every matrix of a stack M (B, r, c) of codes, in place.
 
-    First-nonzero pivoting as in ``exact_algebra.gauss_jordan``, and pivots are sought only
-    in the first ncols columns (all of them by default); later columns are
-    carried along, so eliminating [G | X] leaves E X beside R = E G.
+    First-nonzero pivoting, as in the scalar ``gauss_jordan`` of
+    ``tests/linalg_oracles.py``, and pivots are sought only in the first
+    ncols columns (all of them by default); later columns are carried
+    along, so eliminating [G | X] leaves E X beside R = E G.
     Returns (rank, pivots, pivot_product): per matrix the rank, the pivot
     columns padded with -1 to r entries, and the product of the pivots,
     which is the determinant up to sign when the input is square and

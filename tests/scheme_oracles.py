@@ -16,8 +16,9 @@ from math import lcm
 
 import numpy as np
 
+from linalg_oracles import gauss_jordan
 from polarcover.errors import SchemeAxiomError
-from polarcover.exact_algebra import QuadExt, gauss_jordan
+from polarcover.exact_algebra import QuadExt
 from polarcover.scheme_core import SchemeInstance, verify_scheme
 
 

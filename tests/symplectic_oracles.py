@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from field_oracles import reference
-from polarcover.exact_algebra import gauss_jordan, mat_mul
+from linalg_oracles import gauss_jordan, mat_mul
 from polarcover.symplectic import SymplecticSpace
 
 

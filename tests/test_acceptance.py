@@ -23,7 +23,7 @@ from polarcover.closed_form import (
     verify_thm71,
 )
 from polarcover.cover import CoverGraph
-from polarcover.exact_algebra import QuadExt, gauss, is_tridiagonal, mat_charpoly
+from polarcover.exact_algebra import QuadExt, gauss, is_tridiagonal
 from polarcover.feasibility import (
     candidate_parameters,
     check_feasibility,
@@ -44,6 +44,7 @@ from polarcover.scheme_core import (
 )
 from polarcover.symplectic import SymplecticSpace
 from field_oracles import reference
+from linalg_oracles import mat_charpoly
 from poly_oracles import assert_e_poly_identities, poly_mul
 from symplectic_oracles import (
     bases,

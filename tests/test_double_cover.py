@@ -20,7 +20,8 @@ from cover_oracles import (
     relation_index,
     relation_index_matrix,
 )
-from polarcover.exact_algebra import gauss, mat_charpoly
+from linalg_oracles import mat_charpoly
+from polarcover.exact_algebra import gauss
 from polarcover.scheme_core import class_distances, verify_scheme
 from poly_oracles import poly_mul
 from symplectic_oracles import triple_sign

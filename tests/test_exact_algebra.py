@@ -15,15 +15,13 @@ from polarcover.exact_algebra import (
     QuadExt,
     _isqrt_if_square,
     gauss,
-    gauss_jordan,
     is_tridiagonal,
-    mat_charpoly,
-    mat_kernel,
     pq_tensor,
 )
 from polarcover.feasibility import candidate_parameters, parse_r
 from polarcover.scheme_core import spectral_data, verify_scheme
 from field_oracles import reference
+from linalg_oracles import gauss_jordan, mat_charpoly, mat_kernel
 from poly_oracles import assert_e_poly_identities, e_poly, poly_mul
 from scheme_oracles import pq_tensor_per_term
 

@@ -22,6 +22,7 @@ import pytest
 
 from cover_oracles import relation_index_matrix
 from field_oracles import reference
+from linalg_oracles import gauss_jordan, mat_kernel, mat_mul
 from polarcover import symplectic
 from polarcover.cover import CoverGraph
 from polarcover.errors import (
@@ -31,7 +32,6 @@ from polarcover.errors import (
     NotSymmetric,
     SchemeAxiomError,
 )
-from polarcover.exact_algebra import gauss_jordan, mat_kernel, mat_mul
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import SchemeInstance, verify_scheme

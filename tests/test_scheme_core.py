@@ -21,7 +21,7 @@ from polarcover.errors import (
     RepeatedEigenvalue,
 )
 from polarcover.cover import CoverGraph
-from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, mat_mul, pq_tensor
+from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, pq_tensor
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
@@ -39,6 +39,7 @@ from polarcover.scheme_core import (
     verify_scheme_bytes,
 )
 from polarcover.symplectic import SymplecticSpace
+from linalg_oracles import mat_charpoly, mat_kernel, mat_mul
 from scheme_oracles import inverse, matmul_tensor, verify_idempotents
 
 
@@ -354,6 +355,41 @@ class TestKrylovDerivation:
         calls = TestCoverScheme.fiber_loop_calls(instance, monkeypatch)
         assert calls.count("_exact_int_product") == 3
 
+    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
+    def test_singular_krylov_has_a_repeated_eigenvalue(self, relations, monkeypatch):
+        # verify_scheme verifies both through the fallback; spectral_data
+        # raises at the singular K, before any root is sought.
+        t = verify_scheme(SchemeInstance.from_matrix(getattr(self, relations)(), 3))
+
+        def no_roots(*args):
+            raise AssertionError("roots sought")
+        monkeypatch.setattr(scheme_core, "_exact_eigenvalues", no_roots)
+        with pytest.raises(RepeatedEigenvalue):
+            spectral_data(t, 5)
+
+    def test_krylov_inverse(self):
+        # K = [e_0, L e_0, L^2 e_0] has det -9 and needs a row swap.
+        L = [[0, 0, 1], [0, 0, 1], [3, 0, 0]]
+        K = [[1, 0, 3], [0, 0, 3], [0, 3, 0]]
+        delta, X = scheme_core._krylov_inverse(L)
+        assert abs(delta) == 9
+        assert mat_mul(X, K) == [[delta * (i == j) for j in range(3)] for i in range(3)]
+        # The Klein four group: L_1 e_0 = e_1 and L_1^2 e_0 = e_0.
+        L1 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        assert scheme_core._krylov_inverse(L1) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("q", [5, 9, 13, 125])
+    def test_closed_form_eigenmatrix(self, q, n):
+        # P from the closed-form L_1, past the reach of the graph path,
+        # against the closed-form P, row by row matched by eigenvalue.
+        L1 = l1_closed(n, q)
+        assert all(x.denominator == 1 for row in L1 for x in row)
+        P = scheme_core._eigenmatrix([[int(x) for x in row] for row in L1], q)
+        want = {row[1]: row for row in eigenmatrices_closed(n, q).p_full}
+        assert len(P) == len(want) == 2 * n + 2      # d + 1 distinct rows
+        assert {row[1]: row for row in P} == want
+
     def test_derived_products_match_a_float64_square(self, q9n2):
         # p_22^k is derived at q = 9, n = 2; A_2 A_2 has entries below
         # N = 1640 < 2^53, so its float64 product is exact.  A_3 = A_2 T,
@@ -510,8 +546,30 @@ class TestEigenvalueResolver:
     def test_closed_form_spectrum(self, q, n):
         # square q = 9 and non-squarefree q = 125 = 5^2 * 5 included
         want = [row[1] for row in eigenmatrices_closed(n, q).p_full]
-        got = _exact_eigenvalues(l1_closed(n, q), q)
+        L1 = l1_closed(n, q)
+        got = _exact_eigenvalues(L1, mat_charpoly(L1), q)
         assert sorted(got, reverse=True) == sorted(want, reverse=True)
+
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_krylov_against_oracles(self, p, e, n, monkeypatch):
+        # The characteristic polynomial against Faddeev-LeVerrier, and each
+        # row of P against the left kernel of L_1 - theta I, scaled to 1.
+        t, sd = cover_scheme(p, e, n)
+        q, L1 = p**e, intersection_matrix(t, 1)
+        seen = []
+
+        def resolve(L, charpoly, q):
+            seen.append(charpoly)
+            return _exact_eigenvalues(L, charpoly, q)
+        monkeypatch.setattr(scheme_core, "_exact_eigenvalues", resolve)
+        assert spectral_data(t, q).P == sd.P
+        assert seen == [mat_charpoly(L1)]
+        for row in sd.P:
+            theta = row[1]
+            B = [[QuadExt(x, 0, q) - theta * (i == j) for j, x in enumerate(col)]
+                 for i, col in enumerate(t.p[1])]
+            (u,) = mat_kernel(B)
+            assert row == [x / u[0] for x in u]
 
     def test_heptagon_outside_field(self):
         # C7 distance scheme: eigenvalues 2 cos(2 pi k / 7) are cubic surds

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from field_oracles import reference
+from linalg_oracles import gauss_jordan
 from polarcover.finite_field import construct_field
-from polarcover.exact_algebra import gauss_jordan
 from polarcover.symplectic import SymplecticSpace, distance_profile, enumerate_generators
 from scheme_oracles import DRGReport, verify_drg_parameters
 from symplectic_oracles import (

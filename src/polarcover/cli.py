@@ -59,9 +59,11 @@ def _check_q(q):
 def _build_space(q, n, peak_bytes):
     """The space with its generators enumerated, once the F_q tables and
     peak_bytes(m, n), the command's peak for its m generators, fit the
-    physical memory; else ResourceCapExceeded before the tables are built."""
+    physical memory; else ResourceCapExceeded before the tables are built.
+    q >= 2^15 is refused before q is factored."""
+    from .finite_field import _check_codes, construct_bytes, construct_field
+    _check_codes(q)
     p, e = _check_q(q)
-    from .finite_field import construct_bytes, construct_field
     from .symplectic import SymplecticSpace, generator_count
 
     predicted = construct_bytes(p, e) + peak_bytes(generator_count(q, n), n)
@@ -168,6 +170,9 @@ def cmd_crosscheck(args):
         verify_thm71,
     )
 
+    if not args.formula_only:
+        from .finite_field import _check_codes
+        _check_codes(args.q)        # before factoring q, as _build_space does
     _check_q(args.q)
     payload = {"q": args.q, "n": args.n, "formula_only": bool(args.formula_only)}
 
@@ -285,7 +290,7 @@ def _suite_scheme():
     orderings = q_poly_orderings(qk)
     assert len(orderings) == 2
     assert all(q_bipartite_check(qk, o) for o in orderings)
-    # n = 2 reads p_22 off L_1 rather than multiplying
+    # n = 2: 3 products give L_1, and every p_ab is read off it
     _, tensor = _verified_cover(5, 2)
     assert [tensor.p[i][i][0] for i in range(6)] == [1, 30, 125, 125, 30, 1]
 

@@ -29,7 +29,8 @@ class EigenvalueOutsideField(PolarcoverError):
 class RepeatedEigenvalue(PolarcoverError):
     """The intersection matrix L_1 has a repeated eigenvalue: its Krylov
     matrix [L_1^r e_0], r = 0..d, is singular, so A_1 does not generate the
-    Bose-Mesner algebra."""
+    Bose-Mesner algebra.  ``verify_scheme``, which reads the p-tensor off
+    that matrix, raises it, and so does ``spectral_data``."""
 
 
 class SchemeAxiomError(PolarcoverError):

@@ -149,7 +149,8 @@ def _powers(L, a, count):
 
 def _krylov_inverse(L1):
     """(delta, X) with delta = +-det K and X = delta K^-1, both in ints,
-    where K has the columns L_1^r e_0, r = 0..d; None when K is singular.
+    where K has the columns L_1^r e_0, r = 0..d; RepeatedEigenvalue when
+    K is singular.
 
     One fraction-free Gauss-Jordan elimination on the integer rows [K | I]:
     each step divides exactly by the previous pivot, and the last step
@@ -162,7 +163,7 @@ def _krylov_inverse(L1):
     for c in range(d + 1):
         pivot = next((r for r in range(c, d + 1) if rows[r][c]), None)
         if pivot is None:
-            return None
+            raise RepeatedEigenvalue(f"L_1 has fewer than {d + 1} distinct eigenvalues")
         rows[c], rows[pivot] = rows[pivot], rows[c]
         head = rows[c]
         for r in range(d + 1):
@@ -178,9 +179,10 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
 
     Verifies the partition, identity, symmetry and constancy axioms, then
     returns the intersection tensor (with the standard identities checked).
-    Constancy is checked on every pair for the products A_1 A_j; when A_1
-    generates the Bose-Mesner algebra, the other products follow from
-    these exactly (see below), and otherwise they are checked the same way.
+    Constancy is checked on every pair for the products A_1 A_j, and A_1
+    must generate the Bose-Mesner algebra: every other product follows from
+    these exactly (see below).  RepeatedEigenvalue is raised when A_1 does
+    not generate, right after the products.
 
     A double cover is checked on its fibers.  With B_i the same-sheet part
     of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
@@ -190,46 +192,45 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     cross-sheet class d - k, so both blocks are constant on their classes
     exactly when U_a U_b and V_a V_b are constant on the classes of sheet 0
     and, for each k, the same-sheet value of class k equals the
-    cross-sheet value read off class d - k.  At most the pairs
-    1 <= a <= b <= top = d//2 need checking: A_0 = I once the identity axiom
-    holds, and A_{d-i} is A_i with its sheets swapped, which maps class k to
-    d - k.  A relation matrix is the one-sheet case, A_i = U_i without V and
-    top = d.
+    cross-sheet value read off class d - k.  Only the pairs (1, b),
+    1 <= b <= top = d//2, need checking: A_1 A_0 = A_1 once the identity
+    axiom holds, and A_{d-b} is A_b with its sheets swapped, which maps
+    class k to d - k.  A relation matrix is the one-sheet case, A_i = U_i
+    without V and top = d.
 
     U_top is not multiplied.  Once the partition and identity axioms hold,
     U_0 + ... + U_top = J (U_i is the 0/1 matrix of sheet-0 classes i and
     d - i, or of class i on one sheet, and these cover 0..d once each) with
-    U_0 = I.  So U_a U_top = U_a J - U_a - sum_{0<i<top} U_a U_i entry by
-    entry.  The row sums of U_a are the diagonal, class 0, of U_a U_a, so
-    U_a J = r_a J once that product is constant for a < top, and the row
-    sums of all U_i add up to m, so r_top = m - 1 - sum_{0<i<top} r_i.  U_a
-    is 1 exactly on its own classes, and U_a U_i = (U_i U_a)^T is constant
-    with the same values as U_i U_a, the classes being symmetric.  The
-    values of U_a U_top are therefore known on every class, exactly, from
-    products already checked, and it is constant by the identity.
+    U_0 = I.  So U_1 U_top = U_1 J - U_1 - sum_{0<i<top} U_1 U_i entry by
+    entry.  U_1 J = r J with r the row sum of U_1: the diagonal, class 0,
+    of U_1 U_1 once that product is constant, or m - 1 when top = 1 and
+    U_1 = J - I.  U_1 is 1 exactly on its own classes, so the values of
+    U_1 U_top are known on every class, exactly, from products already
+    checked, and it is constant by the identity.  That leaves U_1 U_b for
+    b < top and V_1 V_b for b <= top: 2 top - 1 products on a cover and
+    d - 1 on one sheet.
 
-    The pairs a = 1 come first: U_1 U_j for j < top and V_1 V_j for
-    j <= top, 2 top - 1 products on a cover and d - 1 on one sheet.  They
-    give row 1 of the tensor, A_1 A_(d-j) being A_1 A_j with its sheets
-    swapped, and with it L_1, (L_1)[k][j] = p_1j^k.  Let K have the
-    columns L_1^r e_0 and K_a the columns L_1^r e_a, r = 0..d.  If K is
-    nonsingular, p_ab^k = (K_a K^-1 e_b)_k for 2 <= a <= b <= top, and
-    these pairs are not multiplied.  Proof: the classes are nonempty and
-    disjoint, so A_0, ..., A_d are independent and span a space S of
+    They give row 1 of the tensor, A_1 A_(d-b) being A_1 A_b with its
+    sheets swapped, and with it L_1, (L_1)[k][j] = p_1j^k.  Let K have the
+    columns L_1^r e_0 and K_a the columns L_1^r e_a, r = 0..d.  A singular
+    K raises RepeatedEigenvalue (``_krylov_inverse``): A_1 has fewer than
+    d + 1 distinct eigenvalues, so it does not generate (the all-plus sign
+    pattern of K_4, read on one sheet, is a scheme whose A_1 has 2
+    eigenvalues for 4 classes).  Otherwise p_ab^k = (K_a K^-1 e_b)_k and
+    p_ba = p_ab for all 0 <= a <= b <= d.  Proof: the classes are nonempty
+    and disjoint, so A_0, ..., A_d are independent and span a space S of
     dimension d + 1 that holds I = A_0.  Each A_1 A_j lies in S, with
     coordinates L_1 e_j, so S is A_1-invariant and A_1^r lies in S with
     coordinates L_1^r e_0, column r of K.  A nonsingular K makes the d + 1
     powers A_1^0, ..., A_1^d independent, so S = C[A_1]: S is closed
     under products, so every A_a A_b is constant on the classes, and it
-    is commutative, so A_a A_1^r = A_1^r A_a has coordinates L_1^r e_a.
-    With L_a the matrix of multiplication by A_a on S, that is L_a K = K_a,
-    so L_a = K_a K^-1 and p_ab^k = (L_a e_b)_k = (K_a X e_b)_k / delta,
-    with delta = +-det K and X = delta K^-1 in ints (``_krylov_inverse``):
-    one exact division per entry, and each entry must be a nonnegative
-    integer.  If K is singular, A_1 does not
-    generate (the all-plus sign pattern of K_4, read on one sheet, is a
-    scheme whose A_1 has 2 eigenvalues for 4 classes), and the pairs
-    a >= 2 are multiplied as well.
+    is commutative, so A_a A_b = A_b A_a and A_a A_1^r = A_1^r A_a has
+    coordinates L_1^r e_a.  With L_a the matrix of multiplication by A_a
+    on S, that is L_a K = K_a, so L_a = K_a K^-1 and
+    p_ab^k = (L_a e_b)_k = (K_a X e_b)_k / delta, with delta = +-det K and
+    X = delta K^-1 in ints (``_krylov_inverse``): one exact division per
+    entry, and each entry must be a nonnegative integer.  Rows 0 and 1
+    come out as I and L_1 again, K_0 being K and K_1 being L_1 K.
 
     A failure is reported as a point pair.  If U_a U_b or V_a V_b differs at
     fiber pair (x, y) of class k from its value at the first fiber pair
@@ -323,57 +324,33 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
                 raise NonConstant(a, b, k, pair(1, *at[d - k]))
         return [same[k] if k in same else cross[k] for k in range(d + 1)]
 
-    p = [[None] * (d + 1) for _ in range(d + 1)]
-    for j in range(d + 1):          # A_0 = I by the identity axiom
-        p[0][j] = [int(k == j) for k in range(d + 1)]
-        p[j][0] = list(p[0][j])
-    uu = {}                         # (a, b) -> values of U_a U_b
-
-    def multiply(a, b):
-        if b < top:
-            u = values(0, a, b)
-        else:                       # U_a U_top = U_a (J - I - U_1 - ... - U_(top-1))
-            r = uu[a, a][0] if a < top else m - 1 - sum(uu[i, i][0] for i in range(1, top))
-            own = (a, d - a)[:s]    # the classes where U_a is 1
-            u = [r - (k in own) - sum(uu[a, i][k] for i in range(1, top))
-                 for k in range(d + 1)]
-        uu[a, b] = uu[b, a] = u
-        return u if s == 1 else fold(a, b, u, values(1, a, b))
-
-    # Two sheets: the cross-sheet index is d minus the same-sheet one, so
-    # A_(d-i) is A_i with its sheets swapped, whatever A_d is, and
-    # p_(d-i)j^k = p_ij^(d-k), p_(d-i)(d-j)^k = p_ij^k.
-    def swapped(i, j):
-        v = p[min(i, d - i)][min(j, d - j)]
-        return v[::-1] if (i > top) != (j > top) else list(v)
-
+    row1 = [[int(k == 1) for k in range(d + 1)]]      # p_10: A_0 = I
+    u1 = []                         # values of U_1 U_b, b < top
     for b in range(1, top + 1):
-        p[1][b] = multiply(1, b)
-    L1 = [list(row) for row in zip(*(p[1][j] or swapped(1, j) for j in range(d + 1)))]
-    krylov = _krylov_inverse(L1)
-
-    def derived(a, b):
-        """p_ab^k = (K_a X e_b)_k / delta, each a nonnegative integer."""
-        delta, X = krylov
-        column = [row[b] for row in X]
-        p_ab = []
-        for row in zip(*_powers(L1, a, d + 1)):     # the rows of K_a
-            value, rest = divmod(x := sum(map(operator.mul, row, column)), delta)
-            if rest or value < 0:
-                raise AssertionError(f"derived p_{a}{b} entry {x}/{delta} "
-                                     "is not a nonnegative integer")
-            p_ab.append(value)
-        return p_ab
-
-    for a in range(2, top + 1):
-        for b in range(a, top + 1):
-            p[a][b] = multiply(a, b) if krylov is None else derived(a, b)
-    for i in range(d + 1):          # the rest by p_ji = p_ij and the swap
-        for j in range(i, d + 1):
-            if p[i][j] is None:
-                p[i][j] = swapped(i, j)
-            if p[j][i] is None:
-                p[j][i] = list(p[i][j])
+        if b < top:
+            u1.append(u := values(0, 1, b))
+        else:                       # U_1 U_top = U_1 (J - I - U_1 - ... - U_(top-1))
+            r = u1[0][0] if u1 else m - 1               # the row sums of U_1
+            own = (1, d - 1)[:s]                        # the classes where U_1 is 1
+            u = [r - (k in own) - sum(v[k] for v in u1) for k in range(d + 1)]
+        row1.append(u if s == 1 else fold(1, b, u, values(1, 1, b)))
+    # Two sheets: A_(d-j) is A_j with its sheets swapped, so p_1(d-j)^k = p_1j^(d-k).
+    row1 += [row1[d - j][::-1] for j in range(top + 1, d + 1)]
+    L1 = [list(row) for row in zip(*row1)]
+    delta, X = _krylov_inverse(L1)
+    columns = list(zip(*X))
+    p = [[None] * (d + 1) for _ in range(d + 1)]
+    for a in range(d + 1):
+        Ka = list(zip(*_powers(L1, a, d + 1)))
+        for b in range(a, d + 1):
+            p_ab = []
+            for k, row in enumerate(Ka):
+                value, rest = divmod(x := sum(map(operator.mul, row, columns[b])), delta)
+                if rest or value < 0:
+                    raise AssertionError(f"p_ab^k at (a={a}, b={b}, k={k}) is "
+                                         f"{x}/{delta}, not a nonnegative integer")
+                p_ab.append(value)
+            p[a][b], p[b][a] = p_ab, list(p_ab)
     valencies = [p[i][i][0] for i in range(d + 1)]
 
     for i in range(d + 1):
@@ -469,10 +446,7 @@ def _eigenmatrix(L1, q):
     ``spectral_data`` describes; RepeatedEigenvalue when K is singular, and
     EigenvalueOutsideField when fewer than d + 1 roots lie in the field."""
     d = len(L1) - 1
-    krylov = _krylov_inverse(L1)
-    if krylov is None:
-        raise RepeatedEigenvalue(f"L_1 has fewer than {d + 1} distinct eigenvalues")
-    delta, X = krylov
+    delta, X = _krylov_inverse(L1)
     power = _powers(L1, 0, d + 2)[-1]           # L_1^(d+1) e_0
     charpoly = [-sum(map(operator.mul, row, power)) // delta for row in X] + [1]
     eigs = sorted(_exact_eigenvalues(L1, charpoly, q), reverse=True)

@@ -108,6 +108,20 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert ("exceeds cap" if code == EXIT_CAP else "below 2^15") in err
 
+    @pytest.mark.parametrize("command", ["scheme", "crosscheck", "enumerate"])
+    def test_large_q_refused_before_factoring(self, capsys, monkeypatch, command):
+        # q = 2^61 - 1 is prime: trial division up to sqrt(q) would run for
+        # minutes before the 2^15 bound refuses it.
+        import polarcover.cli as cli
+
+        def refuse(q):
+            raise AssertionError("q was factored")
+
+        monkeypatch.setattr(cli, "_factor_prime_power", refuse)
+        got, out, err = run(capsys, command, "--q", str(2**61 - 1), "--n", "1")
+        assert (got, out) == (EXIT_INVALID, "")
+        assert "below 2^15" in err
+
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
         from polarcover.symplectic import enumerate_bytes

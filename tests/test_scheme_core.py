@@ -25,6 +25,7 @@ from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, pq_tensor
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
 from polarcover.scheme_core import (
+    IntersectionTensor,
     SchemeInstance,
     SpectralData,
     _exact_eigenvalues,
@@ -189,10 +190,12 @@ class TestPentagon:
         assert class_distances(verify_scheme(pentagon_instance())) == [0, 1, 2]
 
     def test_class_distances_disconnected(self):
-        # two triangles: relation 1 never reaches relation 2 (K_{3,3})
+        # two triangles: relation 1 never reaches relation 2 (K_{3,3}).
+        # A_1 has 2 eigenvalues for 3 classes, so verify_scheme refuses it;
+        # the tensor comes from the int64 products.
         R = np.array([[0 if x == y else 1 if x // 3 == y // 3 else 2
                        for y in range(6)] for x in range(6)])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 2))
+        t = IntersectionTensor(2, 6, matmul_tensor(R, 2))
         with pytest.raises(ValueError, match=r"classes \[2\] are unreachable"):
             class_distances(t)
 
@@ -329,7 +332,7 @@ class TestCoverScheme:
 
 
 class TestKrylovDerivation:
-    """The pairs a >= 2 read off L_1 when A_1 generates, multiplied when not."""
+    """Every p_ab read off L_1 when A_1 generates; RepeatedEigenvalue when not."""
 
     @staticmethod
     def k2_by_k3():
@@ -346,26 +349,58 @@ class TestKrylovDerivation:
         np.fill_diagonal(R, 0)
         return SchemeInstance(3, R, sheets=2).relation_matrix()
 
-    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
-    def test_singular_krylov_multiplies_every_pair(self, relations, monkeypatch):
-        # K is singular, so every pair 1 <= a <= b < d = 3 is multiplied.
-        R = getattr(self, relations)()
-        instance = SchemeInstance.from_matrix(R, 3)
-        assert verify_scheme(instance).p == matmul_tensor(R, 3)
-        calls = TestCoverScheme.fiber_loop_calls(instance, monkeypatch)
-        assert calls.count("_exact_int_product") == 3
+    @staticmethod
+    def klein_four():
+        """Z_2 x Z_2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1."""
+        return np.array([[x ^ y for y in range(4)] for x in range(4)])
 
-    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
-    def test_singular_krylov_has_a_repeated_eigenvalue(self, relations, monkeypatch):
-        # verify_scheme verifies both through the fallback; spectral_data
-        # raises at the singular K, before any root is sought.
-        t = verify_scheme(SchemeInstance.from_matrix(getattr(self, relations)(), 3))
+    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4", "klein_four"])
+    def test_singular_krylov_raises(self, relations, monkeypatch):
+        # Each is a 3-class scheme (the int64 products are constant) whose
+        # A_1 has 2 eigenvalues, so K is singular: verify_scheme raises at
+        # the L_1 of the oracle, after the d - 1 = 2 products of row 1 and
+        # before any root is sought, and spectral_data raises on the
+        # oracle's tensor.
+        R = getattr(self, relations)()
+        want = matmul_tensor(R, 3)
+        products, inverted = [], []
+
+        def counted(*args):
+            products.append(args)
+            return exact_int_product(*args)
+
+        def recorded(L1):
+            inverted.append(L1)
+            return krylov_inverse(L1)
 
         def no_roots(*args):
             raise AssertionError("roots sought")
+        exact_int_product = scheme_core._exact_int_product
+        krylov_inverse = scheme_core._krylov_inverse
+        monkeypatch.setattr(scheme_core, "_exact_int_product", counted)
+        monkeypatch.setattr(scheme_core, "_krylov_inverse", recorded)
         monkeypatch.setattr(scheme_core, "_exact_eigenvalues", no_roots)
         with pytest.raises(RepeatedEigenvalue):
-            spectral_data(t, 5)
+            verify_scheme(SchemeInstance.from_matrix(R, 3))
+        assert len(products) == 2
+        assert inverted == [[[want[1][j][k] for j in range(4)] for k in range(4)]]
+        with pytest.raises(RepeatedEigenvalue):
+            spectral_data(IntersectionTensor(3, len(R), want), 5)
+
+    def test_inexact_entry_is_refused(self, q5n1, monkeypatch):
+        # X off by one in one entry, as a faulty elimination might leave it:
+        # p_00^0 = (K X e_0)_0 / delta becomes (delta + 1)/delta with
+        # delta = 20 at q = 5, n = 1, which floor division would read as 1.
+        krylov_inverse = scheme_core._krylov_inverse
+
+        def off_by_one(L1):
+            delta, X = krylov_inverse(L1)
+            X[0][0] += 1
+            return delta, X
+        monkeypatch.setattr(scheme_core, "_krylov_inverse", off_by_one)
+        with pytest.raises(AssertionError, match=r"\(a=0, b=0, k=0\) is 21/20, "
+                                                 "not a nonnegative integer"):
+            verify_scheme(q5n1["instance"])
 
     def test_krylov_inverse(self):
         # K = [e_0, L e_0, L^2 e_0] has det -9 and needs a row swap.
@@ -376,7 +411,8 @@ class TestKrylovDerivation:
         assert mat_mul(X, K) == [[delta * (i == j) for j in range(3)] for i in range(3)]
         # The Klein four group: L_1 e_0 = e_1 and L_1^2 e_0 = e_0.
         L1 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-        assert scheme_core._krylov_inverse(L1) is None
+        with pytest.raises(RepeatedEigenvalue):
+            scheme_core._krylov_inverse(L1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("q", [5, 9, 13, 125])
@@ -577,13 +613,6 @@ class TestEigenvalueResolver:
                       for x in range(7)])
         t = verify_scheme(SchemeInstance.from_matrix(R, 3))
         with pytest.raises(EigenvalueOutsideField):
-            spectral_data(t, 5)
-
-    def test_klein_four_repeated(self):
-        # Z2 x Z2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1
-        R = np.array([[x ^ y for y in range(4)] for x in range(4)])
-        t = verify_scheme(SchemeInstance.from_matrix(R, 3))
-        with pytest.raises(RepeatedEigenvalue):
             spectral_data(t, 5)
 
 

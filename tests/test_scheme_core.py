@@ -359,8 +359,7 @@ class TestKrylovDerivation:
         # Each is a 3-class scheme (the int64 products are constant) whose
         # A_1 has 2 eigenvalues, so K is singular: verify_scheme raises at
         # the L_1 of the oracle, after the d - 1 = 2 products of row 1 and
-        # before any root is sought, and spectral_data raises on the
-        # oracle's tensor.
+        # before any root is sought.
         R = getattr(self, relations)()
         want = matmul_tensor(R, 3)
         products, inverted = [], []
@@ -384,8 +383,19 @@ class TestKrylovDerivation:
             verify_scheme(SchemeInstance.from_matrix(R, 3))
         assert len(products) == 2
         assert inverted == [[[want[1][j][k] for j in range(4)] for k in range(4)]]
+
+    @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
+    def test_singular_krylov_has_a_repeated_eigenvalue(self, relations, monkeypatch):
+        # spectral_data raises at the singular K of the oracle's tensor,
+        # before any root is sought.
+        R = getattr(self, relations)()
+        t = IntersectionTensor(3, len(R), matmul_tensor(R, 3))
+
+        def no_roots(*args):
+            raise AssertionError("roots sought")
+        monkeypatch.setattr(scheme_core, "_exact_eigenvalues", no_roots)
         with pytest.raises(RepeatedEigenvalue):
-            spectral_data(IntersectionTensor(3, len(R), want), 5)
+            spectral_data(t, 5)
 
     def test_inexact_entry_is_refused(self, q5n1, monkeypatch):
         # X off by one in one entry, as a faulty elimination might leave it:
@@ -613,6 +623,14 @@ class TestEigenvalueResolver:
                       for x in range(7)])
         t = verify_scheme(SchemeInstance.from_matrix(R, 3))
         with pytest.raises(EigenvalueOutsideField):
+            spectral_data(t, 5)
+
+    def test_klein_four_repeated(self):
+        # Z2 x Z2 with R[x, y] = x XOR y: L_1 has eigenvalues 1, 1, -1, -1;
+        # verify_scheme refuses it, so the tensor is the oracle's
+        R = TestKrylovDerivation.klein_four()
+        t = IntersectionTensor(3, len(R), matmul_tensor(R, 3))
+        with pytest.raises(RepeatedEigenvalue):
             spectral_data(t, 5)
 
 

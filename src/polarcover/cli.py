@@ -47,12 +47,16 @@ def _physical_memory():
 
 
 def _check_q(q):
-    """(p, e) with q = p^e; raises unless q is an odd prime power, 1 mod 4."""
-    pe = _factor_prime_power(q)
-    if pe is None or pe[0] == 2:
+    """(p, e) with q = p^e; raises unless q is an odd prime power, 1 mod 4.
+    The residue mod 4 is tested first: it costs nothing, while factoring
+    q by trial division takes up to sqrt(q) steps."""
+    if q % 2 == 0:
         raise ValueError(f"q = {q} is not an odd prime power")
     if q % 4 != 1:
         raise QNotOneModFour(q)
+    pe = _factor_prime_power(q)
+    if pe is None:
+        raise ValueError(f"q = {q} is not an odd prime power")
     return pe
 
 
@@ -290,7 +294,8 @@ def _suite_scheme():
     orderings = q_poly_orderings(qk)
     assert len(orderings) == 2
     assert all(q_bipartite_check(qk, o) for o in orderings)
-    # n = 2: 3 products give L_1, and every p_ab is read off it
+    # n = 2: the rows of one representative give L_1, and every p_ab is
+    # read off it
     _, tensor = _verified_cover(5, 2)
     assert [tensor.p[i][i][0] for i in range(6)] == [1, 30, 125, 125, 30, 1]
 

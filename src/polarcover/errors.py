@@ -33,6 +33,17 @@ class RepeatedEigenvalue(PolarcoverError):
     that matrix, raises it, and so does ``spectral_data``."""
 
 
+class NotInvariant(PolarcoverError):
+    """A group element of a scheme instance breaks the switching law: it
+    maps the witness pair, read on sheet 0, to a pair in another relation,
+    so it is no automorphism and cannot stand for the pairs of its orbit."""
+
+    def __init__(self, g, witness):
+        self.g = g
+        self.witness = witness
+        super().__init__(f"group element {g} moves pair {witness} out of its relation")
+
+
 class SchemeAxiomError(PolarcoverError):
     """Base class for association-scheme axiom violations (carries a witness)."""
 

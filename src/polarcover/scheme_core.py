@@ -3,10 +3,11 @@
 Takes a relation matrix on ordered pairs of points, verifies the scheme
 axioms exhaustively, and computes the intersection tensor, the exact
 eigenmatrices P and Q over Q(r), Krein parameters, and the Q-polynomial
-orderings.  All results are exact.  numpy floats appear only as carriers
-for integer matrix products and as hints for eigenvalues that are then
-certified exactly.  Integer matrix products run in float32, after a
-check that no partial sum can exceed 2^24.
+orderings.  All results are exact.  The scheme check counts in integers,
+with no float and no matrix product.  numpy floats appear only as hints
+for eigenvalues that are then certified exactly, and as the carrier of
+``maslov.verify_two_graph``'s trace(S^3), an integer product run in
+float32 after a check that no partial sum can exceed 2^24.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     IdentityNotR0,
     NonConstant,
     NotAPartition,
+    NotInvariant,
     NotSymmetric,
     RepeatedEigenvalue,
 )
@@ -67,17 +69,25 @@ def _exact_int_product(A, B):
 @dataclass
 class SchemeInstance:
     """Point set {0..N-1}, N = sheets * len(matrix), with a relation index
-    on ordered pairs.
+    on ordered pairs, and a group given by G elements.
 
     With ``sheets == 2`` the points are an antipodal double cover of
     m = N/2 fibers: point 2x + b is fiber x on sheet b, ``matrix`` is the
     m x m relation index of the same-sheet pairs (2x + b, 2y + b), and the
     cross-sheet pair (2x + b, 2y + 1 - b) is in relation d - matrix[x, y].
+
+    ``pi`` and ``f`` are (G, m) arrays, m = len(matrix): element g moves x
+    to pi[g, x] and, on a cover, switches the sheets of fiber x where
+    f[g, x] = -1, so point 2x + b goes to 2 pi[g, x] + (b XOR [f[g, x] = -1]).
+    On one sheet f is 1.  None is the trivial group.  ``verify_scheme``
+    checks that every element keeps every relation.
     """
 
     d: int
     matrix: np.ndarray          # N x N, or m x m same-sheet, relation indices
     sheets: int = 1
+    pi: np.ndarray = None       # (G, m) permutations of range(m)
+    f: np.ndarray = None        # (G, m) switches, +-1
 
     @property
     def N(self):
@@ -92,12 +102,16 @@ class SchemeInstance:
         """Same-sheet pairs over (x, y) are in relation d(x, y) where sigma(x, y)
         is +1 and 2n+1 - d(x, y) where it is -1: E, or 2n+1 + E where E < 0,
         of the space's signed distance E = sigma * d (0 on the diagonal).
-        That is int8 arithmetic on the mask E < 0: np.where, selecting by a
-        data-dependent mask, is several times slower."""
+        R = E + d (E < 0) is built in place in the buffer of the mask E < 0,
+        so E and R are the only m x m arrays (np.where, selecting by a
+        data-dependent mask, is several times slower).  The group is the
+        cover's ``root_action``."""
         d = 2 * cover.n + 1
         E = cover.space.signed_distance_matrix()
-        R = E + d * (E < 0).view(np.int8)
-        return SchemeInstance(d, R, sheets=2)
+        R = (E < 0).view(np.int8)
+        R *= d
+        R += E
+        return SchemeInstance(d, R, 2, *cover.root_action())
 
     def relation_matrix(self):
         """The N x N relation index."""
@@ -117,24 +131,67 @@ class IntersectionTensor:
     p: list                     # p[i][j][k], nonnegative ints; k_i = p[i][i][0]
 
 
+# Entries of R per row block of the scans, and of the switching-law check
+# summed over the group's elements: a block's temporaries stay at a few MB.
+SCAN_BLOCK = 1 << 20
+
+
 def verify_scheme_bytes(N, d):
-    """Predicted peak bytes of ``verify_scheme`` on a double cover of N = 2m
-    points and d classes: 2 + (d + 1) + 16 bytes per fiber pair, plus
-    64 KiB for the Python objects.  The 2 are the int8 sheet 0 and one bool
-    comparison of it, and the d + 1 bound the d - 1 int8 U_i and V_i with
-    the int8 and bool temporaries that build one of them.  The 16 bound
-    the product stage, which holds one m x m product at a time: a GEMM
-    holds 12 bytes (the float32 copies of its two operands and the float32
-    product), a syrk 8 (one copy and the product), and the constancy
-    comparison 6 (the product, its bool mask and the mask's row blocks)."""
+    """Predicted peak bytes of ``scheme`` on a double cover of N = 2m points
+    and d = 2n + 1 classes, after the F_q tables: 2 bytes per fiber pair,
+    d^3 + 128 d per fiber, and 16 MiB.  The 2 are the int8 E of the space
+    and the int8 R built in place beside it; nothing else is m x m.  Per
+    fiber, the images of the code stack under the 2n = d - 1 root elements
+    take (d - 1)^3 bytes and the code stack itself under 3 (d - 1)^2, below
+    d^3 together, and the int64 arrays with one entry per fiber and element
+    (keys, lookups and pi; the inverse permutations and labels of the orbit
+    search; the counts and values of a representative row) fewer than 16
+    of them, 128 (d - 1) bytes.  The 16 MiB hold the row blocks of the
+    scans, of the law and of the neighbour rows (SCAN_BLOCK entries and a
+    few temporaries of up to 8 bytes each), the chunks of the pair pass and
+    of the batched elimination, and the Python objects."""
     m = N // 2
-    return m * m * (2 + (d + 1) + 16) + 2**16
+    return m * m * 2 + m * (d**3 + 128 * d) + 2**24
 
 
 def _first_true(mask):
-    """(row, column) of the first True entry of a 2-D mask, or None."""
+    """The index of the first True entry of a mask, in C order, or None."""
     at = int(np.argmax(mask))
-    return divmod(at, mask.shape[1]) if mask.flat[at] else None
+    return np.unravel_index(at, mask.shape) if mask.flat[at] else None
+
+
+def _first_hit(R, test):
+    """(row, column) of the first True entry of test(B, i) over the row
+    blocks B = R[i:i + rows] of SCAN_BLOCK entries, or None."""
+    rows = max(1, SCAN_BLOCK // len(R))
+    for i in range(0, len(R), rows):
+        if hit := _first_true(test(R[i:i + rows], i)):
+            return i + hit[0], hit[1]
+    return None
+
+
+def _orbit_representatives(pi, m):
+    """The least point of each orbit of range(m) under the permutations
+    pi (G, m), by a breadth-first search from every point at once.
+
+    Each point's label is a point of its orbit, at most itself: a step
+    moves it to the least label among the point, its images and its
+    preimages, then to that label's own label.  Labels only fall, and they
+    stop only when each label is at most those of its images and
+    preimages, that is constant on each orbit: its least point.
+    """
+    label = np.arange(m)
+    if len(pi):
+        inverse = np.empty_like(pi)
+        inverse[np.arange(len(pi))[:, None], pi] = label
+        moves = np.concatenate([label[None], pi, inverse])
+        while True:
+            reached = label[moves].min(axis=0)
+            reached = reached[reached]
+            if (reached == label).all():
+                break
+            label = reached
+    return np.flatnonzero(label == np.arange(m))
 
 
 def _powers(L, a, count):
@@ -179,36 +236,52 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
 
     Verifies the partition, identity, symmetry and constancy axioms, then
     returns the intersection tensor (with the standard identities checked).
-    Constancy is checked on every pair for the products A_1 A_j, and A_1
-    must generate the Bose-Mesner algebra: every other product follows from
-    these exactly (see below).  RepeatedEigenvalue is raised when A_1 does
-    not generate, right after the products.
+    The partition, identity and symmetry axioms are full scans of the
+    matrix, in row blocks.  Constancy is checked on every pair for the
+    products A_1 A_b, through the instance's group, and A_1 must generate
+    the Bose-Mesner algebra: every other product follows from these exactly
+    (see below).  RepeatedEigenvalue is raised when A_1 does not generate,
+    right after the rows of A_1 A_b.  No matrix is multiplied: the check
+    has no float and no m x m product.
 
-    A double cover is checked on its fibers.  With B_i the same-sheet part
-    of relation i, A_i = B_i (x) I_2 + B_{d-i} (x) [[0, 1], [1, 0]], so for
-    U_i = B_i + B_{d-i} and V_i = B_i - B_{d-i} the same- and cross-sheet
-    blocks of A_i A_j are (U_i U_j +- V_i V_j)/2, and each pair of points is
-    one entry of one block.  A fiber pair (x, y) of sheet-0 class k has
-    cross-sheet class d - k, so both blocks are constant on their classes
-    exactly when U_a U_b and V_a V_b are constant on the classes of sheet 0
-    and, for each k, the same-sheet value of class k equals the
-    cross-sheet value read off class d - k.  Only the pairs (1, b),
-    1 <= b <= top = d//2, need checking: A_1 A_0 = A_1 once the identity
-    axiom holds, and A_{d-b} is A_b with its sheets swapped, which maps
-    class k to d - k.  A relation matrix is the one-sheet case, A_i = U_i
-    without V and top = d.
+    The group.  Each element g is checked on every fiber pair (x, y): with
+    pi = pi[g] and f = f[g], R[pi x, pi y] must be R[x, y] where
+    f(x) f(y) = 1 and d - R[x, y] where it is -1; NotInvariant names g and
+    the pair.  On a cover the lift 2x + b -> 2 pi(x) + (b XOR [f(x) = -1])
+    then keeps every relation: a same-sheet pair of class R[x, y] goes to a
+    same-sheet pair of class R[pi x, pi y] = R[x, y] where f(x) = f(y), and
+    to a cross-sheet pair, of class d - R[pi x, pi y] = R[x, y], where they
+    differ; cross-sheet pairs go alike.  The antipodal map
+    2x + b -> 2x + 1 - b keeps every relation by the definition of the
+    cover.  On one sheet f = 1, and the law says that pi keeps R.  So the
+    group H generated by the lifts and the antipodal map keeps every
+    relation, and each A_1 A_b is H-invariant.  R being symmetric, the law
+    at (y, x) is the law at (x, y) transposed, so each row block checks the
+    pairs from its first row's column on, which meet every pair or its
+    transpose.
 
-    U_top is not multiplied.  Once the partition and identity axioms hold,
-    U_0 + ... + U_top = J (U_i is the 0/1 matrix of sheet-0 classes i and
-    d - i, or of class i on one sheet, and these cover 0..d once each) with
-    U_0 = I.  So U_1 U_top = U_1 J - U_1 - sum_{0<i<top} U_1 U_i entry by
-    entry.  U_1 J = r J with r the row sum of U_1: the diagonal, class 0,
-    of U_1 U_1 once that product is constant, or m - 1 when top = 1 and
-    U_1 = J - I.  U_1 is 1 exactly on its own classes, so the values of
-    U_1 U_top are known on every class, exactly, from products already
-    checked, and it is constant by the identity.  That leaves U_1 U_b for
-    b < top and V_1 V_b for b <= top: 2 top - 1 products on a cover and
-    d - 1 on one sheet.
+    The orbits.  ``_orbit_representatives`` gives the least fiber r of each
+    orbit of the fibers under the pi[g], the representatives.  With the
+    antipodal map, every point is H-equivalent to a point 2r on sheet 0,
+    so every pair of points is H-equivalent to a pair in the row of some
+    2r, in the same class and with the same entry of A_1 A_b.  Constancy on
+    the representative rows, with one value per class over all of them, is
+    therefore constancy on every pair.  With no group every fiber is a
+    representative.
+
+    The rows.  The neighbours of point 2r in relation 1 are the same-sheet
+    points 2z with R[r, z] = 1 and the cross-sheet points 2z + 1 with
+    R[r, z] = d - 1.  Gathering the rows R[z] of these k_1 neighbours, the
+    entry of A_1 A_b at the same-sheet point 2y counts the first kind with
+    R[z, y] = b and the second with R[z, y] = d - b, and the entry at the
+    cross-sheet point 2y + 1 the first kind with R[z, y] = d - b and the
+    second with R[z, y] = b.  The same-sheet entries over sheet-0 class
+    k = R[r, y] lie in class k, and the cross-sheet ones in class d - k;
+    each must be constant on its class, and a class met on both sheets must
+    have one value.  Only b <= top = d//2 is needed: A_1 A_0 = A_1 once the
+    identity axiom holds, and A_{d-b} is A_b with its sheets swapped, which
+    maps class k to d - k.  A relation matrix is the one-sheet case: no
+    cross-sheet points, and top = d.
 
     They give row 1 of the tensor, A_1 A_(d-b) being A_1 A_b with its
     sheets swapped, and with it L_1, (L_1)[k][j] = p_1j^k.  Let K have the
@@ -232,108 +305,122 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     entry, and each entry must be a nonnegative integer.  Rows 0 and 1
     come out as I and L_1 again, K_0 being K and K_1 being L_1 K.
 
-    A failure is reported as a point pair.  If U_a U_b or V_a V_b differs at
-    fiber pair (x, y) of class k from its value at the first fiber pair
-    (x0, y0) of class k, let DU and DV be the differences of U_a U_b and
-    V_a V_b between the two pairs (DV = 0 on one sheet).  The same-sheet
-    blocks at the two pairs, both of class k, differ by (DU + DV)/2, and
-    the cross-sheet blocks, both of class d - k, by (DU - DV)/2; these are
-    not both 0.  So the witness is (x, y) on the same sheet, in class k, if
-    DU + DV != 0, and on the cross sheet, in class d - k, otherwise.  A
-    failed same/cross comparison of class k is reported at the cross-sheet
-    pair over the first fiber pair of class d - k, whose value differs from
-    that of every same-sheet pair of class k.
+    A failure is reported as a point pair.  The value of a class is read
+    at its first pair in the representative rows, in order; an entry of
+    row 2r that differs from it is reported at its own pair, (2r, 2y) on
+    the same sheet in class k or (2r, 2y + 1) on the cross sheet in class
+    d - k.  A class whose same-sheet and cross-sheet values differ is
+    reported at the cross-sheet pair over the first fiber pair of sheet-0
+    class d - k, whose value differs from that of every same-sheet pair of
+    its class.
     """
     d, s, R = instance.d, instance.sheets, instance.matrix
     m = len(R)
     top = d // 2 if s == 2 else d       # class i > top folds onto d - i
+    pi = np.zeros((0, m), dtype=np.intp) if instance.pi is None else np.asarray(instance.pi)
+    f = np.ones(pi.shape, dtype=np.int8) if instance.f is None else np.asarray(instance.f)
+    if pi.ndim != 2 or pi.shape[1] != m or f.shape != pi.shape:
+        raise ValueError(f"pi and f must be (G, {m}) arrays")
+    if (np.sort(pi, axis=1) != np.arange(m)).any():
+        raise ValueError("each pi[g] must be a permutation of range(m)")
+    if (np.abs(f) != 1).any() or (s == 1 and (f != 1).any()):
+        raise ValueError("f must be +-1, and 1 on one sheet")
 
     def pair(g, x, y):                  # sheet entry (x, y) as a point pair
         return (s * int(x), s * int(y) + g)
 
     # Sheet 1 is d - sheet 0, read off R: in range and symmetric exactly
     # when sheet 0 is, and it holds class d - k where sheet 0 holds class k.
-    if hit := _first_true((R < 0) | (R > d)):
+    low, high = int(R.min()), int(R.max())
+    if low < 0 or high > d:
+        hit = _first_hit(R, lambda B, i: (B < 0) | (B > d))
         raise NotAPartition(f"relation index out of range at pair {pair(0, *hit)}")
-    at = {}                             # class -> its first fiber pair on sheet 0
-    for k in range(d + 1):
-        if hit := _first_true(R == k):
-            at[k] = hit
-    if missing := [k for k in range(d + 1) if k not in at and (s == 1 or d - k not in at)]:
+    # Class k is met on sheet 0, or on a cover as class d - k of sheet 1.
+    rows = max(1, SCAN_BLOCK // m)
+    seen = set()
+    for i in range(0, m, rows):
+        B = R[i:i + rows]
+        seen.update(k for k in range(d + 1) if k not in seen and (B == k).any())
+        if not (missing := [k for k in range(d + 1)
+                            if k not in seen and (s == 1 or d - k not in seen)]):
+            break
+    if missing:
         raise NotAPartition(f"relations {missing} are empty")
     if (diagonal := np.flatnonzero(np.diagonal(R))).size:
         x = int(diagonal[0])
         raise IdentityNotR0(int(R[x, x]), pair(0, x, x))
-    off = R == 0
-    np.fill_diagonal(off, False)
-    if hit := _first_true(off):
-        raise IdentityNotR0(0, pair(0, *hit))
-    if s == 2 and (hit := _first_true(R == d)):
-        raise IdentityNotR0(0, pair(1, *hit))
-    if hit := _first_true(R != R.T):
+
+    def off_diagonal_zero(B, i):
+        zero = B == 0
+        zero[np.arange(len(B)), i + np.arange(len(B))] = False
+        return zero
+
+    # The diagonal holds m zeros.
+    if sum(np.count_nonzero(R[i:i + rows] == 0) for i in range(0, m, rows)) > m:
+        raise IdentityNotR0(0, pair(0, *_first_hit(R, off_diagonal_zero)))
+    if s == 2 and high == d:
+        raise IdentityNotR0(0, pair(1, *_first_hit(R, lambda B, i: B == d)))
+    if hit := _first_hit(R, lambda B, i: B != R[:, i:i + len(B)].T):
         raise NotSymmetric(int(R[hit]), pair(0, *hit))
 
-    def sheet_parts(i):
-        """int8 U_i and, on a cover, V_i, from lo = B_i at R == i and
-        hi = B_(d-i) at R == d - i.  The two comparisons' buffers become
-        U_i = lo + hi and V_i = lo - hi = U_i - 2 hi in place: a third
-        buffer would leave the process's peak RSS ~1 MB higher at q=9, n=2."""
-        lo = (R == i).view(np.int8)
-        if s == 1:
-            return (lo,)
-        hi = (R == d - i).view(np.int8)
-        lo += hi
-        hi *= -2
-        hi += lo
-        return lo, hi
+    # The switching law, in row blocks of SCAN_BLOCK entries over all
+    # elements: want is B where f(x) = f(y) and d - B where not.
+    rows = max(1, SCAN_BLOCK // (max(len(pi), 1) * m))
+    for i in range(0, m if len(pi) else 0, rows):
+        B = R[i:i + rows, i:]
+        flip = d - 2 * B
+        for g, (p, sign) in enumerate(zip(pi, f)):
+            image = R.take(p[i:i + rows], axis=0).take(p[i:], axis=1)
+            want = flip * (sign[i:i + rows, None] != sign[i:])
+            want += B
+            if hit := _first_true(image != want):
+                raise NotInvariant(g, pair(0, i + hit[0], i + hit[1]))
 
-    # W[h][i - 1]: U_i (h = 0) and V_i (h = 1).
-    W = list(zip(*map(sheet_parts, range(1, top + 1))))
+    # The rows of A_1 A_b, b = 1..top, at the representatives: count[g, c - 1, y]
+    # counts the neighbours 2z + g of 2x with R[z, y] = c, for the classes
+    # c >= 1 that a neighbour's row can need, in blocks of SCAN_BLOCK entries.
+    classes = np.arange(1, d if s == 2 else d + 1, dtype=R.dtype)[:, None]
+    rows = max(1, SCAN_BLOCK // (max(len(classes), 1) * m))
+    # A neighbour on sheet g reaches sheet h in relation b where R = b if
+    # g = h, and d - b if not: reach[g][b - 1, h] is that class's index.
+    folded = np.arange(1, top + 1)[:, None]
+    reach = [np.where(np.arange(s) == g, folded, d - folded) - 1 for g in range(s)]
+    at = {}                             # class -> its first fiber pair in a representative row
+    values = np.zeros((top, s, d + 1), dtype=np.int64)   # [b - 1][same, cross][class]
+    for x in _orbit_representatives(pi, m):
+        row = R[x]
+        first = np.full(d + 1, m)
+        np.minimum.at(first, row, np.arange(m))
+        new = [k for k in range(d + 1) if k not in at and first[k] < m]
+        at.update((k, (int(x), int(first[k]))) for k in new)
+        count = np.zeros((s, len(classes), m), dtype=np.int64)
+        for g, z in enumerate([np.flatnonzero(row == 1), np.flatnonzero(row == d - 1)][:s]):
+            # A block has under 2^15 rows, k_1 < m and rows < 2^20 / m,
+            # so its int16 sums are exact.
+            for i in range(0, len(z), rows):
+                hits = R[z[i:i + rows], None] == classes
+                count[g] += np.add.reduce(hits.view(np.uint8), axis=0, dtype=np.int16)
+        got = sum(count[g][reach[g]] for g in range(s))      # [b - 1][same, cross][y]
+        values[:, :, new] = got[:, :, first[new]]
+        if hit := _first_true(got != values[:, :, row]):
+            b, h, y = hit
+            k = int(row[y])
+            raise NonConstant(1, int(b) + 1, d - k if h else k, pair(h, x, y))
 
-    def nonconstant(a, b, x, y):
-        """NonConstant at fiber pair (x, y), in the block that differs."""
-        k = int(R[x, y])
-        x0, y0 = at[k]
-        delta = [int(W[h][a - 1][x].astype(np.int64) @ W[h][b - 1][:, y])
-                 - int(W[h][a - 1][x0].astype(np.int64) @ W[h][b - 1][:, y0])
-                 for h in range(s)]            # DU and, on a cover, DV
-        g = int(sum(delta) == 0)
-        return NonConstant(a, b, d - k if g else k, pair(g, x, y))
-
-    def values(h, a, b):
-        """Values of W_a W_b on the classes of sheet 0, checked constant."""
-        P = _exact_int_product(W[h][a - 1], W[h][b - 1])
-        v = np.zeros(d + 1, dtype=np.float32)
-        for k, x in at.items():
-            v[k] = P[x]
-        # take gathers through an intp copy of R, so it goes by row blocks.
-        mask = np.concatenate([P[i:i + 64] != v.take(R[i:i + 64])
-                               for i in range(0, m, 64)])
-        if hit := _first_true(mask):
-            raise nonconstant(a, b, *hit)
-        return [int(x) for x in v]
-
-    def fold(a, b, u, v):
-        """p_ab from U_a U_b (u) and V_a V_b (v) on the classes of sheet 0:
-        at class k the same-sheet block is (u + v)/2, and the cross-sheet
-        block, of class d - k, is (u - v)/2."""
-        same = {k: (u[k] + v[k]) // 2 for k in at}
-        cross = {d - k: (u[k] - v[k]) // 2 for k in at}
-        for k in sorted(same.keys() & cross.keys()):
-            if same[k] != cross[k]:
-                raise NonConstant(a, b, k, pair(1, *at[d - k]))
-        return [same[k] if k in same else cross[k] for k in range(d + 1)]
+    def fold(b):
+        """p_1b^k: the same-sheet value of sheet-0 class k and, on a cover,
+        the cross-sheet value over sheet-0 class d - k, one value for a
+        class met both ways."""
+        p_1b = {k: int(values[b - 1, 0, k]) for k in at}
+        if s == 2:
+            for k, xy in at.items():
+                v = int(values[b - 1, 1, k])
+                if p_1b.setdefault(d - k, v) != v:
+                    raise NonConstant(1, b, d - k, pair(1, *xy))
+        return [p_1b[k] for k in range(d + 1)]
 
     row1 = [[int(k == 1) for k in range(d + 1)]]      # p_10: A_0 = I
-    u1 = []                         # values of U_1 U_b, b < top
-    for b in range(1, top + 1):
-        if b < top:
-            u1.append(u := values(0, 1, b))
-        else:                       # U_1 U_top = U_1 (J - I - U_1 - ... - U_(top-1))
-            r = u1[0][0] if u1 else m - 1               # the row sums of U_1
-            own = (1, d - 1)[:s]                        # the classes where U_1 is 1
-            u = [r - (k in own) - sum(v[k] for v in u1) for k in range(d + 1)]
-        row1.append(u if s == 1 else fold(1, b, u, values(1, 1, b)))
+    row1 += [fold(b) for b in range(1, top + 1)]
     # Two sheets: A_(d-j) is A_j with its sheets swapped, so p_1(d-j)^k = p_1j^(d-k).
     row1 += [row1[d - j][::-1] for j in range(top + 1, d + 1)]
     L1 = [list(row) for row in zip(*row1)]

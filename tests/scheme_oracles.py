@@ -1,7 +1,7 @@
 """Reference checks for the scheme engine, written the direct way.
 
 ``matmul_tensor`` is the intersection tensor of a relation index from
-int64 products of all its relation matrices.
+exact float64 products of all its relation matrices.
 ``verify_idempotents`` tests ``spectral_data``'s P and Q on the relation
 matrices themselves, with exact int64 matrix products.
 ``verify_drg_parameters`` checks that a dual polar graph is
@@ -34,18 +34,22 @@ def int64_product(A, B):
 
 
 def matmul_tensor(R, d):
-    """p[i][j][k] of the relation index R with classes 0..d, from numpy's
-    int64 matmul (its integer loop: no BLAS, no float) of the 0/1 relation
-    matrices; each product is asserted constant on each class."""
-    A = [(R == i).astype(np.int64) for i in range(d + 1)]
+    """p[i][j][k] of the relation index R with classes 0..d, from float64
+    BLAS products of all its 0/1 relation matrices, exact since every entry
+    is at most N < 2^53; each product is asserted constant on each class.
+    ``verify_scheme`` forms no product and no float, so this path shares
+    nothing with it."""
+    A = [(R == i).astype(np.float64) for i in range(d + 1)]
+    first = [int(np.argmax(R == k)) for k in range(d + 1)]     # a pair of each class
+    assert all(R.flat[at] == k for k, at in enumerate(first)), "empty class"
+    classes = R.astype(np.intp)
     p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            M = np.matmul(A[i], A[j])
-            for k in range(d + 1):
-                values = np.unique(M[R == k])
-                assert len(values) == 1, (i, j, k)
-                p[i][j][k] = int(values[0])
+            M = A[i] @ A[j]
+            values = M.flat[first]
+            assert (M == values[classes]).all(), (i, j)
+            p[i][j] = [int(v) for v in values]
     return p
 
 

@@ -65,14 +65,15 @@ class TestExitCodes:
         assert "exceeds cap" in err
 
     @pytest.mark.parametrize("argv", [
-        ("scheme", "--q", "5", "--n", "3"),
-        ("crosscheck", "--q", "5", "--n", "3"),
+        ("scheme", "--q", "9", "--n", "3"),
+        ("crosscheck", "--q", "9", "--n", "3"),
         ("enumerate", "--q", "13", "--n", "3"),
     ], ids=["scheme", "crosscheck", "enumerate"])
     def test_memory_cap_before_computing(self, capsys, monkeypatch, argv):
-        # q=5, n=3: m = 19656 fibers, so verify_scheme would need ~10 GB;
-        # q=13, n=3: m = 5,231,240 generators, whose enumeration and JSON
-        # export would need ~33 GB.  Both exceed the 8 GiB simulated here.
+        # q=9, n=3: m = 598,600 fibers, whose signed pair matrix E alone
+        # would take ~358 GB; q=13, n=3: m = 5,231,240 generators, whose
+        # enumeration and JSON export would need ~33 GB.  Both exceed the
+        # 8 GiB simulated here.
         import polarcover.cli as cli
         import polarcover.finite_field as finite_field
         import polarcover.symplectic as symplectic
@@ -122,13 +123,28 @@ class TestExitCodes:
         assert (got, out) == (EXIT_INVALID, "")
         assert "below 2^15" in err
 
+    def test_large_q_refused_mod_4_before_factoring(self, capsys, monkeypatch):
+        # q = 2^61 - 1 = 3 mod 4: the residue refuses it before q is
+        # factored, on the formula-only path too, which has no 2^15 bound.
+        import polarcover.cli as cli
+
+        def refuse(q):
+            raise AssertionError("q was factored")
+
+        monkeypatch.setattr(cli, "_factor_prime_power", refuse)
+        got, out, err = run(capsys, "crosscheck", "--q", str(2**61 - 1), "--n", "1",
+                            "--formula-only")
+        assert (got, out) == (EXIT_INVALID, "")
+        assert "not congruent to 1 mod 4" in err
+
     def test_memory_prediction(self):
         from polarcover.scheme_core import verify_scheme_bytes
         from polarcover.symplectic import enumerate_bytes
 
-        # m = 6 fibers: two int8 sheets, d+1 int8 U/V, 16 bytes of float32
-        assert verify_scheme_bytes(12, 3) == 36 * (2 + 4 + 16) + 2**16
+        # m = 6 fibers: int8 E and R, d^3 + 128 d bytes a fiber, 16 MiB
+        assert verify_scheme_bytes(12, 3) == 36 * 2 + 6 * (27 + 384) + 2**24
         assert verify_scheme_bytes(3280, 5) < 10**9       # q=9, n=2 runs
+        assert verify_scheme_bytes(39312, 7) < 2**30      # q=5, n=3 in 1 GiB
         assert enumerate_bytes(598600, 3) < 2**33         # q=9, n=3 runs in 8 GiB
 
     @pytest.mark.parametrize("q", [9, 17])

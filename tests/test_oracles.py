@@ -30,6 +30,7 @@ from polarcover.errors import (
     IdentityNotR0,
     NonConstant,
     NotAPartition,
+    NotInvariant,
     NotSymmetric,
     RepeatedEigenvalue,
     SchemeAxiomError,
@@ -424,9 +425,11 @@ class TestPairMatrices:
         assert (np.abs(E) == want).all() and (space.distance_matrix() == want).all()
 
 
-def edited_cover(q, n, edit):
+def edited_cover(q, n, edit, group=False):
     """A cover whose pair data are copies of (D, S) changed by edit(D, S):
-    ``relation_index`` reads them, and ``from_cover`` their product E = S D."""
+    ``relation_index`` reads them, and ``from_cover`` their product E = S D.
+    An edit breaks the root elements' switching law, so the cover carries
+    the trivial group unless group is set."""
     space = make_space(q, n)
     table = CoherenceTable(space)
     D, S = space.distance_matrix(), table.sigma_matrix()     # new arrays
@@ -435,7 +438,10 @@ def edited_cover(q, n, edit):
     space.distance_matrix = lambda: D
     table.sigma_matrix = lambda: S
     space.signed_distance_matrix = lambda: E
-    return CoverGraph(table)
+    cover = CoverGraph(table)
+    if not group:
+        cover.root_action = lambda: (None, None)
+    return cover
 
 
 def both_paths(cover):
@@ -540,6 +546,28 @@ class TestSchemeQuotient:
         with pytest.raises(NonConstant) as exc:
             verify_scheme(quotient)
         assert_nonconstant_witness(exc.value, one_sheet.relation_matrix())
+
+    def test_flipped_sign_breaks_the_switching_law(self):
+        # With the root elements kept, the flipped pair is refused before
+        # any row is counted: some element maps a pair out of its relation.
+        def flip(D, S):
+            x, y = first_edge(D)
+            S[x, y] = S[y, x] = -S[x, y]
+
+        cover = edited_cover(5, 2, flip, group=True)
+        flipped = set(first_edge(cover.space.distance_matrix()))
+        instance = SchemeInstance.from_cover(cover)
+        with pytest.raises(NotInvariant) as exc:
+            verify_scheme(instance)
+        R, d = instance.matrix, instance.d
+        (a, b), g = exc.value.witness, exc.value.g
+        x, y = a // 2, b // 2
+        pi, f = instance.pi[g], instance.f[g]
+        want = R[x, y] if f[x] == f[y] else d - R[x, y]
+        assert R[pi[x], pi[y]] != want
+        # The unedited pairs keep the law, so the witness or its image is
+        # the flipped pair.
+        assert flipped in ({x, y}, {pi[x], pi[y]})
 
     def test_asymmetric_distance(self):
         def skew(D, S):

@@ -17,10 +17,11 @@ from polarcover.errors import (
     IdentityNotR0,
     NonConstant,
     NotAPartition,
+    NotInvariant,
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from polarcover.cover import CoverGraph
+from polarcover.cover import CoverGraph, group_action, root_elements
 from polarcover.exact_algebra import QuadExt, dual_eigenmatrix, pq_tensor
 from polarcover.finite_field import construct_field
 from polarcover.maslov import CoherenceTable
@@ -40,8 +41,10 @@ from polarcover.scheme_core import (
     verify_scheme_bytes,
 )
 from polarcover.symplectic import SymplecticSpace
-from linalg_oracles import mat_charpoly, mat_kernel, mat_mul
+from field_oracles import reference
+from linalg_oracles import gauss_jordan, mat_charpoly, mat_kernel, mat_mul
 from scheme_oracles import inverse, matmul_tensor, verify_idempotents
+from symplectic_oracles import bases, generator_index, rref, verify_similarity
 
 
 def triangle_instance():
@@ -225,45 +228,54 @@ class TestCoverScheme:
         assert t.N == 312
 
     @staticmethod
-    def fiber_loop_calls(instance, monkeypatch):
-        """Names of the product and constancy-comparison calls of one
-        ``verify_scheme``, from its first product on."""
-        calls = []
+    def representative_checks(instance, monkeypatch):
+        """(representatives, masks): the rows ``verify_scheme`` counts, and
+        the shapes of the masks it searches from then on.  No product may
+        be formed."""
+        masks, reps = [], []
+        first_true = scheme_core._first_true
+        orbit_representatives = scheme_core._orbit_representatives
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counted(mask):
+            masks.append(mask.shape)
+            return first_true(mask)
 
-        for name in ("_exact_int_product", "_first_true"):
-            monkeypatch.setattr(scheme_core, name,
-                                counted(name, getattr(scheme_core, name)))
+        def recorded(pi, m):
+            reps.append(orbit_representatives(pi, m))
+            masks.clear()
+            return reps[-1]
+
+        def no_product(*args):
+            raise AssertionError("a matrix product was formed")
+        monkeypatch.setattr(scheme_core, "_first_true", counted)
+        monkeypatch.setattr(scheme_core, "_orbit_representatives", recorded)
+        monkeypatch.setattr(scheme_core, "_exact_int_product", no_product)
         verify_scheme(instance)
-        return calls[calls.index("_exact_int_product"):]
+        return reps[0], masks
 
     @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
     def test_one_check_per_sheet_per_folded_pair(self, bundle, n, request,
                                                  monkeypatch):
-        # only the folded pairs (1, b), b <= n: a V product each and, for
-        # b < n, a U product (U_1 U_n follows from U_0 + ... + U_n = J),
-        # 2n - 1 products, each with one constancy comparison; A_1
-        # generates, so the pairs a >= 2 are derived from L_1
+        # The root elements are transitive, so one representative row is
+        # counted: its entries of A_1 A_b for the folded pairs (1, b),
+        # b <= n, on both sheets, checked by one search of an (n, 2, m)
+        # mask; A_1 generates, so the pairs a >= 2 are derived from L_1.
         instance = request.getfixturevalue(bundle)["instance"]
-        fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
-        assert fiber_loop.count("_exact_int_product") == 2 * n - 1
-        assert fiber_loop.count("_first_true") == 2 * n - 1
+        reps, masks = self.representative_checks(instance, monkeypatch)
+        assert reps.tolist() == [0]
+        assert masks == [(n, 2, len(instance.matrix))]
 
     @pytest.mark.parametrize("bundle,n", [("q5n1", 1), ("q5n2", 2)])
     def test_one_sheet_multiplies_only_relation_one(self, bundle, n, request,
                                                     monkeypatch):
-        # one sheet: the pairs (1, b), 1 <= b < d, d - 1 products
+        # One sheet with no group: every point is a representative, and its
+        # row of A_1 A_b is checked for every b = 1..d, with no product.
         cover = request.getfixturevalue(bundle)["instance"]
         d = 2 * n + 1
         instance = SchemeInstance.from_matrix(cover.relation_matrix(), d)
-        fiber_loop = self.fiber_loop_calls(instance, monkeypatch)
-        assert fiber_loop.count("_exact_int_product") == d - 1
-        assert fiber_loop.count("_first_true") == d - 1
+        reps, masks = self.representative_checks(instance, monkeypatch)
+        assert reps.tolist() == list(range(instance.N))
+        assert masks == [(d, 1, instance.N)] * instance.N
 
     @pytest.mark.parametrize("bundle", ["q5n1", "q5n2"])
     def test_cross_sheet_pair_in_relation_zero(self, bundle, request):
@@ -356,32 +368,26 @@ class TestKrylovDerivation:
 
     @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4", "klein_four"])
     def test_singular_krylov_raises(self, relations, monkeypatch):
-        # Each is a 3-class scheme (the int64 products are constant) whose
-        # A_1 has 2 eigenvalues, so K is singular: verify_scheme raises at
-        # the L_1 of the oracle, after the d - 1 = 2 products of row 1 and
-        # before any root is sought.
+        # Each is a 3-class scheme (the products of the oracle are
+        # constant) whose A_1 has 2 eigenvalues, so K is singular:
+        # verify_scheme raises at the L_1 of the oracle, read off the rows
+        # of A_1 A_b with no matrix product, and before any root is sought.
         R = getattr(self, relations)()
         want = matmul_tensor(R, 3)
-        products, inverted = [], []
-
-        def counted(*args):
-            products.append(args)
-            return exact_int_product(*args)
+        inverted = []
 
         def recorded(L1):
             inverted.append(L1)
             return krylov_inverse(L1)
 
-        def no_roots(*args):
-            raise AssertionError("roots sought")
-        exact_int_product = scheme_core._exact_int_product
+        def refused(*args):
+            raise AssertionError("a product was formed or a root sought")
         krylov_inverse = scheme_core._krylov_inverse
-        monkeypatch.setattr(scheme_core, "_exact_int_product", counted)
+        monkeypatch.setattr(scheme_core, "_exact_int_product", refused)
         monkeypatch.setattr(scheme_core, "_krylov_inverse", recorded)
-        monkeypatch.setattr(scheme_core, "_exact_eigenvalues", no_roots)
+        monkeypatch.setattr(scheme_core, "_exact_eigenvalues", refused)
         with pytest.raises(RepeatedEigenvalue):
             verify_scheme(SchemeInstance.from_matrix(R, 3))
-        assert len(products) == 2
         assert inverted == [[[want[1][j][k] for j in range(4)] for k in range(4)]]
 
     @pytest.mark.parametrize("relations", ["k2_by_k3", "all_plus_k4"])
@@ -436,32 +442,18 @@ class TestKrylovDerivation:
         assert len(P) == len(want) == 2 * n + 2      # d + 1 distinct rows
         assert {row[1]: row for row in P} == want
 
-    def test_derived_products_match_a_float64_square(self, q9n2):
-        # p_22^k is derived at q = 9, n = 2; A_2 A_2 has entries below
-        # N = 1640 < 2^53, so its float64 product is exact.  A_3 = A_2 T,
-        # with T the sheet swap, so A_3 A_3 = A_2 A_2 and A_2 A_3 is A_2 A_2
-        # read at the swapped pairs.
-        instance = q9n2["instance"]
-        t = verify_scheme(instance)
-        R = instance.relation_matrix()
-        A2 = (R == 2).astype(np.float64)
-        M = A2 @ A2
-        del A2
-        values = []
-        for k in range(6):
-            on_class = np.unique(M[R == k])
-            assert len(on_class) == 1, k
-            values.append(int(on_class[0]))
-        assert t.p[2][2] == t.p[3][3] == values
-        assert t.p[2][3] == t.p[3][2] == values[::-1]
+
+@functools.lru_cache(maxsize=None)
+def cover_instance(p, e, n):
+    """The scheme instance of the cover over F_{p^e}, with its root elements."""
+    space = SymplecticSpace(construct_field(p, e), n)
+    return SchemeInstance.from_cover(CoverGraph(CoherenceTable(space)))
 
 
 @functools.lru_cache(maxsize=None)
 def cover_scheme(p, e, n):
     """(intersection tensor, spectral data) of the cover over F_{p^e}."""
-    space = SymplecticSpace(construct_field(p, e), n)
-    instance = SchemeInstance.from_cover(CoverGraph(CoherenceTable(space)))
-    tensor = verify_scheme(instance)
+    tensor = verify_scheme(cover_instance(p, e, n))
     return tensor, spectral_data(tensor, p**e)
 
 
@@ -479,6 +471,130 @@ def krein_per_term(sd):
 
 
 COVERS = [(5, 1, 1), (3, 2, 1), (13, 1, 1), (5, 1, 2), (3, 2, 2)]
+
+
+def siegel_translations(spec, n):
+    """[[I, S], [0, I]] for S = c (E_ij + E_ji), i <= j, c over the F_p-basis
+    p^0..p^(e-1) of the codes: they generate the translations by symmetric
+    S, which fix the span of f_1..f_n and so are not transitive."""
+    out = []
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        for c in spec.p ** np.arange(spec.e):
+            g = np.eye(2 * n, dtype=np.int16)
+            g[i, n + j] = g[j, n + i] = c
+            out.append(g)
+    return out
+
+
+class TestCoverGroup:
+    """The root elements' action on the generators, the switching law on
+    every pair, and the rows of A_1 A_b at one point per orbit."""
+
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_matches_matmul_tensor(self, p, e, n):
+        # The oracle multiplies all the N x N relation matrices.
+        tensor, _ = cover_scheme(p, e, n)
+        instance = cover_instance(p, e, n)
+        assert tensor.p == matmul_tensor(instance.relation_matrix(), instance.d)
+
+    @pytest.mark.parametrize("p,e,n", COVERS)
+    def test_root_elements_are_transitive(self, p, e, n):
+        instance = cover_instance(p, e, n)
+        assert len(instance.pi) == 2 * n
+        reps = scheme_core._orbit_representatives(instance.pi, len(instance.matrix))
+        assert reps.tolist() == [0]
+
+    @pytest.mark.parametrize("p,e,n", [(5, 1, 1), (3, 2, 1), (5, 1, 2), (3, 2, 2)])
+    def test_action_matches_oracle(self, p, e, n):
+        # pi from the scalar RREF of each image X g, and f as chi of the
+        # determinant of the coordinates of X g on that RREF basis, which
+        # are X g's columns at the RREF's pivots.
+        instance = cover_instance(p, e, n)
+        space = SymplecticSpace(construct_field(p, e), n)
+        f = reference(space.spec)
+        for g, pi, switch in zip(root_elements(space.spec, n), instance.pi, instance.f):
+            assert verify_similarity(space, g.tolist(), 1)
+            for x, basis in enumerate(bases(space)):
+                image = mat_mul([list(row) for row in basis], g.tolist(), f)
+                pivots = [next(c for c, v in enumerate(row) if v)
+                          for row in rref(space.spec, image)]
+                coordinates = [[row[c] for c in pivots] for row in image]
+                assert pi[x] == generator_index(space, image)
+                assert switch[x] == f.chi(gauss_jordan(coordinates, n, f)[1])
+
+    def test_non_symplectic_element_refused(self):
+        space = SymplecticSpace(construct_field(5, 1), 1)
+        g = np.array([[2, 0], [0, 1]], dtype=np.int16)      # B(u g, v g) = 2 B(u, v)
+        with pytest.raises(ValueError, match="element 1 is not symplectic"):
+            group_action(space, [np.eye(2, dtype=np.int16), g])
+
+    @pytest.mark.parametrize("p,e", [(5, 1), (3, 2)])
+    def test_siegel_translations_one_row_per_orbit(self, p, e, monkeypatch):
+        # At n = 2 the translations have q + 3 orbits: the big cell, the
+        # span of f_1, f_2, and the q + 1 classes of a generator meeting it
+        # in a line.  One row per orbit gives the tensor of the cover.
+        q = p**e
+        cover = CoverGraph(CoherenceTable(SymplecticSpace(construct_field(p, e), 2)))
+        pi, f = group_action(cover.space, siegel_translations(cover.space.spec, 2))
+        instance = dataclasses.replace(cover_instance(p, e, 2), pi=pi, f=f)
+        reps = []
+        orbit_representatives = scheme_core._orbit_representatives
+
+        def recorded(pi, m):
+            reps.append(orbit_representatives(pi, m))
+            return reps[-1]
+        monkeypatch.setattr(scheme_core, "_orbit_representatives", recorded)
+        assert verify_scheme(instance).p == cover_scheme(p, e, 2)[0].p
+        assert len(reps[0]) == q + 3
+
+    def test_lifted_group_on_one_sheet(self):
+        # The lift 2x + b -> 2 pi(x) + (b XOR [f(x) = -1]) keeps every
+        # relation of the N x N index, with no switch on one sheet.
+        instance = cover_instance(5, 1, 2)
+        lifted = 2 * instance.pi[:, :, None] + (np.arange(2) ^ (instance.f[:, :, None] < 0))
+        one_sheet = SchemeInstance(instance.d, instance.relation_matrix(), 1,
+                                   lifted.reshape(len(lifted), -1))
+        assert verify_scheme(one_sheet).p == cover_scheme(5, 1, 2)[0].p
+
+    @pytest.mark.parametrize("mutation", ["no_switch", "transposition", "flipped_switch"])
+    def test_switching_law_refuses_a_wrong_action(self, mutation):
+        # f forced to 1, pi[0] composed with a transposition, or one switch
+        # flipped: some pair leaves its relation, and the element and the
+        # pair are named.
+        instance = cover_instance(5, 1, 2)
+        pi, f = instance.pi.copy(), instance.f.copy()
+        if mutation == "no_switch":
+            f[:] = 1
+        elif mutation == "transposition":
+            pi[0, [3, 7]] = pi[0, [7, 3]]
+        else:
+            f[1, 5] *= -1
+        instance = dataclasses.replace(instance, pi=pi, f=f)
+        with pytest.raises(NotInvariant) as exc:
+            verify_scheme(instance)
+        R, d, g = instance.matrix, instance.d, exc.value.g
+        x, y = (v // 2 for v in exc.value.witness)
+        want = R[x, y] if f[g, x] == f[g, y] else d - R[x, y]
+        assert R[pi[g, x], pi[g, y]] != want
+
+    @pytest.mark.parametrize("pi,f,message", [
+        ([[0, 1, 1, 3, 4, 5]], [[1] * 6], "permutation"),
+        ([[1, 2, 3, 4, 5, 6]], [[1] * 6], "permutation"),
+        ([list(range(6))], [[1, 1, 2, 1, 1, 1]], "f must be"),
+        ([list(range(5))], [[1] * 5], "arrays"),
+    ], ids=["repeat", "out_of_range", "switch_not_sign", "shape"])
+    def test_malformed_group_refused(self, pi, f, message):
+        instance = dataclasses.replace(cover_instance(5, 1, 1), pi=np.array(pi),
+                                       f=np.array(f))
+        with pytest.raises(ValueError, match=message):
+            verify_scheme(instance)
+
+    def test_one_sheet_takes_no_switch(self):
+        R = pentagon_instance().matrix
+        instance = SchemeInstance(2, R, 1, np.array([list(range(5))]),
+                                  np.array([[1, -1, 1, 1, 1]]))
+        with pytest.raises(ValueError, match="1 on one sheet"):
+            verify_scheme(instance)
 
 
 class TestKreinAndOrderings:

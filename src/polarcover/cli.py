@@ -9,10 +9,11 @@ so identical runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
+import math
 import os
 import sys
 import time
@@ -24,21 +25,64 @@ EXIT_MATH_FAIL = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
+# Miller-Rabin to the first 12 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)); the bound itself is a strong pseudoprime to them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin for 1 < p < MR_EXACT_BELOW."""
+    if p in _MR_BASES:
+        return True
+    if any(p % a == 0 for a in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q, e):
+    """The integer e-th root floor(q^(1/e)) of q >= 1, by Newton's method
+    from the power of two above it."""
+    if e == 2:
+        return math.isqrt(q)
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
 
 def _factor_prime_power(q):
-    """(p, e) with q = p^e, p prime; None if q is not a prime power."""
+    """(p, e) with q = p^e, p prime; None if q is not a prime power.
+
+    Each exponent e whose integer e-th root p gives p^e = q is tried, and
+    p is tested for primality by Miller-Rabin, exact below MR_EXACT_BELOW;
+    a larger q raises ValueError."""
+    if q >= MR_EXACT_BELOW:
+        raise ValueError(f"q = {q} is too large: prime powers are recognized "
+                         f"exactly only below {MR_EXACT_BELOW}")
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p:
-            continue
-        e, m = 0, q
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
+    for e in range(1, q.bit_length()):
+        p = _iroot(q, e)
+        if p**e == q and _is_prime(p):
+            return (p, e)
     return None
 
 
@@ -49,7 +93,7 @@ def _physical_memory():
 def _check_q(q):
     """(p, e) with q = p^e; raises unless q is an odd prime power, 1 mod 4.
     The residue mod 4 is tested first: it costs nothing, while factoring
-    q by trial division takes up to sqrt(q) steps."""
+    q takes an integer root and a Miller-Rabin test per exponent."""
     if q % 2 == 0:
         raise ValueError(f"q = {q} is not an odd prime power")
     if q % 4 != 1:
@@ -90,20 +134,71 @@ def _verified_cover(q, n):
     return cover, verify_scheme(SchemeInstance.from_cover(cover))
 
 
+# Pieces of JSON text joined into one write: a few blocks of this size are
+# all the text held at once, however large the payload.
+JSON_BLOCK = 4096
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_pieces(x, level, out, write):
+    """Append to out the pieces of ``json.dumps(x, sort_keys=True, indent=2)``
+    for x nested `level` containers deep, one piece per value; after each
+    member of a container, once out holds JSON_BLOCK pieces, they are
+    joined, passed to write and cleared.
+
+    x is built of dict (str keys), list, tuple, str, int, bool and None;
+    any other type, a float among them, raises TypeError.  A module-level
+    function, not a closure that refers to itself: such a closure is a
+    reference cycle that keeps every call's pieces alive until the cyclic
+    collector runs.
+    """
+    t = type(x)
+    if t is str:
+        out.append(_encode_str(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif t is dict or t is list or t is tuple:
+        if not x:
+            out.append("{}" if t is dict else "[]")
+            return
+        is_dict = t is dict
+        if is_dict:
+            for key in x:
+                if type(key) is not str:
+                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        inner = "\n" + "  " * (level + 1)
+        sep = ("{" if is_dict else "[") + inner
+        for key, value in sorted(x.items()) if is_dict else enumerate(x):
+            out.append(sep + _encode_str(key) + ": " if is_dict else sep)
+            sep = "," + inner
+            _json_pieces(value, level + 1, out, write)
+            if len(out) >= JSON_BLOCK:
+                write("".join(out))
+                out.clear()
+        out.append("\n" + "  " * level + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"{t.__name__} is not emitted as JSON")
+
+
 def _emit(args, payload, csv_rows=None):
-    if csv_rows is not None and args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(csv_rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with _open_out(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the payload as canonical JSON (sorted keys, indent 2, ASCII,
+    one newline at the end), or the csv_rows as CSV under --format csv, to
+    --out or stdout.  The JSON goes out in blocks of JSON_BLOCK pieces."""
+    with (_open_out(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if csv_rows is not None and args.format == "csv":
+            writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(csv_rows)
+            return
+        out = []
+        _json_pieces(payload, 0, out, fh.write)
+        out.append("\n")
+        fh.write("".join(out))
 
 
 def _open_out(path, mode):

@@ -267,11 +267,13 @@ class QuadExt:
         return f"{self.a}+{self.b}r"
 
     def to_json(self):
-        """JSON form {"a": "num/den", "b": "num/den", "q": int}."""
-        a, b = self.a, self.b
+        """JSON form {"a": "num/den", "b": "num/den", "q": int}, each part
+        in lowest terms, 0 as "0/1"."""
+        x, y, den = self.x, self.y, self.den
+        g, h = _gcd(x, den), _gcd(y, den)
         return {
-            "a": f"{a.numerator}/{a.denominator}",
-            "b": f"{b.numerator}/{b.denominator}",
+            "a": f"{x // g}/{den // g}",
+            "b": f"{y // h}/{den // h}",
             "q": self.q,
         }
 

@@ -27,7 +27,7 @@ from .errors import (
     NotSymmetric,
     RepeatedEigenvalue,
 )
-from .exact_algebra import QuadExt, dual_eigenmatrix, is_tridiagonal, pq_tensor
+from .exact_algebra import _reduced, dual_eigenmatrix, is_tridiagonal, pq_tensor
 
 __all__ = [
     "SchemeInstance",
@@ -512,26 +512,41 @@ def _exact_eigenvalues(L, charpoly, q):
     candidate is kept when charpoly vanishes at it exactly.  The hints round
     to the right (a, b) while the eigenvalues stay far below 2^52, as they
     do for every L_1 here (|theta| <= k_1 < N).
-    """
-    def vanishes(x):
-        acc = 0
-        for c in reversed(charpoly):
-            acc = acc * x + c
-        return not acc
 
+    With r = sqrt q a candidate is theta = (x + y r)/D, x = a s, y = b and
+    D = 2s, or x = a + b, y = 0 and D = 2 when t = 1 (r = s is an integer).
+    D is the same for every candidate, so distinct int pairs (x, y) are
+    distinct roots.  charpoly(theta) D^deg is summed on int pairs by Horner,
+    acc -> acc (x + y r) + c_k D^(deg - k), and only the roots found become
+    QuadExt.
+    """
     s, t = _square_split(q)
-    sqrt_t = QuadExt.root(q) / s
     hints = np.linalg.eigvals(np.array(L, dtype=np.float64)).real.tolist()
-    candidates = {(round(x + y) + round((x - y) / math.sqrt(t)) * sqrt_t) / 2
-                  for x in hints for y in hints}
-    return [theta for theta in candidates if vanishes(theta)]
+    root_t = math.sqrt(t)
+    pairs = {(round(u + v), round((u - v) / root_t)) for u in hints for v in hints}
+    D = 2 if t == 1 else 2 * s
+    candidates = {(a + b, 0) if t == 1 else (a * s, b) for a, b in pairs}
+    top, *rest = reversed(charpoly)
+    roots = []
+    for x, y in candidates:
+        ax, ay, scale = top, 0, 1
+        for c in rest:
+            scale *= D
+            ax, ay = ax * x + q * ay * y + c * scale, ax * y + ay * x
+        if not (ax or ay):
+            roots.append(_reduced(x, y, D, q))
+    return roots
 
 
 def _eigenmatrix(L1, q):
     """P of the integer matrix L_1 over Q(sqrt q), rows sorted by eigenvalue
     in decreasing order, read off X = delta K^-1 (``_krylov_inverse``) as
     ``spectral_data`` describes; RepeatedEigenvalue when K is singular, and
-    EigenvalueOutsideField when fewer than d + 1 roots lie in the field."""
+    EigenvalueOutsideField when fewer than d + 1 roots lie in the field.
+
+    With r = sqrt q and theta = (x + y r)/e, the entry
+    sum_k theta^k X[k][j] / delta is summed on the int pairs
+    (x + y r)^k e^(d - k) and becomes one QuadExt over e^d |delta|."""
     d = len(L1) - 1
     delta, X = _krylov_inverse(L1)
     power = _powers(L1, 0, d + 2)[-1]           # L_1^(d+1) e_0
@@ -540,10 +555,20 @@ def _eigenmatrix(L1, q):
     if len(eigs) != d + 1:
         raise EigenvalueOutsideField(
             f"{d + 1 - len(eigs)} eigenvalues lie outside Q(sqrt {q})")
+    sign = 1 if delta > 0 else -1
+    columns = list(zip(*X))
     P = []
     for theta in eigs:
-        powers = [theta**r for r in range(d + 1)]
-        P.append([sum(map(operator.mul, powers, column)) / delta for column in zip(*X)])
+        x, y, e = theta.x, theta.y, theta.den
+        px, py = [sign * e**d], [0]             # (x + y r)^k e^(d - k)
+        for _ in range(d):
+            u, v = px[-1], py[-1]
+            px.append((u * x + q * v * y) // e)
+            py.append((u * y + v * x) // e)
+        den = e**d * abs(delta)
+        P.append([_reduced(sum(map(operator.mul, px, col)),
+                           sum(map(operator.mul, py, col)), den, q)
+                  for col in columns])
     return P
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,11 @@ from polarcover.cli import (
     EXIT_INVALID,
     EXIT_MATH_FAIL,
     EXIT_OK,
+    JSON_BLOCK,
+    MR_EXACT_BELOW,
     _factor_prime_power,
+    _is_prime,
+    _json_pieces,
     main,
 )
 
@@ -42,6 +47,41 @@ class TestFactorPrimePower:
         assert _factor_prime_power(12) is None
         assert _factor_prime_power(1) is None
         assert _factor_prime_power(2) == (2, 1)
+
+    def test_against_trial_division(self):
+        def trial(q):
+            p = next(p for p in range(2, q + 1) if q % p == 0)
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+
+        for q in range(2, 5000):
+            assert _factor_prime_power(q) == trial(q), q
+
+    @pytest.mark.parametrize("q,want", [
+        (10**18 + 9, (10**18 + 9, 1)),
+        ((10**9 + 7)**2, (10**9 + 7, 2)),
+        (5**30, (5, 30)),
+        # Strong pseudoprimes to the bases 2..7 and 2..23: composite.
+        (3215031751, None),
+        (3825123056546413051, None),
+    ])
+    def test_large_q_in_under_a_second(self, q, want):
+        start = time.perf_counter()
+        assert _factor_prime_power(q) == want
+        assert time.perf_counter() - start < 1
+
+    def test_refused_at_the_exact_bound(self):
+        # The bound is a composite that passes all 12 bases, so it and
+        # every larger q are refused rather than read as prime; the
+        # q = 1 mod 4 just below it (3 | q) is still factored.
+        assert MR_EXACT_BELOW == 1287836182261 * 2575672364521
+        assert _is_prime(MR_EXACT_BELOW)
+        assert _factor_prime_power(MR_EXACT_BELOW - 4) is None
+        with pytest.raises(ValueError, match="too large"):
+            _factor_prime_power(MR_EXACT_BELOW)
 
 
 class TestExitCodes:
@@ -111,8 +151,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["scheme", "crosscheck", "enumerate"])
     def test_large_q_refused_before_factoring(self, capsys, monkeypatch, command):
-        # q = 2^61 - 1 is prime: trial division up to sqrt(q) would run for
-        # minutes before the 2^15 bound refuses it.
+        # q = 2^61 - 1 is prime, and the 2^15 bound of the graph commands
+        # refuses it before q is factored.
         import polarcover.cli as cli
 
         def refuse(q):
@@ -275,6 +315,91 @@ class TestExitCodes:
         assert "--format csv" in err
 
 
+def emitted(x):
+    """The text that _json_pieces gives for x, with every block it wrote."""
+    out, blocks = [], []
+    _json_pieces(x, 0, out, blocks.append)
+    return "".join(blocks) + "".join(out)
+
+
+class TestJsonEmitter:
+    @pytest.mark.parametrize("argv", [
+        ("scheme", "--q", "5", "--n", "1"),
+        ("scheme", "--q", "9", "--n", "1"),
+        ("scheme", "--q", "25", "--n", "1"),
+        ("scheme", "--q", "125", "--n", "1"),
+        ("scheme", "--q", "5", "--n", "2"),
+        ("crosscheck", "--q", "5", "--n", "2"),
+        ("crosscheck", "--q", "13", "--n", "3", "--formula-only"),
+        ("feasibility", "--r", "3"),
+        ("feasibility", "--sweep", "3,5,7"),
+        ("enumerate", "--q", "25", "--n", "1"),     # string codes
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_equals_json_dumps_on_payloads(self, capsys, monkeypatch, argv):
+        import polarcover.cli as cli
+
+        payloads = []
+        emit = cli._emit
+
+        def recorded(args, payload, csv_rows=None):
+            payloads.append(payload)
+            emit(args, payload, csv_rows)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        code, out, _ = run(capsys, *argv)
+        assert (code, len(payloads)) == (EXIT_OK, 1)
+        assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("x", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}], (1, (2, ())),
+        -7, 0, 10**200, -(10**200), [True, 1, False, 0, None],
+        {"b": True, "a": 1, "c": [None, False]},
+        "caf\u00e9 \u2603 \U0001f600", "\x00\x1f\t\n\r\"\\/\x7f",
+        {"\u00e9": "\n", "z": "", "": "x"}, [{"k": [{"j": ["deep"]}]}],
+    ])
+    def test_equals_json_dumps_on_edge_cases(self, x):
+        assert emitted(x) == json.dumps(x, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("x", [1.0, [0.5], {"a": float("nan")}, {1: 2},
+                                   {"a": {2: "b"}}, {1, 2}, b"bytes"])
+    def test_refuses_other_types(self, x):
+        with pytest.raises(TypeError):
+            emitted(x)
+
+    def test_writes_in_blocks(self):
+        x = {"rows": [[str(i), i, [i, -i]] for i in range(3000)]}
+        out, blocks = [], []
+        _json_pieces(x, 0, out, blocks.append)
+        assert "".join(blocks) + "".join(out) == json.dumps(x, sort_keys=True, indent=2)
+        assert len(blocks) > 1 and len(out) < JSON_BLOCK
+
+    def test_enumerate_emission_peak_is_a_block(self, tmp_path, monkeypatch):
+        # q = 17, n = 2: 5,220 generators, ~0.7 MB of JSON.  The payload
+        # is built before tracing starts, so the peak is the emission's
+        # own: at most JSON_BLOCK pieces of under 128 bytes each with
+        # their joined block, not the whole text.
+        import polarcover.cli as cli
+
+        peaks = []
+        emit = cli._emit
+
+        def traced(args, payload, csv_rows=None):
+            tracemalloc.start()
+            try:
+                emit(args, payload, csv_rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_emit", traced)
+        target = tmp_path / "gens.json"
+        assert main(["enumerate", "--q", "17", "--n", "2", "--out", str(target)]) == EXIT_OK
+        text = target.read_text()
+        assert len(json.loads(text)["generators"]) == 5220
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert peaks[0] <= JSON_BLOCK * 128 < len(text)
+
+
 class TestEnumerate:
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--q", "5", "--n", "1")
@@ -420,6 +545,21 @@ class TestCrosscheck:
         payload = json.loads(out)
         assert payload["formula_only"] is True
         assert payload["closed_identities"]["identities_checked"] == 100
+
+    @pytest.mark.parametrize("q", [10**18 + 9, (10**9 + 7)**2])
+    def test_formula_only_large_prime_power(self, capsys, q):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "crosscheck", "--q", str(q), "--n", "1",
+                           "--formula-only")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK
+        assert json.loads(out)["closed_identities"]["moment_identities_ok"] is True
+
+    def test_formula_only_q_past_the_exact_bound(self, capsys):
+        code, out, err = run(capsys, "crosscheck", "--q", str(MR_EXACT_BELOW),
+                             "--n", "1", "--formula-only")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and "too large" in err
 
     def test_rejects_q_3_mod_4(self, capsys):
         code, _, _ = run(capsys, "crosscheck", "--q", "7", "--n", "1",

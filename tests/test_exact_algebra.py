@@ -452,6 +452,15 @@ class TestQuadExt:
         assert QuadExt.from_json(json.loads(blob)) == x
         j = x.to_json()
         assert j == {"a": "-3/7", "b": "22/5", "q": 13}
+        assert QuadExt(0, 0, 5).to_json() == {"a": "0/1", "b": "0/1", "q": 5}
+        assert QuadExt(Fraction(3, 4), 0, 9).to_json() == {"a": "3/4", "b": "0/1", "q": 9}
+
+    @given(a=rationals, b=rationals, q=st.sampled_from([5, 9, 13, 45, 125]))
+    def test_json_parts_in_lowest_terms(self, a, b, q):
+        # Each part over its own least denominator, as Fraction writes it.
+        x = QuadExt(a, b, q)
+        want = [f"{z.numerator}/{z.denominator}" for z in (x.a, x.b)]
+        assert [x.to_json()[k] for k in "ab"] == want
 
 
 class TestMatrixOps:

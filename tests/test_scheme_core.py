@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -704,13 +705,41 @@ class TestDualEigenmatrix:
 
 class TestEigenvalueResolver:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("q", [5, 9, 13, 125])
+    @pytest.mark.parametrize("q", [5, 9, 13, 125, 169])
     def test_closed_form_spectrum(self, q, n):
-        # square q = 9 and non-squarefree q = 125 = 5^2 * 5 included
+        # square q = 9 and 169 and non-squarefree q = 125 = 5^2 * 5 included
         want = [row[1] for row in eigenmatrices_closed(n, q).p_full]
         L1 = l1_closed(n, q)
         got = _exact_eigenvalues(L1, mat_charpoly(L1), q)
         assert sorted(got, reverse=True) == sorted(want, reverse=True)
+
+    @pytest.mark.parametrize("coefficients", [int, Fraction])
+    @pytest.mark.parametrize("q,L,want", [
+        # x^2 - x - 1: (1 +- sqrt 5)/2, with sqrt 5 = sqrt(q)/s, q = s^2 5
+        (5, [[0, 1], [1, 1]], [(Fraction(1, 2), Fraction(1, 2))] * 2),
+        (45, [[0, 1], [1, 1]], [(Fraction(1, 2), Fraction(1, 6))] * 2),
+        (125, [[0, 1], [1, 1]], [(Fraction(1, 2), Fraction(1, 10))] * 2),
+        # x^2 - x - 2 = (x - 2)(x + 1) over a square q: rational roots
+        (9, [[0, 2], [1, 1]], [(2, 0), (-1, 0)]),
+        (169, [[0, 2], [1, 1]], [(2, 0), (-1, 0)]),
+    ], ids=["5", "45", "125", "9", "169"])
+    def test_hints_repeated_and_off_the_roots(self, q, L, want, coefficients,
+                                              monkeypatch):
+        # Every eigenvalue hinted twice, and one hint, 0.3, near no root:
+        # each root comes back once, and nothing else does.
+        roots = np.linalg.eigvals(np.array(L, dtype=np.float64)).real
+        hints = np.concatenate([roots, roots, [0.3]])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: hints)
+        charpoly = [coefficients(c) for c in mat_charpoly(L)]
+        got = _exact_eigenvalues(L, charpoly, q)
+        if want[0] == want[1]:          # a conjugate pair a +- b sqrt(t)
+            (a, b), _ = want
+            want = [QuadExt(a, b, q), QuadExt(a, -b, q)]
+        else:
+            want = [QuadExt(a, b, q) for a, b in want]
+        assert sorted(got) == sorted(want) and len(got) == 2
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.array([0.3]))
+        assert _exact_eigenvalues(L, charpoly, q) == []
 
     @pytest.mark.parametrize("p,e,n", COVERS)
     def test_krylov_against_oracles(self, p, e, n, monkeypatch):

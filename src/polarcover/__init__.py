@@ -2,9 +2,9 @@
 
 Everything here is exact: rationals, the quadratic extension Q(sqrt(q)),
 finite-field arithmetic, and integer counting.  No floating-point results
-are ever produced (numpy floats appear only as exact integer carriers in
-bulk counting, with overflow guards, and as eigenvalue hints that are
-certified exactly).
+are ever produced (numpy floats appear only as eigenvalue hints that are
+certified exactly, and as the exact integer carrier of the two-graph
+check's trace(S^3), behind an overflow guard).
 """
 
 import importlib

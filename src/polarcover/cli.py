@@ -269,10 +269,10 @@ def cmd_crosscheck(args):
         verify_thm71,
     )
 
-    if not args.formula_only:
-        from .finite_field import _check_codes
-        _check_codes(args.q)        # before factoring q, as _build_space does
-    _check_q(args.q)
+    if args.formula_only:
+        _check_q(args.q)
+    else:
+        _, tensor = _verified_cover(args.q, args.n)
     payload = {"q": args.q, "n": args.n, "formula_only": bool(args.formula_only)}
 
     cf = eigenmatrices_closed(args.n, args.q)  # residual check happens inside
@@ -293,7 +293,6 @@ def cmd_crosscheck(args):
         from .closed_form import crosscheck_P
         from .scheme_core import intersection_matrix, spectral_data
 
-        _, tensor = _verified_cover(args.q, args.n)
         L1b = intersection_matrix(tensor, 1)
         payload["l1_matches"] = L1b == L1c
         rep_b = verify_thm71(L1b, sigma, polys, args.q)

@@ -131,8 +131,9 @@ class IntersectionTensor:
     p: list                     # p[i][j][k], nonnegative ints; k_i = p[i][i][0]
 
 
-# Entries of R per row block of the scans, and of the switching-law check
-# summed over the group's elements: a block's temporaries stay at a few MB.
+# Entries of R per row block or square tile of the scans, and of the
+# switching-law check summed over the group's elements: a block's
+# temporaries stay at a few MB.
 SCAN_BLOCK = 1 << 20
 
 
@@ -236,13 +237,14 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
 
     Verifies the partition, identity, symmetry and constancy axioms, then
     returns the intersection tensor (with the standard identities checked).
-    The partition, identity and symmetry axioms are full scans of the
-    matrix, in row blocks.  Constancy is checked on every pair for the
-    products A_1 A_b, through the instance's group, and A_1 must generate
-    the Bose-Mesner algebra: every other product follows from these exactly
-    (see below).  RepeatedEigenvalue is raised when A_1 does not generate,
-    right after the rows of A_1 A_b.  No matrix is multiplied: the check
-    has no float and no m x m product.
+    The range, identity and symmetry axioms are full scans of the matrix,
+    in row blocks or square tiles.  Constancy is checked on every pair for
+    the products A_1 A_b, through the instance's group, and A_1 must
+    generate the Bose-Mesner algebra: every other product follows from
+    these exactly (see below).  The partition axiom is read off the same
+    representative rows.  RepeatedEigenvalue is raised when A_1 does not
+    generate, right after the rows of A_1 A_b.  No matrix is multiplied:
+    the check has no float and no m x m product.
 
     The group.  Each element g is checked on every fiber pair (x, y): with
     pi = pi[g] and f = f[g], R[pi x, pi y] must be R[x, y] where
@@ -266,22 +268,20 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     so every pair of points is H-equivalent to a pair in the row of some
     2r, in the same class and with the same entry of A_1 A_b.  Constancy on
     the representative rows, with one value per class over all of them, is
-    therefore constancy on every pair.  With no group every fiber is a
+    therefore constancy on every pair, and a class that no representative
+    row meets is empty (NotAPartition).  With no group every fiber is a
     representative.
 
-    The rows.  The neighbours of point 2r in relation 1 are the same-sheet
-    points 2z with R[r, z] = 1 and the cross-sheet points 2z + 1 with
-    R[r, z] = d - 1.  Gathering the rows R[z] of these k_1 neighbours, the
-    entry of A_1 A_b at the same-sheet point 2y counts the first kind with
-    R[z, y] = b and the second with R[z, y] = d - b, and the entry at the
-    cross-sheet point 2y + 1 the first kind with R[z, y] = d - b and the
-    second with R[z, y] = b.  The same-sheet entries over sheet-0 class
-    k = R[r, y] lie in class k, and the cross-sheet ones in class d - k;
-    each must be constant on its class, and a class met on both sheets must
-    have one value.  Only b <= top = d//2 is needed: A_1 A_0 = A_1 once the
-    identity axiom holds, and A_{d-b} is A_b with its sheets swapped, which
-    maps class k to d - k.  A relation matrix is the one-sheet case: no
-    cross-sheet points, and top = d.
+    The rows.  Seen from point 2r, point 2y + h is in class R[r, y] on
+    sheet h = 0 and d - R[r, y] on sheet 1.  The neighbours of 2r are the
+    points 2z + g in class 1, and such a neighbour meets 2y + h in relation
+    b where R[z, y] = b if g = h and R[z, y] = d - b if not; gathering the
+    rows R[z] of the k_1 neighbours counts the entry of A_1 A_b at every
+    point of the row.  Each entry must equal the one value of its class.
+    Only b <= top = d//2 is needed: A_1 A_0 = A_1 once the identity axiom
+    holds, and A_{d-b} is A_b with its sheets swapped, which maps class k
+    to d - k.  A relation matrix is the one-sheet case: no sheet 1, and
+    top = d.
 
     They give row 1 of the tensor, A_1 A_(d-b) being A_1 A_b with its
     sheets swapped, and with it L_1, (L_1)[k][j] = p_1j^k.  Let K have the
@@ -306,17 +306,12 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     come out as I and L_1 again, K_0 being K and K_1 being L_1 K.
 
     A failure is reported as a point pair.  The value of a class is read
-    at its first pair in the representative rows, in order; an entry of
-    row 2r that differs from it is reported at its own pair, (2r, 2y) on
-    the same sheet in class k or (2r, 2y + 1) on the cross sheet in class
-    d - k.  A class whose same-sheet and cross-sheet values differ is
-    reported at the cross-sheet pair over the first fiber pair of sheet-0
-    class d - k, whose value differs from that of every same-sheet pair of
-    its class.
+    at its first point in the representative rows, in order; a point that
+    differs is reported at its own pair (2r, 2y + h).
     """
     d, s, R = instance.d, instance.sheets, instance.matrix
     m = len(R)
-    top = d // 2 if s == 2 else d       # class i > top folds onto d - i
+    top = d // 2 if s == 2 else d       # A_b, b > top: A_(d-b), sheets swapped
     pi = np.zeros((0, m), dtype=np.intp) if instance.pi is None else np.asarray(instance.pi)
     f = np.ones(pi.shape, dtype=np.int8) if instance.f is None else np.asarray(instance.f)
     if pi.ndim != 2 or pi.shape[1] != m or f.shape != pi.shape:
@@ -335,17 +330,6 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
     if low < 0 or high > d:
         hit = _first_hit(R, lambda B, i: (B < 0) | (B > d))
         raise NotAPartition(f"relation index out of range at pair {pair(0, *hit)}")
-    # Class k is met on sheet 0, or on a cover as class d - k of sheet 1.
-    rows = max(1, SCAN_BLOCK // m)
-    seen = set()
-    for i in range(0, m, rows):
-        B = R[i:i + rows]
-        seen.update(k for k in range(d + 1) if k not in seen and (B == k).any())
-        if not (missing := [k for k in range(d + 1)
-                            if k not in seen and (s == 1 or d - k not in seen)]):
-            break
-    if missing:
-        raise NotAPartition(f"relations {missing} are empty")
     if (diagonal := np.flatnonzero(np.diagonal(R))).size:
         x = int(diagonal[0])
         raise IdentityNotR0(int(R[x, x]), pair(0, x, x))
@@ -356,11 +340,17 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
         return zero
 
     # The diagonal holds m zeros.
+    rows = max(1, SCAN_BLOCK // m)
     if sum(np.count_nonzero(R[i:i + rows] == 0) for i in range(0, m, rows)) > m:
         raise IdentityNotR0(0, pair(0, *_first_hit(R, off_diagonal_zero)))
     if s == 2 and high == d:
         raise IdentityNotR0(0, pair(1, *_first_hit(R, lambda B, i: B == d)))
-    if hit := _first_hit(R, lambda B, i: B != R[:, i:i + len(B)].T):
+    # Square tiles of SCAN_BLOCK entries against their mirror tiles; only a
+    # failing tile costs the row-order search for the first asymmetric pair.
+    t = math.isqrt(SCAN_BLOCK)
+    if any((R[i:i + t, j:j + t] != R[j:j + t, i:i + t].T).any()
+           for i in range(0, m, t) for j in range(i, m, t)):
+        hit = _first_hit(R, lambda B, i: B != R[:, i:i + len(B)].T)
         raise NotSymmetric(int(R[hit]), pair(0, *hit))
 
     # The switching law, in row blocks of SCAN_BLOCK entries over all
@@ -376,51 +366,41 @@ def verify_scheme(instance: SchemeInstance) -> IntersectionTensor:
             if hit := _first_true(image != want):
                 raise NotInvariant(g, pair(0, i + hit[0], i + hit[1]))
 
-    # The rows of A_1 A_b, b = 1..top, at the representatives: count[g, c - 1, y]
-    # counts the neighbours 2z + g of 2x with R[z, y] = c, for the classes
-    # c >= 1 that a neighbour's row can need, in blocks of SCAN_BLOCK entries.
-    classes = np.arange(1, d if s == 2 else d + 1, dtype=R.dtype)[:, None]
-    rows = max(1, SCAN_BLOCK // (max(len(classes), 1) * m))
-    # A neighbour on sheet g reaches sheet h in relation b where R = b if
-    # g = h, and d - b if not: reach[g][b - 1, h] is that class's index.
-    folded = np.arange(1, top + 1)[:, None]
-    reach = [np.where(np.arange(s) == g, folded, d - folded) - 1 for g in range(s)]
-    at = {}                             # class -> its first fiber pair in a representative row
-    values = np.zeros((top, s, d + 1), dtype=np.int64)   # [b - 1][same, cross][class]
+    # The rows of A_1 A_b, b = 1..top, at the representatives.  Seen from 2x,
+    # point 2y + h is in class cls[h, y], and a neighbour 2z + g meets it in
+    # relation b where R[z, y] is b if g = h and d - b if not: a block of
+    # neighbour rows is compared with target[b - 1, c] = b, d - b at once,
+    # and count[:, c] is added to got[:, h] for c = g XOR h.
+    target = np.array([[b, d - b][:s] for b in range(1, top + 1)], dtype=R.dtype)
+    rows = max(1, SCAN_BLOCK // (target.size * m))
+    values = np.zeros((top, d + 1), dtype=np.int64)   # [b - 1][class]
+    seen = np.zeros(d + 1, dtype=bool)
     for x in _orbit_representatives(pi, m):
-        row = R[x]
-        first = np.full(d + 1, m)
-        np.minimum.at(first, row, np.arange(m))
-        new = [k for k in range(d + 1) if k not in at and first[k] < m]
-        at.update((k, (int(x), int(first[k]))) for k in new)
-        count = np.zeros((s, len(classes), m), dtype=np.int64)
-        for g, z in enumerate([np.flatnonzero(row == 1), np.flatnonzero(row == d - 1)][:s]):
+        cls = np.array([R[x], d - R[x]][:s])
+        got = np.zeros((top, s, m), dtype=np.int64)
+        for g in range(s):
+            z = np.flatnonzero(cls[g] == 1)
             # A block has under 2^15 rows, k_1 < m and rows < 2^20 / m,
             # so its int16 sums are exact.
             for i in range(0, len(z), rows):
-                hits = R[z[i:i + rows], None] == classes
-                count[g] += np.add.reduce(hits.view(np.uint8), axis=0, dtype=np.int16)
-        got = sum(count[g][reach[g]] for g in range(s))      # [b - 1][same, cross][y]
-        values[:, :, new] = got[:, :, first[new]]
-        if hit := _first_true(got != values[:, :, row]):
+                hits = R[z[i:i + rows], None, None] == target[..., None]
+                count = np.add.reduce(hits.view(np.uint8), axis=0, dtype=np.int16)
+                got += count[:, [g, 1 - g][:s]]
+        # A class's value is read at its first point 2y + h in these rows.
+        first = np.full(d + 1, s * m)
+        np.minimum.at(first, cls.T.ravel(), np.arange(s * m))
+        new = ~seen & (first < s * m)
+        seen |= new
+        values[:, new] = got[:, first[new] % s, first[new] // s]
+        if hit := _first_true(got != values[:, cls]):
             b, h, y = hit
-            k = int(row[y])
-            raise NonConstant(1, int(b) + 1, d - k if h else k, pair(h, x, y))
-
-    def fold(b):
-        """p_1b^k: the same-sheet value of sheet-0 class k and, on a cover,
-        the cross-sheet value over sheet-0 class d - k, one value for a
-        class met both ways."""
-        p_1b = {k: int(values[b - 1, 0, k]) for k in at}
-        if s == 2:
-            for k, xy in at.items():
-                v = int(values[b - 1, 1, k])
-                if p_1b.setdefault(d - k, v) != v:
-                    raise NonConstant(1, b, d - k, pair(1, *xy))
-        return [p_1b[k] for k in range(d + 1)]
+            raise NonConstant(1, int(b) + 1, int(cls[h, y]), pair(h, x, y))
+    # Every pair is H-equivalent to a pair of the same class in these rows.
+    if missing := np.flatnonzero(~seen).tolist():
+        raise NotAPartition(f"relations {missing} are empty")
 
     row1 = [[int(k == 1) for k in range(d + 1)]]      # p_10: A_0 = I
-    row1 += [fold(b) for b in range(1, top + 1)]
+    row1 += values.tolist()
     # Two sheets: A_(d-j) is A_j with its sheets swapped, so p_1(d-j)^k = p_1j^(d-k).
     row1 += [row1[d - j][::-1] for j in range(top + 1, d + 1)]
     L1 = [list(row) for row in zip(*row1)]

@@ -91,6 +91,26 @@ class TestFaultInjection:
             verify_scheme(SchemeInstance.from_matrix(R, 2))
         assert exc.value.witness is not None
 
+    def test_not_symmetric_past_the_first_tile(self):
+        # K_1100 with one entry of relation 2 whose mirror stays 1; the
+        # pair lies past the first 1024 x 1024 tile of the symmetry scan.
+        R = np.ones((1100, 1100), dtype=np.int8)
+        np.fill_diagonal(R, 0)
+        R[1050, 1060] = 2
+        with pytest.raises(NotSymmetric) as exc:
+            verify_scheme(SchemeInstance.from_matrix(R, 2))
+        assert (exc.value.relation, exc.value.witness) == (2, (1050, 1060))
+
+    def test_empty_relations_read_off_the_representative_row(self):
+        # K_4 on the fibers of a 5-class cover, with a 4-cycle as its group:
+        # one representative, whose row meets classes 0, 1, 4 and 5 only.
+        R = np.ones((4, 4), dtype=np.int8)
+        np.fill_diagonal(R, 0)
+        instance = SchemeInstance(5, R, sheets=2, pi=np.array([[1, 2, 3, 0]]),
+                                  f=np.ones((1, 4), dtype=np.int8))
+        with pytest.raises(NotAPartition, match=r"^relations \[2, 3\] are empty$"):
+            verify_scheme(instance)
+
     def test_nonconstant_valency(self):
         # path on 3 points graded by distance: relation 1 has valency 1 or 2
         R = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
